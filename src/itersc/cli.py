@@ -277,10 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="JSON config file (flags override it)")
         p.add_argument("--n", type=int, default=3)
-        p.add_argument("--model", choices=["wor", "wro", "owr"], default=None)
         p.add_argument("--family", choices=["sigma", "partition"], default="sigma")
         p.add_argument("--adversary", default="random",
-                       help="enumerate | random | script:FILE")
+                       help="random | script:FILE")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--horizon", type=int, default=None)
         p.add_argument("--jobs", type=int, default=1)

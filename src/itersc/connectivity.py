@@ -31,6 +31,7 @@ from .executor import (
     MapAdversary,
     apply_round,
     enumerate_round_schedules,
+    explore,
     probe_round,
     sigma_schedule,
 )
@@ -808,7 +809,11 @@ class Valency(Enum):
 
 def bounded_valency(state: GlobalState, proto, horizon: int,
                     family: str = "sigma", adversary: str = "enumerate") -> Valency:
-    """Classify a state by exhaustively extending it to the horizon."""
+    """Classify a state by exhaustively extending it to the horizon.
+
+    A subtree's summary, computed once per distinct ``(depth, locals_)``, is
+    its set of decided-value sets and whether some leaf decides nothing.
+    """
     if horizon <= 0:
         raise InvalidArgumentError("horizon must be positive")
     inputs = {ls.inp for ls in state.locals_}
@@ -817,29 +822,18 @@ def bounded_valency(state: GlobalState, proto, horizon: int,
     if adversary != "enumerate":
         raise InvalidArgumentError("only the enumerated adversary is supported")
     scheds = list(enumerate_round_schedules(state.n, proto.model, family))
-    outcomes: set[frozenset] = set()
-    undecided = False
 
-    def rec(s: GlobalState, depth: int):
-        nonlocal undecided
+    def leaf(s: GlobalState, depth: int):
+        if not (s.all_decided() or depth == horizon):
+            return None
         decided = frozenset(d for d in (ls.dec for ls in s.locals_) if d is not None)
-        if s.all_decided() or depth == horizon:
-            if decided:
-                outcomes.add(decided)
-            else:
-                undecided = True
-            return
-        for sched in scheds:
-            probe = probe_round(s, sched, proto)
-            contended = [obj for (obj, _b, c, _f) in probe if c]
-            if not contended:
-                rec(apply_round(s, sched, None, proto), depth + 1)
-                continue
-            for values in itertools.product(range(1, s.n + 1), repeat=len(contended)):
-                adv = MapAdversary(dict(zip(contended, values)))
-                rec(apply_round(s, sched, adv, proto), depth + 1)
+        return (frozenset({decided}), False) if decided else (frozenset(), True)
 
-    rec(state, 0)
+    def join(parts):
+        return (frozenset().union(*(o for _step, (o, _u) in parts)),
+                any(u for _step, (_o, u) in parts))
+
+    outcomes, undecided = explore(state, scheds, proto, leaf, join)
     if undecided:
         return Valency.UNDECIDED
     if any(len(d) > 1 for d in outcomes):

@@ -6,6 +6,10 @@ writes fill the round's fresh snapshot array, invoke groups resolve
 safe-consensus instances (Safe-Validity forces a solo strictly-first
 invoker's input; contention defers to the adversary), scans copy the
 array.  Decisions and local-state folding happen at the round boundary.
+
+Every exhaustive check (sweeps, Gamma census, bounded valency) walks the
+schedule x adversary tree with ``explore``, which explores each distinct
+``(round, locals)`` subtree once and reuses its summary wherever it recurs.
 """
 
 from __future__ import annotations
@@ -430,6 +434,67 @@ def probe_round(state: GlobalState, sched: RoundSchedule, proto: ProtocolAutomat
 
 
 # ---------------------------------------------------------------------------
+# exploring the schedule x adversary tree
+
+
+def successors(state: GlobalState, sched: RoundSchedule, proto: ProtocolAutomaton):
+    """Yield ``(choices, child)`` for every adversary output of one round.
+
+    ``choices`` are the outputs of the contended instances in resolution
+    order, in ``itertools.product`` order.  The all-ones run comes first
+    and also reveals which instances are contended, so no probe runs.  The
+    set of contended instances cannot depend on the outputs: no process
+    selects its object after reading an output of the same round, and
+    MapAdversary raises on an instance it has no output for.
+    """
+    first, recorded = apply_round_recorded(state, sched, FixedAdversary(1), proto)
+    contended = [obj for (_rnd, obj, _v) in recorded]
+    assignments = itertools.product(range(1, state.n + 1), repeat=len(contended))
+    yield next(assignments), first
+    for values in assignments:
+        yield values, apply_round(state, sched, MapAdversary(dict(zip(contended, values))),
+                                  proto)
+
+
+def explore(root: GlobalState, scheds, proto: ProtocolAutomaton,
+            leaf: Callable, join: Callable, on_child: Optional[Callable] = None):
+    """Summary of the tree of every schedule in ``scheds`` x every adversary
+    output, round after round, below ``root``.
+
+    ``leaf(state, depth)`` returns the summary of a leaf, or None to branch.
+    ``join(parts)`` folds the ``((sched, choices), summary)`` pairs of a
+    node's children, in depth-first order, into the node's summary.
+    ``on_child`` sees every child state the walk computes.
+
+    Identical subtrees are explored once: the summaries of inner nodes are
+    memoized by ``(depth, locals_)``.  This is sound because a round reads only the
+    locals, round number and n of its state, the enumerated adversary
+    ignores the state, and ``leaf`` must read only the locals.  The walk
+    stays depth-first, so counts and first counterexamples are exactly
+    those of the plain tree walk.
+    """
+    memo: dict = {}
+
+    def rec(state: GlobalState, depth: int):
+        summary = leaf(state, depth)
+        if summary is not None:
+            return summary
+        key = (depth, state.locals_)
+        summary = memo.get(key)
+        if summary is None:
+            parts = []
+            for sched in scheds:
+                for choices, child in successors(state, sched, proto):
+                    if on_child is not None:
+                        on_child(child)
+                    parts.append(((sched, choices), rec(child, depth + 1)))
+            summary = memo[key] = join(parts)
+        return summary
+
+    return rec(root, 0)
+
+
+# ---------------------------------------------------------------------------
 # executions
 
 
@@ -608,7 +673,11 @@ class ExplorationBudget:
 
 def collect_gamma(proto: ProtocolAutomaton, n: int,
                   budget: Optional[ExplorationBudget] = None) -> GammaReport:
-    """Observe boxes across explored executions; exhaustive when n is small."""
+    """Observe boxes across explored executions; exhaustive when n is small.
+
+    The exhaustive census stops (``partial``) after the schedule tree that
+    reaches ``100 * max_executions`` leaves, with all that tree's boxes.
+    """
     budget = budget or ExplorationBudget()
     rounds = budget.rounds or proto.round_budget
     if rounds is None:
@@ -627,14 +696,15 @@ def collect_gamma(proto: ProtocolAutomaton, n: int,
             boxes.add(inst.box)
 
     if mode == "exhaustive":
-        scheds = list(enumerate_round_schedules(n, proto.model, "sigma"))
-        for sched in scheds:
-            for leaf in _explore_iterated(proto, inputs, sched, rounds, record):
-                count += 1
-                if count >= budget.max_executions * 100:
-                    partial = True
-                    break
-            if partial:
+        init = make_initial_state(n, inputs, proto.model, proto)
+        cap = budget.max_executions * 100
+        for sched in enumerate_round_schedules(n, proto.model, "sigma"):
+            count += explore(init, [sched], proto,
+                             lambda _s, depth: 1 if depth == rounds else None,
+                             lambda parts: sum(leaves for _step, leaves in parts),
+                             record)
+            if count >= cap:
+                count, partial = cap, True
                 break
     else:
         rng = random.Random(budget.seed)
@@ -660,43 +730,6 @@ def collect_gamma(proto: ProtocolAutomaton, n: int,
         executions=count,
         partial=partial,
     )
-
-
-def _explore_iterated(proto, inputs, sched, rounds, record=None):
-    """DFS over adversary choices with one fixed schedule per round.
-
-    Yields the final state of every execution in the tree.
-    """
-    n = len(inputs)
-    init = make_initial_state(n, inputs, proto.model, proto)
-
-    def rec(state, depth):
-        if depth == rounds:
-            yield state
-            return
-        for child in _branch_round(state, sched, proto, record):
-            yield from rec(child, depth + 1)
-
-    yield from rec(init, 0)
-
-
-def _branch_round(state, sched, proto, record=None):
-    """All successor states of one round under the enumerated adversary."""
-    n = state.n
-    probe = probe_round(state, sched, proto)
-    contended = [obj for (obj, _box, c, _f) in probe if c]
-    if not contended:
-        child = apply_round(state, sched, None, proto)
-        if record:
-            record(child)
-        yield child
-        return
-    for values in itertools.product(range(1, n + 1), repeat=len(contended)):
-        adv = MapAdversary(dict(zip(contended, values)))
-        child = apply_round(state, sched, adv, proto)
-        if record:
-            record(child)
-        yield child
 
 
 # ---------------------------------------------------------------------------
@@ -728,52 +761,32 @@ class SweepReport:
         }
 
 
-def _sweep_tree(proto, inputs, schedules_per_round, rounds):
-    """DFS over (schedule, adversary) branches; returns (count, violations, first).
+def _sweep_tree(proto, inputs, scheds, rounds, valid_outputs):
+    """Check every leaf of the ``scheds`` x adversary tree of ``rounds`` rounds.
 
-    ``schedules_per_round`` is either a list (full per-round cross product)
-    or a single schedule reused every round.
+    Returns ``(executions, violations, first)``: the counts take every leaf,
+    shared subtrees included; ``first`` is the first violating leaf in
+    depth-first order as ``(trail, violation)``, with ``(sched, choices)`` steps.
     """
-    n = len(inputs)
-    init = make_initial_state(n, inputs, proto.model, proto)
-    stats = {"count": 0, "violations": 0, "first": None}
-    trail: list = []
+    def leaf(state, depth):
+        if depth < rounds:
+            return None
+        verdict = _check_decisions(state, rounds, valid_outputs)
+        return (1, 0, None) if verdict.ok else (1, 1, ((), jsonable(verdict.first_violation)))
 
-    def leaf(state):
-        stats["count"] += 1
-        verdict = _check_decisions(state, rounds, set(freeze(i) for i in inputs))
-        if not verdict.ok:
-            stats["violations"] += 1
-            if stats["first"] is None:
-                stats["first"] = {
-                    "inputs": list(inputs),
-                    "trail": [{"schedule": s.to_jsonable(), "choices": list(c)}
-                              for s, c in trail],
-                    "violation": jsonable(verdict.first_violation),
-                }
+    init = make_initial_state(len(inputs), inputs, proto.model, proto)
+    return explore(init, scheds, proto, leaf, _join_sweep)
 
-    def rec(state, depth):
-        if depth == rounds:
-            leaf(state)
-            return
-        scheds = schedules_per_round if isinstance(schedules_per_round, list) \
-            else [schedules_per_round]
-        for sched in scheds:
-            probe = probe_round(state, sched, proto)
-            contended = [obj for (obj, _b, c, _f) in probe if c]
-            if not contended:
-                trail.append((sched, ()))
-                rec(apply_round(state, sched, None, proto), depth + 1)
-                trail.pop()
-                continue
-            for values in itertools.product(range(1, n + 1), repeat=len(contended)):
-                adv = MapAdversary(dict(zip(contended, values)))
-                trail.append((sched, values))
-                rec(apply_round(state, sched, adv, proto), depth + 1)
-                trail.pop()
 
-    rec(init, 0)
-    return stats
+def _join_sweep(parts):
+    executions = violations = 0
+    first = None
+    for step, (count, bad, found) in parts:
+        executions += count
+        violations += bad
+        if first is None and found is not None:
+            first = ((step,) + found[0], found[1])
+    return executions, violations, first
 
 
 def consensus_input_vectors(n: int) -> list[list[int]]:
@@ -791,7 +804,8 @@ def verify_consensus_exhaustive(n: int, proto_factory=None,
     For n <= 3 every per-round combination of sigma schedules is explored;
     for n = 4 the sigma schedule is fixed per execution and iterated (the
     per-round cross product is astronomically large), still with the full
-    adversary enumeration at every round.
+    adversary enumeration at every round.  ``executions`` counts every leaf
+    of each tree, although ``explore`` checks each distinct subtree once.
     """
     from .protocols import protocol_consensus_wor
     if n > 4:
@@ -806,18 +820,19 @@ def verify_consensus_exhaustive(n: int, proto_factory=None,
     total = 0
     violations = 0
     first = None
+    trees = [scheds] if per_round_cross else [[sched] for sched in scheds]
     for inputs in (inputs_list or consensus_input_vectors(n)):
-        if per_round_cross:
-            stats = _sweep_tree(proto, inputs, scheds, rounds)
-            total += stats["count"]
-            violations += stats["violations"]
-            first = first or stats["first"]
-        else:
-            for sched in scheds:
-                stats = _sweep_tree(proto, inputs, sched, rounds)
-                total += stats["count"]
-                violations += stats["violations"]
-                first = first or stats["first"]
+        valid = {freeze(i) for i in inputs}
+        for tree in trees:
+            count, bad, found = _sweep_tree(proto, inputs, tree, rounds, valid)
+            total += count
+            violations += bad
+            if first is None and found is not None:
+                trail, violation = found
+                first = {"inputs": list(inputs),
+                         "trail": [{"schedule": s.to_jsonable(), "choices": list(c)}
+                                   for s, c in trail],
+                         "violation": violation}
     gamma_report = collect_gamma(proto, n)
     return SweepReport(n=n, mode="exhaustive", executions=total,
                        violations=violations, first_counterexample=first,
@@ -872,29 +887,18 @@ def verify_2cc(g: int, domain=(5, 7), families=("sigma",)) -> SweepReport:
     violations = 0
     first = None
     for entries in all_coalitions_tuples(g, domain):
-        allowed = set()
-        for left, right in entries:
-            for v in (left, right):
-                if v is not None:
-                    allowed.add(v)
+        allowed = {v for pair in entries for v in pair if v is not None}
         for family in families:
-            for sched in enumerate_round_schedules(g, WOR, family):
-                init = make_initial_state(g, entries, WOR, proto)
-                probe = probe_round(init, sched, proto)
-                contended = [obj for (obj, _b, c, _f) in probe if c]
-                assignments = itertools.product(range(1, g + 1), repeat=len(contended))
-                for values in assignments:
-                    adv = MapAdversary(dict(zip(contended, values)))
-                    final = apply_round(init, sched, adv, proto)
-                    total += 1
-                    verdict = _check_decisions(final, 1, allowed)
-                    if not verdict.ok:
-                        violations += 1
-                        if first is None:
-                            first = {"entries": jsonable(entries),
-                                     "schedule": sched.to_jsonable(),
-                                     "choices": list(values),
-                                     "violation": jsonable(verdict.first_violation)}
+            scheds = list(enumerate_round_schedules(g, WOR, family))
+            count, bad, found = _sweep_tree(proto, entries, scheds, 1, allowed)
+            total += count
+            violations += bad
+            if first is None and found is not None:
+                ((sched, choices),), violation = found
+                first = {"entries": jsonable(entries),
+                         "schedule": sched.to_jsonable(),
+                         "choices": list(choices),
+                         "violation": violation}
     return SweepReport(n=g, mode="exhaustive", executions=total,
                        violations=violations, first_counterexample=first)
 

@@ -98,6 +98,12 @@ def test_simulate_trace(capsys, tmp_path):
     assert all("schedule" in json.loads(line) for line in lines)
 
 
+def test_enumerate_adversary_is_rejected(capsys):
+    code, _, err = run_cli(capsys, "simulate", "--adversary", "enumerate")
+    assert code == EXIT_USAGE
+    assert "unknown adversary 'enumerate'" in err
+
+
 def test_unknown_command_exits_2(capsys):
     assert main(["no-such-command"]) == EXIT_USAGE
     assert main([]) == EXIT_USAGE

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -19,12 +21,17 @@ from itersc.executor import (
     EVENT_ORDER,
     ExplorationBudget,
     FixedAdversary,
+    GammaReport,
+    MapAdversary,
     ScriptedAdversary,
     SeededRandomAdversary,
+    SweepReport,
+    _check_decisions,
     apply_round,
     check_2cc,
     check_consensus,
     collect_gamma,
+    consensus_input_vectors,
     enumerate_round_schedules,
     make_schedule,
     ordered_set_partitions,
@@ -33,11 +40,13 @@ from itersc.executor import (
     replay_execution,
     run_execution,
     sigma_schedule,
+    verify_consensus_exhaustive,
     verify_consensus_sampled,
 )
 from itersc.model import OWR, WOR, WRO, make_initial_state
 from itersc.protocols import protocol_2cc, protocol_consensus_wor
 from itersc.samples import deficient_wor_samples, knowledge_automaton, sel_solo
+from itersc.values import freeze, jsonable
 
 
 def test_sigma_schedule_wor_shape():
@@ -289,3 +298,104 @@ def test_collect_gamma_scales_to_n5_sampled():
     assert report.nu_total == 10
     for m, count in report.nu.items():
         assert count > 5 - m  # strictly above the deficiency threshold
+
+
+# -- the memoized explorer against a plain tree walk ---------------------------
+
+
+def _plain_walk(proto, inputs, scheds, on_child=lambda state: None):
+    """Reference sweep without sharing: probe, then apply every assignment."""
+    n, rounds = len(inputs), proto.round_budget
+    valid = {freeze(i) for i in inputs}
+    out = {"executions": 0, "violations": 0, "first": None}
+    trail = []
+
+    def rec(state, depth):
+        if depth == rounds:
+            out["executions"] += 1
+            verdict = _check_decisions(state, rounds, valid)
+            if not verdict.ok:
+                out["violations"] += 1
+                out["first"] = out["first"] or {
+                    "inputs": list(inputs),
+                    "trail": [{"schedule": s.to_jsonable(), "choices": list(c)}
+                              for s, c in trail],
+                    "violation": jsonable(verdict.first_violation)}
+            return
+        for sched in scheds:
+            contended = [o for (o, _b, c, _f) in probe_round(state, sched, proto) if c]
+            for values in itertools.product(range(1, n + 1), repeat=len(contended)):
+                child = apply_round(state, sched, MapAdversary(dict(zip(contended, values))),
+                                    proto)
+                on_child(child)
+                trail.append((sched, values))
+                rec(child, depth + 1)
+                trail.pop()
+
+    rec(make_initial_state(n, inputs, proto.model, proto), 0)
+    return out
+
+
+def _reference_report(proto, n, inputs_list, per_round_cross):
+    scheds = list(enumerate_round_schedules(n, proto.model, "sigma"))
+    trees = [scheds] if per_round_cross else [[s] for s in scheds]
+    runs = [_plain_walk(proto, inputs, tree) for inputs in inputs_list for tree in trees]
+    boxes = set()
+    census = sum(_plain_walk(proto, list(range(n)), [sched],
+                             lambda st: boxes.update(i.box for i in st.instances[-1]))
+                 ["executions"] for sched in scheds)
+    gamma = {m: frozenset(b for b in boxes if len(b) == m) for m in {len(b) for b in boxes}}
+    nu = {m: len(bs) for m, bs in gamma.items() if m >= 2}
+    return SweepReport(
+        n=n, mode="exhaustive", executions=sum(r["executions"] for r in runs),
+        violations=sum(r["violations"] for r in runs),
+        first_counterexample=next((r["first"] for r in runs if r["first"]), None),
+        gamma=GammaReport(n=n, gamma=gamma, nu=nu, nu_total=sum(nu.values()),
+                          executions=census, partial=False))
+
+
+DEFICIENT = deficient_wor_samples(3)
+SWEPT = [("consensus", protocol_consensus_wor(3), [[0, 1, 1]])] + [
+    (name, proto, consensus_input_vectors(3)) for name, proto in sorted(DEFICIENT.items())]
+
+
+@pytest.mark.parametrize("per_round_cross", [True, False])
+@pytest.mark.parametrize("name, proto, inputs_list", SWEPT, ids=[s[0] for s in SWEPT])
+def test_memoized_sweep_equals_plain_tree_walk(name, proto, inputs_list, per_round_cross):
+    report = verify_consensus_exhaustive(3, proto_factory=lambda n: proto,
+                                         per_round_cross=per_round_cross,
+                                         inputs_list=inputs_list)
+    assert report == _reference_report(proto, 3, inputs_list, per_round_cross)
+
+
+# -- negative controls: a sweep that explores nothing cannot pass ---------------
+
+
+@pytest.mark.parametrize("name, violations", [
+    ("wor-solo-min", 159), ("wor-pair12-min", 259), ("wor-altpair12-min", 197)])
+def test_box_deficient_automata_fail_as_consensus(name, violations):
+    report = verify_consensus_exhaustive(3, proto_factory=lambda n: DEFICIENT[name])
+    assert report.violations == violations
+    assert report.first_counterexample["violation"][0] == "agreement"
+
+
+def test_consensus_one_round_short_never_terminates():
+    rounds = comb(3, 2) - 1
+    report = verify_consensus_exhaustive(
+        3, proto_factory=lambda n: dataclasses.replace(protocol_consensus_wor(n),
+                                                       round_budget=rounds))
+    assert report.executions == report.violations == 3249
+    assert report.first_counterexample["violation"] == [
+        "termination", 1, f"undecided at round {rounds}"]
+
+
+def test_first_counterexample_replays_as_an_execution():
+    proto = DEFICIENT["wor-solo-min"]
+    cex = verify_consensus_exhaustive(3, proto_factory=lambda n: proto).first_counterexample
+    scheds = [make_schedule(proto.model, 3, step["schedule"]) for step in cex["trail"]]
+    choices = [v for step in cex["trail"] for v in step["choices"]]
+    exe = run_execution(proto, cex["inputs"], scheds, ScriptedAdversary(choices))
+    assert exe.all_choices() == choices
+    verdict = check_consensus(exe, cex["inputs"])
+    assert not verdict.ok
+    assert jsonable(verdict.first_violation) == cex["violation"]
