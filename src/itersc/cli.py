@@ -13,6 +13,7 @@ import logging
 import os
 import sys
 import time
+from functools import partial
 from typing import Any, Optional
 
 from . import __version__
@@ -21,6 +22,8 @@ from .errors import BudgetExceededError, InvalidArgumentError, IterscError
 from .executor import (
     ScriptedAdversary,
     SeededRandomAdversary,
+    SweepReport,
+    _sample_range,
     collect_gamma,
     protocol_descriptor,
     random_sigma_schedule,
@@ -145,27 +148,25 @@ def cmd_verify_consensus(args) -> int:
     return _emit(args, "verify-consensus", config, report.to_jsonable(), report.ok, t0)
 
 
-def _sampled_sweep(n: int, executions: int, seed: int, jobs: int):
+def _sampled_sweep(n: int, executions: int, seed: int, jobs: int, protocol: str = "consensus"):
+    """Sampled sweep over ``jobs`` index ranges; every split gives the serial report."""
     if jobs <= 1:
-        return verify_consensus_sampled(n, executions, seed)
+        return verify_consensus_sampled(n, executions, seed, partial(resolve_protocol, protocol))
     from concurrent.futures import ProcessPoolExecutor
-    chunk = (executions + jobs - 1) // jobs
-    specs = [(n, min(chunk, executions - i * chunk), seed + i)
-             for i in range(jobs) if i * chunk < executions]
+    chunk = max(1, -(-executions // jobs))
+    specs = [(protocol, n, seed, lo, min(lo + chunk, executions))
+             for lo in range(0, executions, chunk)]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         parts = list(pool.map(_sampled_worker, specs))
-    from .executor import SweepReport
-    total = sum(p.executions for p in parts)
-    violations = sum(p.violations for p in parts)
-    first = next((p.first_counterexample for p in sorted(parts, key=lambda p: p.mode)
-                  if p.first_counterexample), None)
-    return SweepReport(n=n, mode="sampled", executions=total,
-                       violations=violations, first_counterexample=first)
+    firsts = [first for _bad, first in parts if first is not None]
+    return SweepReport(n=n, mode="sampled", executions=executions,
+                       violations=sum(bad for bad, _first in parts),
+                       first_counterexample=min(firsts, key=lambda f: f["index"], default=None))
 
 
 def _sampled_worker(spec):
-    n, executions, seed = spec
-    return verify_consensus_sampled(n, executions, seed)
+    protocol, n, seed, lo, hi = spec
+    return _sample_range(resolve_protocol(protocol, n), n, seed, lo, hi)
 
 
 def cmd_verify_2cc(args) -> int:

@@ -6,6 +6,14 @@ safe-consensus outputs of contended instances from an explicit per-box
 plan, then verify each claimed indistinguishability edge against the
 actual local states.  A construction that cannot be verified raises
 ConstructionError instead of returning a weaker path.
+
+Each public extension call applies its rounds through one private memo,
+which lives for that call only.  A round's outcome (new locals, snapshot,
+instances) is keyed by ``(rnd, locals_, groups, script)``: a round reads
+only the locals, the round number and n, and the adversaries used here
+(all ones, or outputs by object index) ignore the state.  A hit rebuilds
+the child on the caller's own history.  No probe runs: the all-ones child
+shows the boxes, the contention and the forced values of its round.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from .errors import (
     RoundMismatchError,
 )
 from .executor import (
+    FixedAdversary,
     MapAdversary,
     apply_round,
     enumerate_round_schedules,
@@ -204,26 +213,60 @@ def successor_boxes(state: GlobalState, proto) -> frozenset:
     return frozenset(b for (_o, b, _c, _f) in probe_round(state, sched, proto))
 
 
+class _Rounds:
+    """The sigma rounds of one extension call, each applied once (see the
+    module docstring for why the key is sound)."""
+
+    def __init__(self, proto):
+        self.proto = proto
+        self.deltas: dict = {}
+
+    def child(self, state: GlobalState, groups, script: Optional[tuple] = None) -> GlobalState:
+        """The sigma(groups) successor.  Contended instances output 1, or
+        the value ``script`` pairs with their object index."""
+        groups = tuple(frozenset(g) for g in groups)
+        key = (state.rnd, state.locals_, groups, script)
+        delta = self.deltas.get(key)
+        if delta is None:
+            sched = sigma_schedule(groups, state.n, self.proto.model)
+            adv = FixedAdversary(1) if script is None else MapAdversary(dict(script))
+            child = apply_round(state, sched, adv, self.proto)
+            self.deltas[key] = (child.locals_, child.memory[-1], child.instances[-1])
+            return child
+        locals_, snap, insts = delta
+        return GlobalState(n=state.n, model=state.model, rnd=state.rnd + 1, locals_=locals_,
+                           memory=state.memory + (snap,), instances=state.instances + (insts,))
+
+    def boxes(self, state: GlobalState) -> frozenset:
+        return frozenset(inst.box for inst in self.child(state, ()).instances[-1])
+
+    def successor(self, state: GlobalState, groups, box_values: dict,
+                  default: Optional[Callable] = None) -> GlobalState:
+        ones = self.child(state, groups)
+        script = {}
+        for inst in ones.instances[-1]:
+            b, want = inst.box, box_values.get(inst.box)
+            if not inst.forced:
+                script[inst.object_index] = want if want is not None else (default or min)(b)
+            elif want is not None and inst.output != want:
+                raise ConstructionError(
+                    f"box {sorted(b)} is forced to {inst.output} under "
+                    f"{sigma_schedule(groups, state.n, self.proto.model)}, plan wants {want}")
+        if all(v == 1 for v in script.values()):
+            return ones
+        return self.child(state, groups, tuple(script.items()))
+
+
 def build_successor(state: GlobalState, groups, proto, box_values: dict,
                     default: Optional[Callable] = None) -> GlobalState:
     """One sigma-round successor with planned safe-consensus outputs.
 
     ``box_values`` maps boxes (frozensets) to the output each box must take;
-    instances that Safe-Validity forces are checked against the plan.
+    instances that Safe-Validity forces are checked against the plan.  No
+    probe runs: the all-ones round shows the contention and forced values,
+    and is itself the answer when the plan gives every contended box 1.
     """
-    sched = sigma_schedule(groups, state.n, proto.model)
-    script = {}
-    for obj, b, contended, forced_val in probe_round(state, sched, proto):
-        want = box_values.get(b)
-        if contended:
-            if want is None:
-                want = default(b) if default else min(b)
-            script[obj] = want
-        elif want is not None and forced_val != want:
-            raise ConstructionError(
-                f"box {sorted(b)} is forced to {forced_val} under "
-                f"{sigma_schedule(groups, state.n, proto.model)}, plan wants {want}")
-    return apply_round(state, sched, MapAdversary(script), proto)
+    return _Rounds(proto).successor(state, groups, box_values, default)
 
 
 def box_values_of(state: GlobalState) -> dict:
@@ -278,11 +321,11 @@ def connect_partition_round(state: GlobalState, a, b_, proto) -> Path:
     """
     n = state.n
     a, b_ = _check_partition_args(n, a, b_)
-    boxes = successor_boxes(state, proto)
-    plan = _partition_plan(boxes, a, b_, n)
-    s_a = build_successor(state, (a,), proto, plan)
-    s_all = build_successor(state, (), proto, plan)
-    s_b = build_successor(state, (b_,), proto, plan)
+    rounds = _Rounds(proto)
+    plan = _partition_plan(rounds.boxes(state), a, b_, n)
+    s_a = rounds.successor(state, (a,), plan)
+    s_all = rounds.successor(state, (), plan)
+    s_b = rounds.successor(state, (b_,), plan)
     pb = PathBuilder(s_a)
     pb.append(s_all, b_)
     pb.append(s_b, a)
@@ -303,29 +346,24 @@ def extend_path_partition(path: Path, a, b_, proto) -> Path:
         if x != a and x != b_:
             raise PreconditionViolationError(
                 f"label {sorted(x)} is neither A nor B")
-    plans = {}
+    rounds = _Rounds(proto)
 
-    def plan_for(s: GlobalState) -> dict:
-        if s not in plans:
-            plans[s] = _partition_plan(successor_boxes(s, proto), a, b_, n)
-        return plans[s]
+    def step(s: GlobalState, groups) -> GlobalState:
+        return rounds.successor(s, groups, _partition_plan(rounds.boxes(s), a, b_, n))
 
     if not path.labels:
-        only = build_successor(path.states[0], (a,), proto, plan_for(path.states[0]))
-        return Path(states=(only,), labels=())
+        return Path(states=(step(path.states[0], (a,)),), labels=())
 
     cur_groups = path.labels[0]
-    pb = PathBuilder(build_successor(path.states[0], (cur_groups,), proto,
-                                     plan_for(path.states[0])))
+    pb = PathBuilder(step(path.states[0], (cur_groups,)))
     for idx, x in enumerate(path.labels):
         base, nxt_base = path.states[idx], path.states[idx + 1]
         if x != cur_groups:
             # bridge within the current base: sigma(cur) - sigma(all) - sigma(x)
-            plan = plan_for(base)
-            pb.append(build_successor(base, (), proto, plan), x)
-            pb.append(build_successor(base, (x,), proto, plan), cur_groups)
+            pb.append(step(base, ()), x)
+            pb.append(step(base, (x,)), cur_groups)
             cur_groups = x
-        pb.append(build_successor(nxt_base, (x,), proto, plan_for(nxt_base)), x)
+        pb.append(step(nxt_base, (x,)), x)
     out = pb.build()
     out.verify()
     return out
@@ -346,37 +384,37 @@ def extend_path_no3box(path: Path, proto) -> Path:
     if n != 3:
         raise InvalidArgumentError("the no-3-box engine is specific to n=3")
     full = frozenset({1, 2, 3})
+    rounds = _Rounds(proto)
     if not path.labels:
-        return Path(states=(build_successor(path.states[0], (), proto, {}),),
-                    labels=())
+        return Path(states=(rounds.successor(path.states[0], (), {}),), labels=())
 
     cur = path.labels[0]
-    _require_no_full_box(successor_boxes(path.states[0], proto))
-    pb = PathBuilder(build_successor(path.states[0], (cur,), proto, {}))
+    _require_no_full_box(rounds.boxes(path.states[0]))
+    pb = PathBuilder(rounds.successor(path.states[0], (cur,), {}))
 
     for idx, x_next in enumerate(path.labels):
         base, nxt_base = path.states[idx], path.states[idx + 1]
-        boxes = successor_boxes(base, proto)
+        boxes = rounds.boxes(base)
         _require_no_full_box(boxes)
         pair = next((b for b in boxes if len(b) == 2), None)
 
         if x_next == full:
             # identical bases: reuse the tail's shape on the next base
             plan = dict(box_values_of(pb.tail))
-            pb.append(build_successor(nxt_base, (cur,), proto, plan), full)
+            pb.append(rounds.successor(nxt_base, (cur,), plan), full)
             continue
 
         if x_next == cur:
             plan = {b: v for b, v in box_values_of(pb.tail).items() if len(b) > 1}
-            pb.append(build_successor(nxt_base, (x_next,), proto, plan), x_next)
+            pb.append(rounds.successor(nxt_base, (x_next,), plan), x_next)
             continue
 
         if pair is None:
             # three solo objects: memory is the only distinguisher
             if cur != full:
-                pb.append(build_successor(base, (), proto, {}), full - cur)
-            pb.append(build_successor(base, (x_next,), proto, {}), full - x_next)
-            pb.append(build_successor(nxt_base, (x_next,), proto, {}), x_next)
+                pb.append(rounds.successor(base, (), {}), full - cur)
+            pb.append(rounds.successor(base, (x_next,), {}), full - x_next)
+            pb.append(rounds.successor(nxt_base, (x_next,), {}), x_next)
             cur = x_next
             continue
 
@@ -384,33 +422,31 @@ def extend_path_no3box(path: Path, proto) -> Path:
         v_tail = sc_value_of(pair, pb.tail) if pair in invocation_spec(pb.tail).boxes \
             else min(pair)
         if cur != full:
-            pb.append(build_successor(base, (), proto, {pair: v_tail}), full - cur)
+            pb.append(rounds.successor(base, (), {pair: v_tail}), full - cur)
         hop_plan: dict
         if len(x_next) == 1:
             if x_next == solo:
-                a2 = build_successor(base, (x_next,), proto, {pair: v_tail})
+                a2 = rounds.successor(base, (x_next,), {pair: v_tail})
                 pb.append(a2, pair)
                 hop_plan = {pair: v_tail}
             else:
                 (j,) = tuple(x_next)
-                a2 = build_successor(base, (x_next,), proto, {pair: j})
+                a2 = rounds.successor(base, (x_next,), {pair: j})
                 pb.append(a2, solo)
                 hop_plan = {pair: j}
         else:  # |x_next| == 2
             if x_next == pair:
-                a2 = build_successor(base, (x_next,), proto, {pair: v_tail})
+                a2 = rounds.successor(base, (x_next,), {pair: v_tail})
                 pb.append(a2, solo)
                 hop_plan = {pair: v_tail}
             else:
                 (j,) = tuple(x_next & pair)
-                pb.append(build_successor(base, (frozenset({j}),), proto,
-                                          {pair: j}), solo)
-                pb.append(build_successor(base, (frozenset({j}), solo), proto,
-                                          {pair: j}), pair)
-                a2 = build_successor(base, (x_next,), proto, {pair: j})
+                pb.append(rounds.successor(base, (frozenset({j}),), {pair: j}), solo)
+                pb.append(rounds.successor(base, (frozenset({j}), solo), {pair: j}), pair)
+                a2 = rounds.successor(base, (x_next,), {pair: j})
                 pb.append(a2, solo)
                 hop_plan = {pair: j}
-        pb.append(build_successor(nxt_base, (x_next,), proto, hop_plan), x_next)
+        pb.append(rounds.successor(nxt_base, (x_next,), hop_plan), x_next)
         cur = x_next
 
     out = pb.build()
@@ -505,11 +541,12 @@ def build_ladder_path(state: GlobalState, x, b, proto) -> tuple[LadderState, Pat
     b = frozenset(b)
     if not x:
         raise InvalidArgumentError("the target set must be nonempty")
-    boxes = successor_boxes(state, proto)
+    rounds = _Rounds(proto)
+    boxes = rounds.boxes(state)
     if b not in boxes:
         raise MissingBoxError(f"box {sorted(b)} is not invoked next round")
     plan = _ladder_plan(boxes, x)
-    start = build_successor(state, (x,), proto, plan)
+    start = rounds.successor(state, (x,), plan)
     if len(boxes) == 1:
         lad = LadderState(base=state, groups=(), step_box=b, tail=x & b, state=start)
         return lad, Path(states=(start,), labels=())
@@ -517,7 +554,7 @@ def build_ladder_path(state: GlobalState, x, b, proto) -> tuple[LadderState, Pat
     chain, peeled = _ladder_chain(boxes, x, b)
     pb = PathBuilder(start)
     for groups, moved in chain:
-        pb.append(build_successor(state, groups, proto, plan), full - moved)
+        pb.append(rounds.successor(state, groups, plan), full - moved)
     lad = LadderState(base=state, groups=peeled, step_box=b, tail=x & b,
                       state=pb.tail)
     path = pb.build()
@@ -529,7 +566,7 @@ def build_ladder_path(state: GlobalState, x, b, proto) -> tuple[LadderState, Pat
 
 def _swap_chain(state: GlobalState, c_groups: tuple, b: frozenset,
                 x_piece: frozenset, y_piece: frozenset, v1, v2,
-                other_plan: dict, proto, pb: PathBuilder) -> None:
+                other_plan: dict, rounds: _Rounds, pb: PathBuilder) -> None:
     """Exchange the step box's share of the target: L1 -> L2 through the
     merged state.  When the box's output switches (v1 != v2), the crossing
     edge is labelled by the box's complement."""
@@ -544,17 +581,17 @@ def _swap_chain(state: GlobalState, c_groups: tuple, b: frozenset,
     for j in range(1, len(ks) + 1):
         rem = x_piece - frozenset().union(*ks[:j])
         groups = c_groups + tuple(ks[:j]) + ((rem,) if rem else ())
-        pb.append(build_successor(state, groups, proto, plan1), full - ks[j - 1])
+        pb.append(rounds.successor(state, groups, plan1), full - ks[j - 1])
     for j in range(len(ks) - 1, -1, -1):
         groups = c_groups + tuple(ks[:j])
-        pb.append(build_successor(state, groups, proto, plan1), full - ks[j])
+        pb.append(rounds.successor(state, groups, plan1), full - ks[j])
 
     if not y_piece:
         if v1 != v2:
             if b == full:
                 raise FullBoxConflictError(
                     "cannot switch the full box's output on a path")
-            pb.append(build_successor(state, c_groups, proto, plan2), full - b)
+            pb.append(rounds.successor(state, c_groups, plan2), full - b)
         return
 
     kys = _peel_groups(y_piece)
@@ -567,11 +604,11 @@ def _swap_chain(state: GlobalState, c_groups: tuple, b: frozenset,
             label = full - b
         else:
             label = full - kys[j - 1]
-        pb.append(build_successor(state, groups, proto, plan2), label)
+        pb.append(rounds.successor(state, groups, plan2), label)
     for t in range(len(kys) - 1, 0, -1):
         merged = frozenset().union(*kys[t - 1:])
         groups = c_groups + tuple(kys[:t - 1]) + (merged,)
-        pb.append(build_successor(state, groups, proto, plan2), full - kys[t - 1])
+        pb.append(rounds.successor(state, groups, plan2), full - kys[t - 1])
 
 
 def connect_one_round_successors(state: GlobalState, x, y, proto,
@@ -584,12 +621,17 @@ def connect_one_round_successors(state: GlobalState, x, y, proto,
     degree stays at n-2 or above; every differing box contributes exactly
     one edge labelled by its complement.
     """
+    return _connect(_Rounds(proto), state, x, y, values_x, values_y)
+
+
+def _connect(rounds: _Rounds, state: GlobalState, x, y,
+             values_x: Optional[dict], values_y: Optional[dict]) -> Path:
     x, y = frozenset(x), frozenset(y)
     n = state.n
     full = frozenset(range(1, n + 1))
-    boxes = successor_boxes(state, proto)
-    q1 = build_successor(state, (x,), proto, values_x or {})
-    q2 = build_successor(state, (y,), proto, values_y or {})
+    boxes = rounds.boxes(state)
+    q1 = rounds.successor(state, (x,), values_x or {})
+    q2 = rounds.successor(state, (y,), values_y or {})
     vx = box_values_of(q1)
     vy = box_values_of(q2)
     diff = diff_box_set(q1, q2)
@@ -611,11 +653,10 @@ def connect_one_round_successors(state: GlobalState, x, y, proto,
         other_plan = {bb: v for bb, v in cur_vals.items() if bb != b and len(bb) > 1}
         # into the ladder
         for groups, moved in chain:
-            pb.append(build_successor(state, groups, proto, dict(cur_vals)),
-                      full - moved)
+            pb.append(rounds.successor(state, groups, cur_vals), full - moved)
         # swap the piece and the output
         _swap_chain(state, c_groups, b, x_piece, y_piece,
-                    cur_vals[b], vy[b], other_plan, proto, pb)
+                    cur_vals[b], vy[b], other_plan, rounds, pb)
         # out of the ladder, now aiming at the new target set
         new_cur = (cur - x_piece) | y_piece
         new_vals = dict(cur_vals)
@@ -623,11 +664,9 @@ def connect_one_round_successors(state: GlobalState, x, y, proto,
         chain_back, _ = _ladder_chain(boxes, new_cur, b)
         for idx in range(len(chain_back) - 2, -1, -1):
             groups, _moved = chain_back[idx]
-            pb.append(build_successor(state, groups, proto, dict(new_vals)),
-                      full - chain_back[idx + 1][1])
+            pb.append(rounds.successor(state, groups, new_vals), full - chain_back[idx + 1][1])
         if chain_back:
-            pb.append(build_successor(state, (new_cur,), proto, dict(new_vals)),
-                      full - chain_back[0][1])
+            pb.append(rounds.successor(state, (new_cur,), new_vals), full - chain_back[0][1])
         cur = new_cur
         cur_vals = new_vals
 
@@ -665,9 +704,13 @@ def _assert_connect_postconditions(path: Path, diff: frozenset, n: int) -> None:
 
 def beta_set(path: Path, proto, size: Optional[int] = None) -> frozenset:
     """Boxes whose intersection with two different labels is a singleton."""
+    return _beta(_Rounds(proto), path, size)
+
+
+def _beta(rounds: _Rounds, path: Path, size: Optional[int] = None) -> frozenset:
     universe: set = set()
     for s in path.states:
-        universe |= successor_boxes(s, proto)
+        universe |= rounds.boxes(s)
     out = set()
     for b in universe:
         if len(b) < 2:
@@ -692,42 +735,42 @@ def extend_path_general(path: Path, proto, s: Optional[int] = None) -> tuple[Pat
     n = path.states[0].n
     if n > 5:
         raise BudgetExceededError("general extension is implemented for n <= 5 only")
+    rounds = _Rounds(proto)
     if not path.labels:
-        return (Path(states=(build_successor(path.states[0], (), proto, {}),),
+        return (Path(states=(rounds.successor(path.states[0], (), {}),),
                      labels=()), {"trivial": True})
     if s is None:
         s = path.degree()
     full = frozenset(range(1, n + 1))
-    if full in beta_set(path, proto):
+    if full in _beta(rounds, path):
         raise PreconditionViolationError("the full box is doubly hit by the labels")
 
     universe: set = set()
     for st in path.states:
-        universe |= successor_boxes(st, proto)
+        universe |= rounds.boxes(st)
     value_fn = _phi_value_functions(path.labels, universe)
 
     def vals_at(pos: int, base: GlobalState) -> dict:
-        boxes = successor_boxes(base, proto)
+        boxes = rounds.boxes(base)
         return {b: value_fn[b](pos) for b in boxes if len(b) > 1 and b in value_fn}
 
     labels = path.labels
-    pb = PathBuilder(build_successor(path.states[0], (labels[0],), proto,
-                                     vals_at(1, path.states[0])))
-    pb.append(build_successor(path.states[1], (labels[0],), proto,
-                              vals_at(1, path.states[1])), labels[0])
+    pb = PathBuilder(rounds.successor(path.states[0], (labels[0],),
+                                      vals_at(1, path.states[0])))
+    pb.append(rounds.successor(path.states[1], (labels[0],),
+                               vals_at(1, path.states[1])), labels[0])
     for w in range(1, len(labels)):
         base = path.states[w]
-        sub = connect_one_round_successors(
-            base, labels[w - 1], labels[w], proto,
-            values_x=vals_at(w, base), values_y=vals_at(w + 1, base))
+        sub = _connect(rounds, base, labels[w - 1], labels[w],
+                       vals_at(w, base), vals_at(w + 1, base))
         for idx in range(len(sub.labels)):
             pb.append(sub.states[idx + 1], sub.labels[idx])
-        pb.append(build_successor(path.states[w + 1], (labels[w],), proto,
-                                  vals_at(w + 1, path.states[w + 1])), labels[w])
+        pb.append(rounds.successor(path.states[w + 1], (labels[w],),
+                                   vals_at(w + 1, path.states[w + 1])), labels[w])
     out = pb.build()
     out.verify()
 
-    report = _psi_report(path, out, proto, s, n)
+    report = _psi_report(path, out, rounds, s, n)
     if not report["ok"]:
         raise ConstructionError(f"extension postconditions failed: {report}")
     return out, report
@@ -761,8 +804,8 @@ def _phi_value_functions(labels, universe) -> dict:
     return out
 
 
-def _psi_report(old: Path, new: Path, proto, s: int, n: int) -> dict:
-    beta_old = beta_set(old, proto, size=n - s + 1)
+def _psi_report(old: Path, new: Path, rounds: _Rounds, s: int, n: int) -> dict:
+    beta_old = _beta(rounds, old, size=n - s + 1)
     deg = new.degree()
     ok = True
     if not beta_old:
@@ -778,11 +821,11 @@ def _psi_report(old: Path, new: Path, proto, s: int, n: int) -> dict:
                      if x != y and x & y == z]
             if b not in beta_old or not pairs:
                 small_ok = False
-    beta_new = beta_set(new, proto, size=n - s + 2)
+    beta_new = _beta(rounds, new, size=n - s + 2)
     zeta_ok = True
     if beta_new:
         zeta_in = vertex_set(n, n - s + 1,
-                             [tuple(sorted(b)) for b in beta_set(old, proto, size=n - s + 1)]) \
+                             [tuple(sorted(b)) for b in beta_old]) \
             if beta_old else None
         allowed = set(zeta(zeta_in).vertices) if zeta_in else set()
         zeta_ok = all(tuple(sorted(b)) in allowed for b in beta_new)
@@ -853,21 +896,22 @@ def bounded_valency(state: GlobalState, proto, horizon: int,
 WRO_PLAN_VALUE = 1  # contended instances in sigma-wro states all output 1
 
 
-def _wro_successor(state: GlobalState, groups, proto) -> GlobalState:
-    sched = sigma_schedule(groups, state.n, proto.model)
-    script = {}
-    for obj, _b, contended, _f in probe_round(state, sched, proto):
-        if contended:
-            script[obj] = WRO_PLAN_VALUE
-    return apply_round(state, sched, MapAdversary(script), proto)
+def _wro_successor(rounds: _Rounds, state: GlobalState, groups) -> GlobalState:
+    """The sigma-wro successor: every contended instance outputs
+    WRO_PLAN_VALUE, which is 1, so this is the memo's all-ones child."""
+    return rounds.child(state, groups)
 
 
 def wro_bridge(state: GlobalState, i: int, j: int, proto) -> Path:
     """Connect sigma-wro(all-i) and sigma-wro(all-j) successors of a state
     with a path whose labels all have n-1 members."""
+    return _wro_bridge(_Rounds(proto), state, i, j)
+
+
+def _wro_bridge(rounds: _Rounds, state: GlobalState, i: int, j: int) -> Path:
     n = state.n
     full = frozenset(range(1, n + 1))
-    start = _wro_successor(state, (full - {i},), proto)
+    start = _wro_successor(rounds, state, (full - {i},))
     if i == j:
         return Path(states=(start,), labels=())
     ls = sorted(full - {i, j}) + [j]  # l_1..l_{n-1} with l_{n-1} = j
@@ -878,18 +922,18 @@ def wro_bridge(state: GlobalState, i: int, j: int, proto) -> Path:
         mid = full - {i} - set(ls[:k])
         if mid:
             groups += (frozenset(mid),)
-        pb.append(_wro_successor(state, groups, proto), full - {ls[k - 1]})
+        pb.append(_wro_successor(rounds, state, groups), full - {ls[k - 1]})
     # pair the last element with i, then swap their order
     head = tuple(frozenset({x}) for x in ls[:-1])
-    pb.append(_wro_successor(state, head + (frozenset({ls[-1], i}),), proto),
+    pb.append(_wro_successor(rounds, state, head + (frozenset({ls[-1], i}),)),
               full - {ls[-1]})
-    pb.append(_wro_successor(state, head + (frozenset({i}), frozenset({ls[-1]})), proto),
+    pb.append(_wro_successor(rounds, state, head + (frozenset({i}), frozenset({ls[-1]}))),
               full - {i})
     # grow the block around i back to all-j
     for k in range(n - 2, 0, -1):
         groups = tuple(frozenset({x}) for x in ls[:k - 1])
         groups += (frozenset(set(ls[k - 1:-1]) | {i}), frozenset({ls[-1]}))
-        pb.append(_wro_successor(state, groups, proto), full - {ls[k - 1]})
+        pb.append(_wro_successor(rounds, state, groups), full - {ls[k - 1]})
     path = pb.build()
     path.verify()
     return path
@@ -910,19 +954,20 @@ def wro_extend_round(path: Path, proto) -> Path:
         missing = full - label
         return min(missing) if missing else fallback
 
+    rounds = _Rounds(proto)
     cur_excl = excluded(path.labels[0], n) if path.labels else n
-    pb = PathBuilder(_wro_successor(path.states[0], (full - {cur_excl},), proto))
+    pb = PathBuilder(_wro_successor(rounds, path.states[0], (full - {cur_excl},)))
     for idx, x in enumerate(path.labels):
         base, nxt = path.states[idx], path.states[idx + 1]
         j = excluded(x, cur_excl)
         if j != cur_excl:
-            bridge = wro_bridge(base, cur_excl, j, proto)
+            bridge = _wro_bridge(rounds, base, cur_excl, j)
             if bridge.states[0] != pb.tail:
                 raise ConstructionError("bridge start does not match the tail")
             for k in range(len(bridge.labels)):
                 pb.append(bridge.states[k + 1], bridge.labels[k])
             cur_excl = j
-        pb.append(_wro_successor(nxt, (full - {j},), proto), full - {j})
+        pb.append(_wro_successor(rounds, nxt, (full - {j},)), full - {j})
     out = pb.build()
     out.verify()
     if out.degree() is not None and out.degree() < n - 1:

@@ -841,15 +841,24 @@ def verify_consensus_exhaustive(n: int, proto_factory=None,
 
 def verify_consensus_sampled(n: int, executions: int = 10000, seed: int = 0,
                              proto_factory=None) -> SweepReport:
-    """Randomized sweep: fresh sigma schedules and adversary values per round."""
+    """Randomized sweep: fresh sigma schedules and adversary values per round.
+
+    Execution k draws from its own generator, seeded by ``(seed, k)`` alone,
+    so any split of ``range(executions)`` reproduces the serial run.
+    """
     from .protocols import protocol_consensus_wor
     factory = proto_factory or protocol_consensus_wor
-    proto = factory(n)
+    violations, first = _sample_range(factory(n), n, seed, 0, executions)
+    return SweepReport(n=n, mode="sampled", executions=executions,
+                       violations=violations, first_counterexample=first)
+
+
+def _sample_range(proto: ProtocolAutomaton, n: int, seed: int, lo: int, hi: int):
+    """Violation count and first counterexample of sampled executions lo..hi-1."""
     rounds = proto.round_budget
-    rng = random.Random(seed)
-    violations = 0
-    first = None
-    for k in range(executions):
+    violations, first = 0, None
+    for k in range(lo, hi):
+        rng = random.Random(f"{seed}:{k}")
         inputs = [rng.randint(0, 1) for _ in range(n)]
         scheds = [random_sigma_schedule(n, proto.model, rng) for _ in range(rounds)]
         adv = SeededRandomAdversary(rng.randrange(2**31), n)
@@ -860,8 +869,7 @@ def verify_consensus_sampled(n: int, executions: int = 10000, seed: int = 0,
             if first is None:
                 first = {"inputs": inputs, "seed": seed, "index": k,
                          "violation": jsonable(verdict.first_violation)}
-    return SweepReport(n=n, mode="sampled", executions=executions,
-                       violations=violations, first_counterexample=first)
+    return violations, first
 
 
 def all_coalitions_tuples(g: int, domain=(5, 7)) -> list[tuple]:

@@ -72,30 +72,6 @@ class SnapshotObject:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class Box:
-    """The set of process ids that jointly invoke one safe-consensus object."""
-
-    members: frozenset
-
-    def __post_init__(self):
-        if not self.members:
-            raise InvalidConfigurationError("a box must have at least one member")
-
-    @property
-    def trivial(self) -> bool:
-        return len(self.members) == 1
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(sorted(self.members))
-
-    def __contains__(self, pid) -> bool:
-        return pid in self.members
-
-
 def box(members: Iterable[int]) -> frozenset:
     """Boxes are handled as plain frozensets of ids throughout the package."""
     s = frozenset(members)

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from itersc import connectivity
 from itersc.connectivity import (
+    WRO_PLAN_VALUE,
     Path,
     Valency,
     beta_set,
@@ -28,13 +30,20 @@ from itersc.connectivity import (
     wro_obstruction_demo,
 )
 from itersc.errors import (
+    ConstructionError,
     FullBoxConflictError,
     InvalidArgumentError,
     NoInvocationsError,
     PreconditionViolationError,
     RoundMismatchError,
 )
-from itersc.executor import FixedAdversary, apply_round, sigma_schedule
+from itersc.executor import (
+    FixedAdversary,
+    MapAdversary,
+    apply_round,
+    probe_round,
+    sigma_schedule,
+)
 from itersc.model import WOR, WRO, indistinguishability_set, make_initial_state
 from itersc.protocols import protocol_consensus_wor
 from itersc.samples import (
@@ -482,3 +491,92 @@ def test_partition_bridge_labels_exactly_a_and_b_everywhere():
             except PreconditionViolationError:
                 continue  # a split pair: outside the construction's premise
             assert p.isets() == {a, b}
+
+
+# -- the per-extension round memo ---------------------------------------------
+
+
+def _probe_then_apply_successor(rounds, state, groups, box_values, default=None):
+    """Reference build_successor: probe the round, then apply the plan."""
+    sched = sigma_schedule(groups, state.n, rounds.proto.model)
+    script = {}
+    for obj, b, contended, forced_val in probe_round(state, sched, rounds.proto):
+        want = box_values.get(b)
+        if contended:
+            script[obj] = want if want is not None else (default or min)(b)
+        elif want is not None and forced_val != want:
+            raise ConstructionError(f"box {sorted(b)} is forced to {forced_val}")
+    return apply_round(state, sched, MapAdversary(script), rounds.proto)
+
+
+def _probe_then_apply_wro(rounds, state, groups):
+    """Reference sigma-wro successor: every probed contended instance outputs 1."""
+    sched = sigma_schedule(groups, state.n, rounds.proto.model)
+    script = {obj: WRO_PLAN_VALUE
+              for obj, _b, contended, _f in probe_round(state, sched, rounds.proto) if contended}
+    return apply_round(state, sched, MapAdversary(script), rounds.proto)
+
+
+def _three_rounds(extend, path):
+    out = []
+    for _ in range(3):
+        path = extend(path)
+        out.append(path)
+    return out
+
+
+def _engine_cases():
+    a, b = frozenset({1, 2}), frozenset({3})
+    wro = wro_obstruction_samples()
+    cases = [(f"wro {name}", lambda p, proto=wro[name]: wro_extend_round(p, proto),
+              initial_chain(wro[name], 3)) for name in ("wro-solo", "wro-rotating")]
+    for name, proto in deficient_wor_samples(3).items():
+        o, ou, u = (make_initial_state(3, v, WOR, proto) for v in ([0, 0, 0], [0, 0, 1], [1, 1, 1]))
+        cases.append((f"partition {name}", lambda p, proto=proto: extend_path_partition(p, a, b, proto),
+                      Path(states=(o, ou, u), labels=(a, b))))
+        cases.append((f"no3box {name}", lambda p, proto=proto: extend_path_no3box(p, proto),
+                      initial_chain(proto, 3)))
+    cases.append(("general wor-pair12-min",
+                  lambda p: extend_path_general(p, PAIR, s=1)[0], initial_chain(PAIR, 3)))
+    return cases
+
+
+def test_memoized_engines_equal_probe_then_apply(monkeypatch):
+    cases = _engine_cases()
+    memoized = {label: _three_rounds(extend, start) for label, extend, start in cases}
+    monkeypatch.setattr(connectivity._Rounds, "successor", _probe_then_apply_successor)
+    monkeypatch.setattr(connectivity._Rounds, "boxes",
+                        lambda rounds, state: successor_boxes(state, rounds.proto))
+    monkeypatch.setattr(connectivity, "_wro_successor", _probe_then_apply_wro)
+    for label, extend, start in cases:
+        reference = _three_rounds(extend, start)
+        for r, (got, want) in enumerate(zip(memoized[label], reference), start=1):
+            assert got.states == want.states and got.labels == want.labels, (label, r)
+
+
+def test_memo_hit_rebuilds_the_callers_history():
+    proto = wro_obstruction_samples()["wro-share-all"]
+    p = initial_chain(proto, 3)
+    for _ in range(3):
+        p = wro_extend_round(p, proto)
+    by_locals: dict = {}
+    for s in p.states:
+        by_locals.setdefault((s.rnd, s.locals_), []).append(s)
+    s1, s2 = next((x, y) for same in by_locals.values() for x in same for y in same
+                  if x.memory != y.memory)
+    rounds = connectivity._Rounds(proto)
+    all_groups = [(), (frozenset({1}),), (frozenset({2, 3}), frozenset({1}))]
+    children = set()
+    for groups in all_groups:
+        for parent in (s1, s2):
+            sched = sigma_schedule(groups, 3, WRO)
+            child = rounds.child(parent, groups)
+            assert child.memory[:-1] == parent.memory
+            assert child.instances[:-1] == parent.instances
+            assert child == apply_round(parent, sched, FixedAdversary(1), proto)
+            planned = rounds.successor(parent, groups, {frozenset({1, 2, 3}): 3})
+            assert planned.memory[:-1] == parent.memory
+            assert planned == apply_round(parent, sched, FixedAdversary(3), proto)
+            children.add(child.locals_)
+    assert len(children) == len(all_groups)  # the groups lead to different rounds
+    assert len(rounds.deltas) == 2 * len(all_groups)  # both parents share every round

@@ -17,7 +17,7 @@ from itersc.errors import (
 from itersc.executor import FixedAdversary, apply_round, random_sigma_schedule, run_execution, sigma_schedule
 from itersc.model import (
     WOR,
-    Box,
+    box,
     indistinguishability_set,
     invocation_spec,
     make_initial_state,
@@ -137,10 +137,10 @@ def test_sc_value_of_unreached_round():
 
 
 def test_box_type_invariants():
-    assert Box(frozenset({2})).trivial
-    assert not Box(frozenset({1, 2})).trivial
+    assert box({2}) == frozenset({2}) and len(box({2})) == 1
+    assert len(box({1, 2})) == 2
     with pytest.raises(InvalidConfigurationError):
-        Box(frozenset())
+        box(frozenset())
 
 
 def test_state_json_is_canonical_and_stable():

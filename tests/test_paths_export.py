@@ -47,10 +47,10 @@ def test_trace_jsonl_replays_via_script_file(tmp_path):
 
 def test_parallel_sampled_sweep_matches_serial_counts():
     from itersc.cli import _sampled_sweep
-    serial = _sampled_sweep(3, 60, seed=5, jobs=1)
-    parallel = _sampled_sweep(3, 60, seed=5, jobs=2)
-    assert serial.ok and parallel.ok
-    assert parallel.executions == 60
+    serial = _sampled_sweep(3, 60, seed=5, jobs=1, protocol="wor-solo-min")
+    assert serial.violations > 0 and serial.first_counterexample["index"] > 0
+    for jobs in (2, 4):  # with 4 chunks the first counterexample lies past the first
+        assert _sampled_sweep(3, 60, seed=5, jobs=jobs, protocol="wor-solo-min") == serial
 
 
 def test_path_concat_and_label_count_validation():
