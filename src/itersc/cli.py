@@ -26,6 +26,7 @@ from .executor import (
     _sample_range,
     collect_gamma,
     protocol_descriptor,
+    random_ordered_partition_schedule,
     random_sigma_schedule,
     run_execution,
     sigma_schedule,
@@ -101,7 +102,6 @@ def _make_adversary(spec: str, seed: int, n: int):
 
 
 def cmd_simulate(args) -> int:
-    t0 = time.time()
     proto = resolve_protocol(args.protocol, args.n)
     inputs = _parse_ids(args.inputs) if args.inputs else list(range(args.n))
     rounds = args.horizon or proto.round_budget or 3
@@ -110,9 +110,8 @@ def cmd_simulate(args) -> int:
     if args.groups:
         scheds = [sigma_schedule(_parse_groups(args.groups), args.n, proto.model)
                   for _ in range(rounds)]
-    elif args.family == "partition":
-        from .equivalence import _random_general_schedule
-        scheds = [_random_general_schedule(args.n, proto.model, rng)
+    elif args.family == "ordered-partition":
+        scheds = [random_ordered_partition_schedule(args.n, proto.model, rng)
                   for _ in range(rounds)]
     else:
         scheds = [random_sigma_schedule(args.n, proto.model, rng)
@@ -214,7 +213,7 @@ def cmd_transform(args) -> int:
 def cmd_connectivity(args) -> int:
     t0 = time.time()
     config = {"demo": args.demo, "automaton": args.automaton, "n": args.n,
-              "rounds": args.horizon, "seed": args.seed}
+              "rounds": args.horizon}
     if args.demo == "lower-bound":
         proto = resolve_protocol(args.automaton or "wor-pair12-min", args.n)
         result = lower_bound_demo(proto, rounds=args.horizon or 5)
@@ -247,7 +246,7 @@ def cmd_johnson(args) -> int:
     config = {"op": args.op, "n": args.n, "m": args.m, "mode": args.mode,
               "set": args.set, "iterations": args.iterations, "seed": args.seed}
     if args.op == "vanish":
-        report = verify_zeta_vanishing(args.n, args.m, args.mode, seed=args.seed or 0)
+        report = verify_zeta_vanishing(args.n, args.m, args.mode, seed=args.seed)
         return _emit(args, "johnson", config, report.to_jsonable(), report.ok, t0)
     if args.op == "zeta":
         u = vertex_set(args.n, args.m, _parse_vertices(args.set or ""))
@@ -274,69 +273,66 @@ def build_parser() -> argparse.ArgumentParser:
         description="Iterated shared-memory models with safe-consensus objects")
     parser.add_argument("--config", help="JSON config file (flags override it)")
     sub = parser.add_subparsers(dest="command")
+    shared = {
+        "n": dict(type=int, default=3, help="number of processes"),
+        "family": dict(choices=["sigma", "ordered-partition"], default="sigma",
+                       help="family of the random round schedules"),
+        "adversary": dict(default="random", help="random | script:FILE"),
+        "seed": dict(type=int, default=0, help="seed of every random draw"),
+        "horizon": dict(type=int, default=None, help="number of rounds"),
+        "jobs": dict(type=int, default=1, help="worker processes of a sampled sweep"),
+    }
 
-    def common(p):
+    def command(name, summary, func, *flags):
+        """A subcommand with --config, --out and the shared ``flags`` it reads."""
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="JSON config file (flags override it)")
-        p.add_argument("--n", type=int, default=3)
-        p.add_argument("--family", choices=["sigma", "partition"], default="sigma")
-        p.add_argument("--adversary", default="random",
-                       help="random | script:FILE")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--horizon", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--out", default=None, help="write the JSON report here")
+        for flag in flags:
+            p.add_argument(f"--{flag}", **shared[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("simulate", help="run one execution and dump its trace")
-    common(p)
+    p = command("simulate", "run one execution and dump its trace", cmd_simulate,
+                "n", "family", "adversary", "seed", "horizon")
     p.add_argument("--protocol", default="consensus")
     p.add_argument("--inputs", default=None, help="comma-separated input values")
     p.add_argument("--groups", default=None,
                    help="sigma groups like '1,2|3' (fixed per round)")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("verify-consensus", help="sweep the consensus protocol")
-    common(p)
+    p = command("verify-consensus", "sweep the consensus protocol", cmd_verify_consensus,
+                "n", "seed", "jobs")
     p.add_argument("--mode", choices=["auto", "exhaustive", "sampled"], default="auto")
     p.add_argument("--executions", type=int, default=10000)
-    p.set_defaults(func=cmd_verify_consensus)
 
-    p = sub.add_parser("verify-2cc", help="sweep the 2coalitions subroutine")
-    common(p)
+    p = command("verify-2cc", "sweep the 2coalitions subroutine", cmd_verify_2cc)
     p.add_argument("--g", type=int, default=2)
     p.add_argument("--values", default=None, help="value domain, e.g. '5,7'")
-    p.set_defaults(func=cmd_verify_2cc)
 
-    p = sub.add_parser("count-objects", help="Gamma/nu table for a protocol")
-    common(p)
+    p = command("count-objects", "Gamma/nu table for a protocol", cmd_count_objects, "n")
     p.add_argument("--protocol", default="consensus")
-    p.set_defaults(func=cmd_count_objects)
 
-    p = sub.add_parser("transform", help="model simulation descriptors")
-    common(p)
+    p = command("transform", "model simulation descriptors", cmd_transform, "n", "seed")
     p.add_argument("--direction", choices=["wro2owr", "owr2wro"], required=True)
     p.add_argument("--source", required=True, help="source protocol name")
     p.add_argument("--check", type=int, default=0,
                    help="verify decision correspondence over N random runs")
-    p.set_defaults(func=cmd_transform)
 
-    p = sub.add_parser("connectivity", help="path constructions and demos")
-    common(p)
+    p = command("connectivity", "path constructions and demos", cmd_connectivity,
+                "n", "horizon")
     p.add_argument("--demo", choices=["lower-bound", "wro-obstruction",
                                       "partition-round"], required=True)
     p.add_argument("--automaton", default=None)
     p.add_argument("--block-a", default=None)
     p.add_argument("--block-b", default=None)
-    p.set_defaults(func=cmd_connectivity)
 
-    p = sub.add_parser("johnson", help="Johnson graph combinatorics")
-    common(p)
+    p = command("johnson", "Johnson graph combinatorics", cmd_johnson, "n", "seed")
     p.add_argument("--op", choices=["vanish", "zeta", "components", "partition"],
                    required=True)
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
     p.add_argument("--set", default=None, help="vertices like '1,2;2,3'")
     p.add_argument("--iterations", type=int, default=None)
-    p.set_defaults(func=cmd_johnson)
 
     p = sub.add_parser("samples", help="list the bundled protocol names")
     p.set_defaults(func=lambda args: (print(json.dumps(sample_names(), indent=2)), EXIT_OK)[1])

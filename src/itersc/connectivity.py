@@ -9,7 +9,8 @@ ConstructionError instead of returning a weaker path.
 
 Each public extension call applies its rounds through one private memo,
 which lives for that call only.  A round's outcome (new locals, snapshot,
-instances) is keyed by ``(rnd, locals_, groups, script)``: a round reads
+instances) is keyed by ``(rnd, locals_, groups, script)``, with the sigma
+groups in a canonical spelling of their schedule: a round reads
 only the locals, the round number and n, and the adversaries used here
 (all ones, or outputs by object index) ignore the state.  A hit rebuilds
 the child on the caller's own history.  No probe runs: the all-ones child
@@ -19,11 +20,10 @@ shows the boxes, the contention and the forced values of its round.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Optional
-
-import networkx as nx
+from typing import Iterable, Optional
 
 from .errors import (
     BudgetExceededError,
@@ -166,39 +166,40 @@ def is_b_regular(path: Path) -> bool:
 # indistinguishability graph
 
 
-def build_indist_graph(states) -> nx.Graph:
-    states = list(states)
-    rounds = {s.rnd for s in states}
+def build_indist_graph(states) -> dict:
+    """Adjacency dict: ``graph[a][b]`` is the indistinguishability set of
+    ``a`` and ``b``, present when nonempty.  Equal states are one node."""
+    graph: dict = {s: {} for s in states}
+    rounds = {s.rnd for s in graph}
     if len(rounds) > 1:
         raise RoundMismatchError(f"states span rounds {sorted(rounds)}")
-    g = nx.Graph()
-    for s in states:
-        g.add_node(s)
-    for a, b in itertools.combinations(states, 2):
+    for a, b in itertools.combinations(graph, 2):
         x = indistinguishability_set(a, b)
         if x:
-            g.add_edge(a, b, label=x)
-    return g
+            graph[a][b] = graph[b][a] = x
+    return graph
 
 
-def find_path(graph: nx.Graph, s: GlobalState, q: GlobalState,
+def find_path(graph: dict, s: GlobalState, q: GlobalState,
               min_degree: int = 1) -> Optional[Path]:
     """Shortest path whose labels all have at least ``min_degree`` members."""
     if s not in graph or q not in graph:
         raise InvalidArgumentError("both endpoints must be in the graph")
-    if s == q:
-        return Path(states=(s,), labels=())
-    sub = nx.Graph()
-    sub.add_nodes_from(graph.nodes)
-    for a, b, data in graph.edges(data=True):
-        if len(data["label"]) >= min_degree:
-            sub.add_edge(a, b, label=data["label"])
-    try:
-        nodes = nx.shortest_path(sub, s, q)
-    except nx.NetworkXNoPath:
-        return None
-    labels = tuple(sub.edges[nodes[i], nodes[i + 1]]["label"]
-                   for i in range(len(nodes) - 1))
+    parent = {s: None}
+    frontier = deque([s])
+    while q not in parent:
+        if not frontier:
+            return None
+        a = frontier.popleft()
+        for b, label in graph[a].items():
+            if b not in parent and len(label) >= min_degree:
+                parent[b] = a
+                frontier.append(b)
+    nodes = [q]
+    while parent[nodes[-1]] is not None:
+        nodes.append(parent[nodes[-1]])
+    nodes.reverse()
+    labels = tuple(graph[a][b] for a, b in zip(nodes, nodes[1:]))
     return Path(states=tuple(nodes), labels=labels)
 
 
@@ -213,6 +214,16 @@ def successor_boxes(state: GlobalState, proto) -> frozenset:
     return frozenset(b for (_o, b, _c, _f) in probe_round(state, sched, proto))
 
 
+def _schedule_key(groups, n: int) -> tuple:
+    """Sigma groups that spell the same schedule as ``groups`` one way:
+    empty groups dropped, and a trailing group dropped when it is exactly
+    the complement that ``sigma_schedule`` appends anyway."""
+    groups = tuple(frozenset(g) for g in groups if g)
+    if groups and groups[-1] == frozenset(range(1, n + 1)).difference(*groups[:-1]):
+        return groups[:-1]
+    return groups
+
+
 class _Rounds:
     """The sigma rounds of one extension call, each applied once (see the
     module docstring for why the key is sound)."""
@@ -224,7 +235,7 @@ class _Rounds:
     def child(self, state: GlobalState, groups, script: Optional[tuple] = None) -> GlobalState:
         """The sigma(groups) successor.  Contended instances output 1, or
         the value ``script`` pairs with their object index."""
-        groups = tuple(frozenset(g) for g in groups)
+        groups = _schedule_key(groups, state.n)
         key = (state.rnd, state.locals_, groups, script)
         delta = self.deltas.get(key)
         if delta is None:
@@ -240,14 +251,13 @@ class _Rounds:
     def boxes(self, state: GlobalState) -> frozenset:
         return frozenset(inst.box for inst in self.child(state, ()).instances[-1])
 
-    def successor(self, state: GlobalState, groups, box_values: dict,
-                  default: Optional[Callable] = None) -> GlobalState:
+    def successor(self, state: GlobalState, groups, box_values: dict) -> GlobalState:
         ones = self.child(state, groups)
         script = {}
         for inst in ones.instances[-1]:
             b, want = inst.box, box_values.get(inst.box)
             if not inst.forced:
-                script[inst.object_index] = want if want is not None else (default or min)(b)
+                script[inst.object_index] = want if want is not None else min(b)
             elif want is not None and inst.output != want:
                 raise ConstructionError(
                     f"box {sorted(b)} is forced to {inst.output} under "
@@ -257,16 +267,16 @@ class _Rounds:
         return self.child(state, groups, tuple(script.items()))
 
 
-def build_successor(state: GlobalState, groups, proto, box_values: dict,
-                    default: Optional[Callable] = None) -> GlobalState:
+def build_successor(state: GlobalState, groups, proto, box_values: dict) -> GlobalState:
     """One sigma-round successor with planned safe-consensus outputs.
 
     ``box_values`` maps boxes (frozensets) to the output each box must take;
+    a contended box the plan leaves out outputs its smallest id, and
     instances that Safe-Validity forces are checked against the plan.  No
     probe runs: the all-ones round shows the contention and forced values,
     and is itself the answer when the plan gives every contended box 1.
     """
-    return _Rounds(proto).successor(state, groups, box_values, default)
+    return _Rounds(proto).successor(state, groups, box_values)
 
 
 def box_values_of(state: GlobalState) -> dict:
@@ -850,9 +860,9 @@ class Valency(Enum):
     UNDECIDED = "undecided"
 
 
-def bounded_valency(state: GlobalState, proto, horizon: int,
-                    family: str = "sigma", adversary: str = "enumerate") -> Valency:
-    """Classify a state by exhaustively extending it to the horizon.
+def bounded_valency(state: GlobalState, proto, horizon: int) -> Valency:
+    """Classify a state by extending it to the horizon under every sigma
+    schedule and every adversary output.
 
     A subtree's summary, computed once per distinct ``(depth, locals_)``, is
     its set of decided-value sets and whether some leaf decides nothing.
@@ -862,9 +872,7 @@ def bounded_valency(state: GlobalState, proto, horizon: int,
     inputs = {ls.inp for ls in state.locals_}
     if not inputs <= {0, 1}:
         raise InvalidArgumentError("valency analysis expects binary inputs")
-    if adversary != "enumerate":
-        raise InvalidArgumentError("only the enumerated adversary is supported")
-    scheds = list(enumerate_round_schedules(state.n, proto.model, family))
+    scheds = list(enumerate_round_schedules(state.n, proto.model, "sigma"))
 
     def leaf(s: GlobalState, depth: int):
         if not (s.all_decided() or depth == horizon):
@@ -977,12 +985,12 @@ def wro_extend_round(path: Path, proto) -> Path:
     return out
 
 
-def initial_chain(proto, n: int, lo=0, hi=1) -> Path:
-    """Initial states from all-lo to all-hi, flipping one input per edge."""
+def initial_chain(proto, n: int) -> Path:
+    """Initial states from all-0 to all-1, flipping one input per edge."""
     full = frozenset(range(1, n + 1))
     states = []
     for k in range(n + 1):
-        inputs = [hi] * k + [lo] * (n - k)
+        inputs = [1] * k + [0] * (n - k)
         states.append(make_initial_state(n, inputs, proto.model, proto))
     labels = tuple(full - {k} for k in range(1, n + 1))
     path = Path(states=tuple(states), labels=labels)
@@ -1017,11 +1025,11 @@ def wro_obstruction_demo(proto, n: int = 3, rounds: int = 5) -> dict:
 # the n=3 lower-bound demonstration
 
 
-def lower_bound_demo(proto, rounds: Optional[int] = None,
-                     valency_horizon: Optional[int] = None) -> dict:
+def lower_bound_demo(proto, rounds: Optional[int] = None) -> dict:
     """Reproduce the contradiction shape for a box-deficient 3-process
     automaton: connected successors of the 0- and 1-input states every
-    round, with the endpoints certified univalent for opposite values."""
+    round, with the endpoints certified univalent for opposite values
+    within the automaton's round budget (2 rounds without one)."""
     from .johnson import partition_two_blocks, vertex_set as jvs
 
     n = 3
@@ -1058,7 +1066,7 @@ def lower_bound_demo(proto, rounds: Optional[int] = None,
             "verified": q.verify(),
         })
 
-    horizon = valency_horizon or proto.round_budget or 2
+    horizon = proto.round_budget or 2
     v0 = bounded_valency(o_state, proto, horizon)
     v1 = bounded_valency(u_state, proto, horizon)
     end_dec_0 = part_endpoints[0].decisions()

@@ -30,6 +30,7 @@ from .executor import (
     make_schedule,
     make_initial_state,
     probe_round,
+    random_ordered_partition_schedule,
     run_execution,
 )
 from .model import OWR, WRO
@@ -146,7 +147,8 @@ def check_transform_correspondence(proto: ProtocolAutomaton, n: int,
     sim_name = None
     for k in range(executions):
         inputs = [rng.randint(0, 1) for _ in range(n)]
-        scheds = [_random_general_schedule(n, proto.model, rng) for _ in range(rounds)]
+        scheds = [random_ordered_partition_schedule(n, proto.model, rng)
+                  for _ in range(rounds)]
         adv = SeededRandomAdversary(rng.randrange(2**31), n)
         src, sim = simulate_paired(proto, inputs, scheds, adv)
         sim_name = sim.final.model
@@ -162,23 +164,3 @@ def check_transform_correspondence(proto: ProtocolAutomaton, n: int,
         mismatches=mismatches,
         first_mismatch=first,
     )
-
-
-def _random_general_schedule(n: int, model: str, rng: random.Random) -> RoundSchedule:
-    """Random member of the ordered-partition family (general interleavings)."""
-    order = {"WOR": (W, S, R), "WRO": (W, R, S), "OWR": (S, W, R)}[model]
-    progress = {pid: 0 for pid in range(1, n + 1)}
-    events = []
-    while any(v < 3 for v in progress.values()):
-        ready: dict[str, list[int]] = {}
-        for pid, lvl in progress.items():
-            if lvl < 3:
-                ready.setdefault(order[lvl], []).append(pid)
-        kind = rng.choice(sorted(ready))
-        pool = ready[kind]
-        k = rng.randint(1, len(pool))
-        group = frozenset(rng.sample(pool, k))
-        for pid in group:
-            progress[pid] += 1
-        events.append((kind, group))
-    return make_schedule(model, n, events)

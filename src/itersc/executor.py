@@ -170,27 +170,32 @@ def enumerate_round_schedules(n: int, model: str, family: str = "sigma") -> Iter
     elif family == "ordered-partition":
         if n > 4:
             raise BudgetExceededError(f"exhaustive ordered-partition family capped at n=4, got {n}")
-        order = EVENT_ORDER[model]
-        yield from _interleavings(n, order)
+        yield from _interleavings(n, model)
     else:
         raise InvalidArgumentError(f"unknown schedule family {family!r}")
 
 
-def _interleavings(n: int, order) -> Iterator[RoundSchedule]:
-    """All event sequences consistent with the per-process kind order."""
-    model = next(m for m, o in EVENT_ORDER.items() if o == tuple(order))
-    start = {pid: 0 for pid in range(1, n + 1)}
+def _ready(progress: dict, model: str) -> dict[str, list[int]]:
+    """Event kind -> ids (ascending) whose next event in the round is of that
+    kind; ``progress`` maps each id to its count of events so far."""
+    order = EVENT_ORDER[model]
+    ready: dict[str, list[int]] = {}
+    for pid in sorted(progress):
+        if progress[pid] < 3:
+            ready.setdefault(order[progress[pid]], []).append(pid)
+    return ready
+
+
+def _interleavings(n: int, model: str) -> Iterator[RoundSchedule]:
+    """All event sequences consistent with the model's per-process order."""
 
     def rec(progress, acc):
-        if all(v == 3 for v in progress.values()):
+        ready = _ready(progress, model)
+        if not ready:
             yield make_schedule(model, n, acc)
             return
-        ready: dict[str, list[int]] = {}
-        for pid, lvl in progress.items():
-            if lvl < 3:
-                ready.setdefault(order[lvl], []).append(pid)
         for kind in sorted(ready):
-            pool = sorted(ready[kind])
+            pool = ready[kind]
             for k in range(1, len(pool) + 1):
                 for group in itertools.combinations(pool, k):
                     nxt = dict(progress)
@@ -198,7 +203,22 @@ def _interleavings(n: int, order) -> Iterator[RoundSchedule]:
                         nxt[pid] += 1
                     yield from rec(nxt, acc + [(kind, frozenset(group))])
 
-    yield from rec(start, [])
+    yield from rec(dict.fromkeys(range(1, n + 1), 0), [])
+
+
+def random_ordered_partition_schedule(n: int, model: str, rng: random.Random) -> RoundSchedule:
+    """Random member of the ordered-partition family: one random ready kind
+    and a random nonempty group of its ready ids, until every id is done."""
+    progress = dict.fromkeys(range(1, n + 1), 0)
+    events = []
+    while ready := _ready(progress, model):
+        kind = rng.choice(sorted(ready))
+        pool = ready[kind]
+        group = frozenset(rng.sample(pool, rng.randint(1, len(pool))))
+        for pid in group:
+            progress[pid] += 1
+        events.append((kind, group))
+    return make_schedule(model, n, events)
 
 
 def random_sigma_schedule(n: int, model: str, rng: random.Random) -> RoundSchedule:
@@ -221,16 +241,12 @@ def random_sigma_schedule(n: int, model: str, rng: random.Random) -> RoundSchedu
 class AdversaryPolicy:
     """Supplies outputs for contended safe-consensus instances."""
 
-    mode = "abstract"
-
     def choose(self, rnd: int, obj, invokers, state: GlobalState) -> int:
         raise NotImplementedError
 
 
 class ScriptedAdversary(AdversaryPolicy):
     """Replays a recorded list of choices; must cover every contended instance."""
-
-    mode = "scripted"
 
     def __init__(self, choices: Iterable[int]):
         self._choices = list(choices)
@@ -255,23 +271,16 @@ class ScriptedAdversary(AdversaryPolicy):
 class MapAdversary(AdversaryPolicy):
     """Answers by object index within a single round (used by path builders)."""
 
-    mode = "scripted"
-
-    def __init__(self, by_object: dict, default: Optional[Callable] = None):
+    def __init__(self, by_object: dict):
         self.by_object = by_object
-        self.default = default
 
     def choose(self, rnd, obj, invokers, state):
         if obj in self.by_object:
             return self.by_object[obj]
-        if self.default is not None:
-            return self.default(obj, invokers)
         raise UnresolvedInstanceError(f"no planned value for object {obj!r}")
 
 
 class SeededRandomAdversary(AdversaryPolicy):
-    mode = "seeded-random"
-
     def __init__(self, seed: int, n: int):
         self._rng = random.Random(seed)
         self._n = n
@@ -281,8 +290,6 @@ class SeededRandomAdversary(AdversaryPolicy):
 
 
 class FixedAdversary(AdversaryPolicy):
-    mode = "scripted"
-
     def __init__(self, value: int = 1):
         self.value = value
 
@@ -407,8 +414,7 @@ def apply_round_recorded(state: GlobalState, sched: RoundSchedule,
         new_locals.append(LocalState(
             pid=ls.pid, rnd=rnd, inp=ls.inp, sm=cur_sm[i], val=cur_val[i],
             dec=dec, locals_=stepped))
-    full = frozenset(range(1, state.n + 1))
-    snap = SnapshotObject(cells=tuple(cells), updated_by=full, scanned_by=full)
+    snap = SnapshotObject(cells=tuple(cells))
     new_state = GlobalState(
         n=state.n, model=state.model, rnd=rnd,
         locals_=tuple(new_locals),
@@ -667,7 +673,6 @@ class ExplorationBudget:
     rounds: Optional[int] = None
     mode: str = "auto"  # auto | exhaustive | sampled
     max_executions: int = 2000
-    seed: int = 0
     inputs: Optional[tuple] = None
 
 
@@ -707,7 +712,7 @@ def collect_gamma(proto: ProtocolAutomaton, n: int,
                 count, partial = cap, True
                 break
     else:
-        rng = random.Random(budget.seed)
+        rng = random.Random(0)
         for _ in range(budget.max_executions):
             scheds = [random_sigma_schedule(n, proto.model, rng)
                       for _ in range(rounds)]
@@ -911,10 +916,10 @@ def verify_2cc(g: int, domain=(5, 7), families=("sigma",)) -> SweepReport:
                        violations=violations, first_counterexample=first)
 
 
-def protocol_descriptor(proto: ProtocolAutomaton, n: int,
-                        rounds: Optional[int] = None) -> dict:
-    """JSON descriptor: model tag, round budget, observed object-selection table."""
-    rounds = rounds or proto.round_budget or 3
+def protocol_descriptor(proto: ProtocolAutomaton, n: int) -> dict:
+    """JSON descriptor: model tag, round budget, and the object-selection
+    table observed over the round budget (3 rounds without one)."""
+    rounds = proto.round_budget or 3
     state = make_initial_state(n, list(range(n)), proto.model, proto)
     sched = sigma_schedule((), n, proto.model)
     table = []

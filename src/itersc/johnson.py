@@ -204,14 +204,16 @@ class VanishingReport:
         }
 
 
+EXHAUSTIVE_BUDGET = 2_000_000  # families an exhaustive vanishing check may visit
+
+
 def _exhaustive_cost(n: int, m: int) -> int:
     size = comb(n, m)
     return sum(comb(size, k) for k in range(0, n - m + 1))
 
 
 def verify_zeta_vanishing(n: int, m: int, mode: str = "exhaustive",
-                          samples: int = 10000, seed: int = 0,
-                          budget: int = 2_000_000) -> VanishingReport:
+                          samples: int = 10000, seed: int = 0) -> VanishingReport:
     """Check that n-m iterates of zeta kill every U with |U| <= n - m."""
     if not 2 <= m <= n:
         raise DomainError(f"need 2 <= m <= n, got m={m}, n={n}")
@@ -219,7 +221,7 @@ def verify_zeta_vanishing(n: int, m: int, mode: str = "exhaustive",
     counterexamples = []
     checked = 0
     if mode == "exhaustive":
-        if _exhaustive_cost(n, m) > budget:
+        if _exhaustive_cost(n, m) > EXHAUSTIVE_BUDGET:
             raise BudgetExceededError(
                 f"exhaustive vanishing check for (n={n}, m={m}) exceeds budget")
         for k in range(0, n - m + 1):

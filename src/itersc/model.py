@@ -61,15 +61,9 @@ class SnapshotObject:
     """One-shot snapshot array for a single round."""
 
     cells: tuple
-    updated_by: frozenset
-    scanned_by: frozenset
 
     def to_jsonable(self) -> dict:
-        return {
-            "cells": [jsonable(c) for c in self.cells],
-            "updated_by": sorted(self.updated_by),
-            "scanned_by": sorted(self.scanned_by),
-        }
+        return {"cells": [jsonable(c) for c in self.cells]}
 
 
 def box(members: Iterable[int]) -> frozenset:
@@ -99,9 +93,6 @@ class InvocationSpec:
 
     def __hash__(self):
         return hash(self.boxes)
-
-    def nontrivial(self) -> list[frozenset]:
-        return [b for b in self if len(b) > 1]
 
     def to_jsonable(self) -> list:
         return [sorted(b) for b in self]

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 
-from itersc.cli import EXIT_OK, EXIT_USAGE, main
+import pytest
+
+from itersc.cli import EXIT_OK, EXIT_USAGE, build_parser, main
+from itersc.executor import enumerate_round_schedules, make_schedule
 
 
 def run_cli(capsys, *argv):
@@ -129,3 +133,62 @@ def test_report_is_reproducible_from_config(capsys):
     r1, r2 = json.loads(out1), json.loads(out2)
     r1.pop("wall_time_s"), r2.pop("wall_time_s")
     assert r1 == r2
+
+
+COMMON = {"--config", "--out"}
+FLAGS = {
+    "simulate": COMMON | {"--n", "--family", "--adversary", "--seed", "--horizon",
+                          "--protocol", "--inputs", "--groups"},
+    "verify-consensus": COMMON | {"--n", "--seed", "--jobs", "--mode", "--executions"},
+    "verify-2cc": COMMON | {"--g", "--values"},
+    "count-objects": COMMON | {"--n", "--protocol"},
+    "transform": COMMON | {"--n", "--seed", "--direction", "--source", "--check"},
+    "connectivity": COMMON | {"--n", "--horizon", "--demo", "--automaton",
+                              "--block-a", "--block-b"},
+    "johnson": COMMON | {"--n", "--seed", "--op", "--m", "--mode", "--set", "--iterations"},
+    "samples": set(),
+}
+
+
+def test_each_command_accepts_exactly_the_flags_it_reads():
+    parser = build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    accepted = {name: {flag for action in sub._actions for flag in action.option_strings}
+                - {"-h", "--help"} for name, sub in commands.items()}
+    assert accepted == FLAGS
+    assert sum(len(flags) for flags in accepted.values()) == 49
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-2cc", "--n", "3"),
+    ("verify-2cc", "--jobs", "4"),
+    ("connectivity", "--demo", "lower-bound", "--seed", "1"),
+    ("count-objects", "--horizon", "2"),
+    ("johnson", "--op", "vanish", "--family", "sigma"),
+])
+def test_unread_flag_exits_2(capsys, argv):
+    assert main(list(argv)) == EXIT_USAGE
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_connectivity_config_holds_only_read_settings(capsys):
+    code, out, _ = run_cli(capsys, "connectivity", "--demo", "wro-obstruction",
+                           "--automaton", "wro-solo", "--horizon", "1")
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert "seed" not in report["config"] and report["seed"] is None
+
+
+def test_simulate_ordered_partition_family(capsys, tmp_path):
+    out_file = tmp_path / "trace.jsonl"
+    code, _, _ = run_cli(capsys, "simulate", "--n", "3", "--family", "ordered-partition",
+                         "--seed", "3", "--out", str(out_file))
+    assert code == EXIT_OK
+    family = set(enumerate_round_schedules(3, "WOR", "ordered-partition"))
+    sigma = set(enumerate_round_schedules(3, "WOR", "sigma"))
+    scheds = [make_schedule("WOR", 3, json.loads(line)["schedule"])
+              for line in out_file.read_text().splitlines()]
+    assert len(scheds) == 3
+    assert all(sched in family for sched in scheds)
+    assert not all(sched in sigma for sched in scheds)  # 13 of the 7,117 are sigma

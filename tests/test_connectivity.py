@@ -33,6 +33,7 @@ from itersc.errors import (
     ConstructionError,
     FullBoxConflictError,
     InvalidArgumentError,
+    InvalidScheduleError,
     NoInvocationsError,
     PreconditionViolationError,
     RoundMismatchError,
@@ -98,7 +99,7 @@ def test_graph_no_edge_between_disjoint_histories():
     a = make_initial_state(3, [0, 0, 0], WOR)
     b = make_initial_state(3, [1, 1, 1], WOR)
     g = build_indist_graph([a, b])
-    assert not g.has_edge(a, b)
+    assert b not in g[a] and a not in g[b]
 
 
 def test_is_b_regular():
@@ -413,7 +414,7 @@ def test_connected_univalent_states_share_valency_instance():
             for script in scripts:
                 states.append(apply_round(init, sched, MapAdversary(script), proto))
     g = build_indist_graph(states)
-    for a, b in g.edges:
+    for a, b in ((a, b) for a in g for b in g[a]):
         da, db = set(a.decisions().values()), set(b.decisions().values())
         if da and db:
             shared = indistinguishability_set(a, b)
@@ -496,14 +497,14 @@ def test_partition_bridge_labels_exactly_a_and_b_everywhere():
 # -- the per-extension round memo ---------------------------------------------
 
 
-def _probe_then_apply_successor(rounds, state, groups, box_values, default=None):
+def _probe_then_apply_successor(rounds, state, groups, box_values):
     """Reference build_successor: probe the round, then apply the plan."""
     sched = sigma_schedule(groups, state.n, rounds.proto.model)
     script = {}
     for obj, b, contended, forced_val in probe_round(state, sched, rounds.proto):
         want = box_values.get(b)
         if contended:
-            script[obj] = want if want is not None else (default or min)(b)
+            script[obj] = want if want is not None else min(b)
         elif want is not None and forced_val != want:
             raise ConstructionError(f"box {sorted(b)} is forced to {forced_val}")
     return apply_round(state, sched, MapAdversary(script), rounds.proto)
@@ -580,3 +581,21 @@ def test_memo_hit_rebuilds_the_callers_history():
             children.add(child.locals_)
     assert len(children) == len(all_groups)  # the groups lead to different rounds
     assert len(rounds.deltas) == 2 * len(all_groups)  # both parents share every round
+
+
+def test_memo_keys_on_the_schedule_not_its_spelling():
+    proto = wro_obstruction_samples()["wro-share-all"]
+    s = make_initial_state(3, [0, 1, 0], WRO, proto)
+    full = frozenset({1, 2, 3})
+    for j in (1, 2, 3):
+        rounds = connectivity._Rounds(proto)
+        spelled = rounds.child(s, (full - {j}, frozenset({j})))
+        short = rounds.child(s, (full - {j},))
+        assert len(rounds.deltas) == 1
+        assert spelled == short == apply_round(s, sigma_schedule((full - {j},), 3, WRO),
+                                               FixedAdversary(1), proto)
+    rounds = connectivity._Rounds(proto)
+    assert rounds.child(s, ()) == rounds.child(s, (full,)) == rounds.child(s, (set(), full))
+    assert len(rounds.deltas) == 1
+    with pytest.raises(InvalidScheduleError):  # an overlapping group is never dropped
+        rounds.child(s, ({1, 2}, full))

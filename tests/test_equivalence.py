@@ -12,10 +12,13 @@ from itersc.equivalence import (
     owr_to_wro_schedules,
     simulate_paired,
     wro_to_owr_schedules,
-    _random_general_schedule,
 )
 from itersc.errors import ModelMismatchError
-from itersc.executor import SeededRandomAdversary, sigma_schedule
+from itersc.executor import (
+    SeededRandomAdversary,
+    random_ordered_partition_schedule,
+    sigma_schedule,
+)
 from itersc.model import OWR, WRO
 from itersc.samples import owr_transform_samples, wro_transform_samples
 
@@ -57,7 +60,7 @@ def test_schedule_mapping_rejects_wrong_model():
 def test_paired_simulation_shifts_decisions_wro():
     proto = wro_transform_samples()["wro-pair12-d3"]
     rng = random.Random(11)
-    scheds = [_random_general_schedule(3, WRO, rng) for _ in range(4)]
+    scheds = [random_ordered_partition_schedule(3, WRO, rng) for _ in range(4)]
     src, sim = simulate_paired(proto, [0, 1, 0], scheds, SeededRandomAdversary(5, 3))
     assert decisions_shifted_by_one(src, sim) is None
     assert src.decision_rounds() and sim.decision_rounds()
@@ -66,7 +69,7 @@ def test_paired_simulation_shifts_decisions_wro():
 def test_paired_simulation_shifts_decisions_owr():
     proto = owr_transform_samples()["owr-rotating-d3"]
     rng = random.Random(12)
-    scheds = [_random_general_schedule(3, OWR, rng) for _ in range(4)]
+    scheds = [random_ordered_partition_schedule(3, OWR, rng) for _ in range(4)]
     src, sim = simulate_paired(proto, [1, 0, 1], scheds, SeededRandomAdversary(6, 3))
     assert decisions_shifted_by_one(src, sim) is None
 
@@ -89,7 +92,7 @@ def test_correspondence_detects_a_broken_simulation():
     sim = dataclasses.replace(good, decide=lambda sm, val, loc: 0)
     src_sim = eq.simulate_paired
     rng = random.Random(3)
-    scheds = [_random_general_schedule(3, WRO, rng) for _ in range(3)]
+    scheds = [random_ordered_partition_schedule(3, WRO, rng) for _ in range(3)]
     src = __import__("itersc.executor", fromlist=["x"]).run_execution(
         proto, [0, 0, 0], scheds, SeededRandomAdversary(1, 3))
     bad_exe = __import__("itersc.executor", fromlist=["x"]).run_execution(

@@ -36,6 +36,7 @@ from itersc.executor import (
     make_schedule,
     ordered_set_partitions,
     probe_round,
+    random_ordered_partition_schedule,
     random_sigma_schedule,
     replay_execution,
     run_execution,
@@ -399,3 +400,14 @@ def test_first_counterexample_replays_as_an_execution():
     verdict = check_consensus(exe, cex["inputs"])
     assert not verdict.ok
     assert jsonable(verdict.first_violation) == cex["violation"]
+
+
+@pytest.mark.parametrize("model", [WOR, WRO, OWR])
+@pytest.mark.parametrize("n", [2, 3])
+def test_random_ordered_partition_schedules_are_family_members(n, model):
+    import random
+    family = set(enumerate_round_schedules(n, model, "ordered-partition"))
+    rng = random.Random(n)
+    draws = [random_ordered_partition_schedule(n, model, rng) for _ in range(200)]
+    assert all(sched in family for sched in draws)
+    assert len(set(draws)) > 1

@@ -278,8 +278,8 @@ def test_constant_decider_shifts_by_one_round():
     from itersc.executor import SeededRandomAdversary
     import random
     rng = random.Random(0)
-    from itersc.equivalence import _random_general_schedule
-    scheds = [_random_general_schedule(3, WRO, rng) for _ in range(2)]
+    from itersc.executor import random_ordered_partition_schedule
+    scheds = [random_ordered_partition_schedule(3, WRO, rng) for _ in range(2)]
     src, simexe = simulate_paired(proto, [7, 8, 9], scheds, SeededRandomAdversary(1, 3))
     src_dec = src.decision_rounds()
     sim_dec = simexe.decision_rounds()
@@ -303,11 +303,11 @@ def test_double_transform_shifts_by_two_rounds():
 
 def test_never_deciding_protocol_stays_undecided_through_simulation():
     proto = knowledge_automaton(WRO, "never", sel_solo)  # no decide round
-    from itersc.equivalence import simulate_paired, _random_general_schedule
-    from itersc.executor import SeededRandomAdversary
+    from itersc.equivalence import simulate_paired
+    from itersc.executor import SeededRandomAdversary, random_ordered_partition_schedule
     import random
     rng = random.Random(5)
-    scheds = [_random_general_schedule(3, WRO, rng) for _ in range(3)]
+    scheds = [random_ordered_partition_schedule(3, WRO, rng) for _ in range(3)]
     src, sim = simulate_paired(proto, [0, 1, 0], scheds, SeededRandomAdversary(2, 3))
     assert not src.decision_rounds()
     assert not sim.decision_rounds()
