@@ -137,10 +137,6 @@ def cmd_verify_consensus(args) -> int:
         args.mode = "exhaustive" if args.n <= 4 else "sampled"
         config["mode"] = args.mode
     if args.mode == "exhaustive":
-        if args.n > 4:
-            print(f"[itersc] exhaustive verification is capped at n=4 "
-                  f"(got n={args.n}); rerun with --mode sampled", file=sys.stderr)
-            return EXIT_USAGE
         report = verify_consensus_exhaustive(args.n)
     else:
         report = _sampled_sweep(args.n, args.executions, args.seed, args.jobs)

@@ -3,9 +3,14 @@
 Every construction here follows the same discipline: build the successor
 states prescribed by the corresponding structural argument, choosing the
 safe-consensus outputs of contended instances from an explicit per-box
-plan, then verify each claimed indistinguishability edge against the
-actual local states.  A construction that cannot be verified raises
-ConstructionError instead of returning a weaker path.
+plan, and append them to one ``PathBuilder``.  Its ``build`` checks each
+claimed indistinguishability edge once against the actual local states.
+Nested constructions (the WRO bridge, the swap chain) append to their
+caller's builder instead of checking a path of their own; only the general
+extension splices in connections that ``_connect`` has already checked,
+because their postconditions read the connection as a path.  A construction
+that cannot be verified raises ConstructionError instead of returning a
+weaker path.
 
 Each public extension call applies its rounds through one private memo,
 which lives for that call only.  A round's outcome (new locals, snapshot,
@@ -126,7 +131,7 @@ class Path:
 
 
 class PathBuilder:
-    """Grows a path edge by edge, verifying each label as it is added."""
+    """Grows a path edge by edge; ``build`` checks every label once."""
 
     def __init__(self, first: GlobalState):
         self.states = [first]
@@ -140,18 +145,16 @@ class PathBuilder:
         label = frozenset(label)
         if not label:
             raise ConstructionError("refusing to add an edge with empty label")
-        actual = indistinguishability_set(self.tail, state)
-        if not label <= actual:
-            raise ConstructionError(
-                f"edge {len(self.labels)}: claimed {sorted(label)} but only "
-                f"{sorted(actual)} agree")
         if state == self.tail:
             return  # identical states collapse; nothing to add
         self.states.append(state)
         self.labels.append(label)
 
     def build(self) -> Path:
-        return Path(states=tuple(self.states), labels=tuple(self.labels))
+        """The path so far, every label checked against the actual states."""
+        path = Path(states=tuple(self.states), labels=tuple(self.labels))
+        path.verify()
+        return path
 
 
 def is_b_regular(path: Path) -> bool:
@@ -339,9 +342,7 @@ def connect_partition_round(state: GlobalState, a, b_, proto) -> Path:
     pb = PathBuilder(s_a)
     pb.append(s_all, b_)
     pb.append(s_b, a)
-    path = pb.build()
-    path.verify()
-    return path
+    return pb.build()
 
 
 def extend_path_partition(path: Path, a, b_, proto) -> Path:
@@ -374,9 +375,7 @@ def extend_path_partition(path: Path, a, b_, proto) -> Path:
             pb.append(step(base, (x,)), cur_groups)
             cur_groups = x
         pb.append(step(nxt_base, (x,)), x)
-    out = pb.build()
-    out.verify()
-    return out
+    return pb.build()
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +458,7 @@ def extend_path_no3box(path: Path, proto) -> Path:
         pb.append(rounds.successor(nxt_base, (x_next,), hop_plan), x_next)
         cur = x_next
 
-    out = pb.build()
-    out.verify()
-    return out
+    return pb.build()
 
 
 def _require_no_full_box(boxes) -> None:
@@ -568,7 +565,6 @@ def build_ladder_path(state: GlobalState, x, b, proto) -> tuple[LadderState, Pat
     lad = LadderState(base=state, groups=peeled, step_box=b, tail=x & b,
                       state=pb.tail)
     path = pb.build()
-    path.verify()
     if path.labels and path.degree() < state.n - 2:
         raise ConstructionError("ladder path degree fell below n-2")
     return lad, path
@@ -685,7 +681,6 @@ def _connect(rounds: _Rounds, state: GlobalState, x, y,
     if pb.tail != q2:
         raise ConstructionError("constructed endpoint differs from the target state")
     path = pb.build()
-    path.verify()
     _assert_connect_postconditions(path, diff, n)
     return path
 
@@ -778,7 +773,6 @@ def extend_path_general(path: Path, proto, s: Optional[int] = None) -> tuple[Pat
         pb.append(rounds.successor(path.states[w + 1], (labels[w],),
                                    vals_at(w + 1, path.states[w + 1])), labels[w])
     out = pb.build()
-    out.verify()
 
     report = _psi_report(path, out, rounds, s, n)
     if not report["ok"]:
@@ -913,17 +907,23 @@ def _wro_successor(rounds: _Rounds, state: GlobalState, groups) -> GlobalState:
 def wro_bridge(state: GlobalState, i: int, j: int, proto) -> Path:
     """Connect sigma-wro(all-i) and sigma-wro(all-j) successors of a state
     with a path whose labels all have n-1 members."""
-    return _wro_bridge(_Rounds(proto), state, i, j)
+    rounds = _Rounds(proto)
+    full = frozenset(range(1, state.n + 1))
+    pb = PathBuilder(_wro_successor(rounds, state, (full - {i},)))
+    _wro_bridge(rounds, pb, state, i, j)
+    return pb.build()
 
 
-def _wro_bridge(rounds: _Rounds, state: GlobalState, i: int, j: int) -> Path:
+def _wro_bridge(rounds: _Rounds, pb: PathBuilder, state: GlobalState, i: int, j: int) -> None:
+    """Append the bridge from sigma-wro(all-i) to sigma-wro(all-j) of
+    ``state`` to ``pb``, whose tail must be the bridge's start."""
     n = state.n
     full = frozenset(range(1, n + 1))
-    start = _wro_successor(rounds, state, (full - {i},))
+    if _wro_successor(rounds, state, (full - {i},)) != pb.tail:
+        raise ConstructionError("bridge start does not match the tail")
     if i == j:
-        return Path(states=(start,), labels=())
+        return
     ls = sorted(full - {i, j}) + [j]  # l_1..l_{n-1} with l_{n-1} = j
-    pb = PathBuilder(start)
     # split the leading block into singletons
     for k in range(1, n - 1):
         groups = tuple(frozenset({x}) for x in ls[:k])
@@ -942,9 +942,6 @@ def _wro_bridge(rounds: _Rounds, state: GlobalState, i: int, j: int) -> Path:
         groups = tuple(frozenset({x}) for x in ls[:k - 1])
         groups += (frozenset(set(ls[k - 1:-1]) | {i}), frozenset({ls[-1]}))
         pb.append(_wro_successor(rounds, state, groups), full - {ls[k - 1]})
-    path = pb.build()
-    path.verify()
-    return path
 
 
 def wro_extend_round(path: Path, proto) -> Path:
@@ -969,15 +966,10 @@ def wro_extend_round(path: Path, proto) -> Path:
         base, nxt = path.states[idx], path.states[idx + 1]
         j = excluded(x, cur_excl)
         if j != cur_excl:
-            bridge = _wro_bridge(rounds, base, cur_excl, j)
-            if bridge.states[0] != pb.tail:
-                raise ConstructionError("bridge start does not match the tail")
-            for k in range(len(bridge.labels)):
-                pb.append(bridge.states[k + 1], bridge.labels[k])
+            _wro_bridge(rounds, pb, base, cur_excl, j)
             cur_excl = j
         pb.append(_wro_successor(rounds, nxt, (full - {j},)), full - {j})
     out = pb.build()
-    out.verify()
     if out.degree() is not None and out.degree() < n - 1:
         raise ConstructionError("obstruction path degree fell below n-1")
     if not is_b_regular(out):

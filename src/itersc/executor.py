@@ -168,8 +168,8 @@ def enumerate_round_schedules(n: int, model: str, family: str = "sigma") -> Iter
         for parts in ordered_set_partitions(tuple(range(1, n + 1))):
             yield sigma_schedule(parts, n, model)
     elif family == "ordered-partition":
-        if n > 4:
-            raise BudgetExceededError(f"exhaustive ordered-partition family capped at n=4, got {n}")
+        if n > 3:
+            raise BudgetExceededError(f"exhaustive ordered-partition family capped at n=3, got {n}")
         yield from _interleavings(n, model)
     else:
         raise InvalidArgumentError(f"unknown schedule family {family!r}")

@@ -86,14 +86,6 @@ class InvocationSpec:
     def __contains__(self, b) -> bool:
         return frozenset(b) in self.boxes
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, InvocationSpec):
-            return self.boxes == other.boxes
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.boxes)
-
     def to_jsonable(self) -> list:
         return [sorted(b) for b in self]
 

@@ -11,8 +11,6 @@ import hashlib
 import json
 from typing import Any
 
-BOTTOM = None
-
 
 def freeze(value: Any) -> Any:
     """Return a hashable, canonical version of ``value``.

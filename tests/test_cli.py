@@ -55,9 +55,11 @@ def test_verify_consensus_small(capsys):
 
 
 def test_verify_consensus_budget_guard(capsys):
-    code, _, err = run_cli(capsys, "verify-consensus", "--n", "7",
-                           "--mode", "exhaustive")
-    assert code == EXIT_USAGE
+    for n in ("5", "7"):
+        code, _, err = run_cli(capsys, "verify-consensus", "--n", n,
+                               "--mode", "exhaustive")
+        assert code == EXIT_USAGE
+        assert "sampled" in err  # points at the sampled mode
 
 
 def test_verify_2cc(capsys):

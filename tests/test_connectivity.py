@@ -599,3 +599,54 @@ def test_memo_keys_on_the_schedule_not_its_spelling():
     assert len(rounds.deltas) == 1
     with pytest.raises(InvalidScheduleError):  # an overlapping group is never dropped
         rounds.child(s, ({1, 2}, full))
+
+
+# -- edge checks ----------------------------------------------------------------
+
+
+def _engine_calls():
+    """One call per public engine, each on an input whose output has an edge."""
+    a, b = frozenset({1, 2}), frozenset({3})
+    wro = wro_obstruction_samples()["wro-rotating"]
+    pairs = _two_pairs_proto()
+    s3 = make_initial_state(3, [0, 1, 0], WOR, PAIR)
+    s4 = make_initial_state(4, [0, 1, 0, 1], WOR, pairs)
+    o, ou, u = (make_initial_state(3, v, WOR, PAIR) for v in ([0, 0, 0], [0, 0, 1], [1, 1, 1]))
+    part = Path(states=(o, ou, u), labels=(a, b))
+    chain_pair, chain_solo, chain_wro = (initial_chain(p, 3) for p in (PAIR, SOLO, wro))
+    return [
+        ("connect_partition_round", lambda: connect_partition_round(s3, a, b, PAIR)),
+        ("extend_path_partition", lambda: extend_path_partition(part, a, b, PAIR)),
+        ("extend_path_no3box", lambda: extend_path_no3box(chain_solo, SOLO)),
+        ("build_ladder_path", lambda: build_ladder_path(s4, {1, 2, 3}, {1, 2}, pairs)[1]),
+        ("connect_one_round_successors",
+         lambda: connect_one_round_successors(s4, {1, 2, 3}, {2, 3, 4}, pairs)),
+        ("extend_path_general", lambda: extend_path_general(chain_pair, PAIR)[0]),
+        ("wro_bridge", lambda: wro_bridge(make_initial_state(3, [0, 1, 0], WRO, wro), 1, 3, wro)),
+        ("wro_extend_round", lambda: wro_extend_round(chain_wro, wro)),
+    ]
+
+
+@pytest.mark.parametrize("engine", [name for name, _run in _engine_calls()])
+def test_engine_refuses_edges_no_process_agrees_on(monkeypatch, engine):
+    run = dict(_engine_calls())[engine]
+    assert run().labels  # the input yields at least one edge
+    monkeypatch.setattr(connectivity, "indistinguishability_set", lambda s, q: frozenset())
+    with pytest.raises(ConstructionError, match="agree"):
+        run()
+
+
+@pytest.mark.parametrize("engine", ["wro_extend_round", "extend_path_no3box",
+                                    "extend_path_partition"])
+def test_each_edge_is_checked_once(monkeypatch, engine):
+    run = dict(_engine_calls())[engine]
+    seen = []
+
+    def counted(s, q):
+        seen.append((s, q))
+        return indistinguishability_set(s, q)
+
+    monkeypatch.setattr(connectivity, "indistinguishability_set", counted)
+    out = run()
+    assert len(out.labels) > 1
+    assert len(seen) == len(out.labels)
