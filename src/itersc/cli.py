@@ -151,7 +151,7 @@ def _sampled_sweep(n: int, executions: int, seed: int, jobs: int, protocol: str 
     chunk = max(1, -(-executions // jobs))
     specs = [(protocol, n, seed, lo, min(lo + chunk, executions))
              for lo in range(0, executions, chunk)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(specs), os.cpu_count() or 1)) as pool:
         parts = list(pool.map(_sampled_worker, specs))
     firsts = [first for _bad, first in parts if first is not None]
     return SweepReport(n=n, mode="sampled", executions=executions,
@@ -276,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
         "adversary": dict(default="random", help="random | script:FILE"),
         "seed": dict(type=int, default=0, help="seed of every random draw"),
         "horizon": dict(type=int, default=None, help="number of rounds"),
-        "jobs": dict(type=int, default=1, help="worker processes of a sampled sweep"),
+        "jobs": dict(type=int, default=1, help="index ranges of a sampled sweep, "
+                     "run on at most one worker process per CPU"),
     }
 
     def command(name, summary, func, *flags):

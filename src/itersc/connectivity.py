@@ -5,12 +5,10 @@ states prescribed by the corresponding structural argument, choosing the
 safe-consensus outputs of contended instances from an explicit per-box
 plan, and append them to one ``PathBuilder``.  Its ``build`` checks each
 claimed indistinguishability edge once against the actual local states.
-Nested constructions (the WRO bridge, the swap chain) append to their
-caller's builder instead of checking a path of their own; only the general
-extension splices in connections that ``_connect`` has already checked,
-because their postconditions read the connection as a path.  A construction
-that cannot be verified raises ConstructionError instead of returning a
-weaker path.
+Nested constructions (the WRO bridge, the swap chain, the one-round
+connection) append to their caller's builder instead of checking a path of
+their own.  A construction that cannot be verified raises ConstructionError
+instead of returning a weaker path.
 
 Each public extension call applies its rounds through one private memo,
 which lives for that call only.  A round's outcome (new locals, snapshot,
@@ -627,17 +625,24 @@ def connect_one_round_successors(state: GlobalState, x, y, proto,
     degree stays at n-2 or above; every differing box contributes exactly
     one edge labelled by its complement.
     """
-    return _connect(_Rounds(proto), state, x, y, values_x, values_y)
+    rounds = _Rounds(proto)
+    pb = PathBuilder(rounds.successor(state, (x,), values_x or {}))
+    _connect(rounds, pb, state, x, y, values_x, values_y)
+    return pb.build()
 
 
-def _connect(rounds: _Rounds, state: GlobalState, x, y,
-             values_x: Optional[dict], values_y: Optional[dict]) -> Path:
+def _connect(rounds: _Rounds, pb: PathBuilder, state: GlobalState, x, y,
+             values_x: Optional[dict], values_y: Optional[dict]) -> None:
+    """Append the connection from the sigma(X) to the sigma(Y) successor of
+    ``state`` to ``pb``, whose tail must be the connection's start."""
     x, y = frozenset(x), frozenset(y)
     n = state.n
     full = frozenset(range(1, n + 1))
     boxes = rounds.boxes(state)
     q1 = rounds.successor(state, (x,), values_x or {})
     q2 = rounds.successor(state, (y,), values_y or {})
+    if q1 != pb.tail:
+        raise ConstructionError("connection start does not match the tail")
     vx = box_values_of(q1)
     vy = box_values_of(q2)
     diff = diff_box_set(q1, q2)
@@ -645,9 +650,9 @@ def _connect(rounds: _Rounds, state: GlobalState, x, y,
         raise FullBoxConflictError(
             "the full box separates the two target states")
     if q1 == q2:
-        return Path(states=(q1,), labels=())
+        return
 
-    pb = PathBuilder(q1)
+    start = len(pb.labels)
     cur = x
     cur_vals = dict(vx)
     for b in sorted(boxes, key=sorted):
@@ -680,15 +685,13 @@ def _connect(rounds: _Rounds, state: GlobalState, x, y,
         raise ConstructionError("box sweep did not reach the target set")
     if pb.tail != q2:
         raise ConstructionError("constructed endpoint differs from the target state")
-    path = pb.build()
-    _assert_connect_postconditions(path, diff, n)
-    return path
+    _assert_connect_postconditions(pb.labels[start:], diff, n)
 
 
-def _assert_connect_postconditions(path: Path, diff: frozenset, n: int) -> None:
-    deg = path.degree()
-    if deg is None:
+def _assert_connect_postconditions(labels, diff: frozenset, n: int) -> None:
+    if not labels:
         return
+    deg = min(len(z) for z in labels)
     if not diff:
         if deg < n - 2:
             raise ConstructionError(f"degree {deg} below n-2 with no differing box")
@@ -697,7 +700,7 @@ def _assert_connect_postconditions(path: Path, diff: frozenset, n: int) -> None:
     if deg < min(bound, n - 2):
         raise ConstructionError(f"degree {deg} below the differing-box bound {bound}")
     full = frozenset(range(1, n + 1))
-    for z in path.isets():
+    for z in labels:
         if len(z) < n - 2 and (full - z) not in diff:
             raise ConstructionError(
                 f"small label {sorted(z)} is not the complement of a differing box")
@@ -766,10 +769,8 @@ def extend_path_general(path: Path, proto, s: Optional[int] = None) -> tuple[Pat
                                vals_at(1, path.states[1])), labels[0])
     for w in range(1, len(labels)):
         base = path.states[w]
-        sub = _connect(rounds, base, labels[w - 1], labels[w],
-                       vals_at(w, base), vals_at(w + 1, base))
-        for idx in range(len(sub.labels)):
-            pb.append(sub.states[idx + 1], sub.labels[idx])
+        _connect(rounds, pb, base, labels[w - 1], labels[w],
+                 vals_at(w, base), vals_at(w + 1, base))
         pb.append(rounds.successor(path.states[w + 1], (labels[w],),
                                    vals_at(w + 1, path.states[w + 1])), labels[w])
     out = pb.build()

@@ -40,7 +40,7 @@ from .model import (
     make_initial_state,
 )
 from .protocols import ProtocolAutomaton, validate_coalitions_tuple
-from .values import canonical_json, digest, freeze, jsonable, thaw_map
+from .values import canonical_json, digest, freeze, jsonable
 
 W, S, R = "W", "S", "R"
 EVENT_ORDER = {WOR: (W, S, R), WRO: (W, R, S), OWR: (S, W, R)}
@@ -308,7 +308,7 @@ def _run_events(state: GlobalState, sched: RoundSchedule, proto: ProtocolAutomat
     rnd = state.rnd + 1
     cur_sm = [ls.sm for ls in state.locals_]
     cur_val = [ls.val for ls in state.locals_]
-    loc = [thaw_map(ls.locals_) for ls in state.locals_]
+    loc = [ls.locals_ for ls in state.locals_]
     cells: list = [None] * n
     selections: dict[int, Any] = {}
     sc_inputs: dict[int, Any] = {}
@@ -321,15 +321,15 @@ def _run_events(state: GlobalState, sched: RoundSchedule, proto: ProtocolAutomat
         if kind == W:
             for pid in sorted(group):
                 i = pid - 1
-                cells[i] = freeze(proto.payload(pid, state.locals_[i].inp,
-                                                cur_sm[i], cur_val[i], loc[i]))
+                cells[i] = proto.payload(pid, state.locals_[i].inp,
+                                         cur_sm[i], cur_val[i], loc[i])
         elif kind == R:
             snap = tuple(cells)
             for pid in sorted(group):
                 i = pid - 1
                 sm = snap
                 if proto.sm_filter is not None:
-                    sm = freeze(proto.sm_filter(rnd, pid, sm, loc[i]))
+                    sm = proto.sm_filter(rnd, pid, sm, loc[i])
                 cur_sm[i] = sm
         else:  # invoke
             here: dict[Any, list[int]] = {}
@@ -341,7 +341,7 @@ def _run_events(state: GlobalState, sched: RoundSchedule, proto: ProtocolAutomat
                         f"object selector returned {obj!r}; expected a "
                         f"non-negative index")
                 selections[pid] = obj
-                sc_inputs[pid] = freeze(proto.object_input(pid, loc[i]))
+                sc_inputs[pid] = proto.object_input(pid, loc[i])
                 here.setdefault(obj, []).append(pid)
             for obj in sorted(here):
                 invokers = here[obj]
@@ -366,7 +366,7 @@ def _run_events(state: GlobalState, sched: RoundSchedule, proto: ProtocolAutomat
                 i = pid - 1
                 v = outputs[selections[pid]]
                 if proto.val_filter is not None:
-                    v = freeze(proto.val_filter(rnd, pid, v, loc[i]))
+                    v = proto.val_filter(rnd, pid, v, loc[i])
                 cur_val[i] = v
 
     by_obj: dict[Any, list[int]] = {}
@@ -409,11 +409,10 @@ def apply_round_recorded(state: GlobalState, sched: RoundSchedule,
     for i, ls in enumerate(state.locals_):
         dec = ls.dec
         if dec is None:
-            dec = freeze(proto.decide(cur_sm[i], cur_val[i], loc[i]))
-        stepped = freeze(proto.step(loc[i], cur_sm[i], cur_val[i]))
+            dec = proto.decide(cur_sm[i], cur_val[i], loc[i])
         new_locals.append(LocalState(
             pid=ls.pid, rnd=rnd, inp=ls.inp, sm=cur_sm[i], val=cur_val[i],
-            dec=dec, locals_=stepped))
+            dec=dec, locals_=proto.step(loc[i], cur_sm[i], cur_val[i])))
     snap = SnapshotObject(cells=tuple(cells))
     new_state = GlobalState(
         n=state.n, model=state.model, rnd=rnd,

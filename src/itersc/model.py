@@ -33,7 +33,7 @@ class LocalState:
     ``sm`` holds the last snapshot taken (the raw input value before the
     first scan, mirroring the ``sm <- input`` initialization), ``val`` the
     last safe-consensus output, ``dec`` the decision (write-once) and
-    ``locals_`` the protocol-specific variables in frozen form.
+    ``locals_`` the automaton's own locals record (``freeze({})`` without one).
     """
 
     pid: int
@@ -167,7 +167,7 @@ def make_initial_state(n: int, inputs, model: str, proto=None) -> GlobalState:
     locals_ = []
     for pid, raw in enumerate(inputs, start=1):
         inp = freeze(raw)
-        pl = freeze(proto.init(pid, inp)) if proto is not None else freeze({})
+        pl = proto.init(pid, inp) if proto is not None else freeze({})
         locals_.append(LocalState(pid=pid, rnd=0, inp=inp, sm=inp, val=None, dec=None, locals_=pl))
     return GlobalState(n=n, model=model, rnd=0, locals_=tuple(locals_))
 

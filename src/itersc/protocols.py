@@ -7,15 +7,16 @@ owns the round structure; automata only say which object to pick, what to
 write, how to fold a finished round into their locals and when to decide.
 Component conventions:
 
-* ``locals`` is passed to components as a plain dict whose nested values are
-  frozen (see values.freeze); components return plain dicts.
+* ``locals`` is the automaton's own frozen dataclass record, read by
+  attribute; ``step`` returns ``dataclasses.replace(loc, ...)``.  Components
+  take and return immutable values, which the executor stores as they are.
 * object indices are fresh per round: the executor keys instances by
   (round, index), matching the one-shot discipline of the iterated models.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 from typing import Any, Callable, Optional
 
@@ -26,7 +27,6 @@ from .errors import (
     ProtocolInvariantError,
 )
 from .model import MODELS, OWR, WOR, WRO
-from .values import thaw_map
 
 # ---------------------------------------------------------------------------
 # coalition arithmetic
@@ -153,9 +153,6 @@ class CoalitionLedger:
             stp += 1
         return CoalitionLedger(agreements=self.agreements, step=stp, firstid=fid, lastid=lid)
 
-    def _freeze_(self):
-        return self
-
     def to_jsonable(self) -> dict:
         return {
             "step": self.step,
@@ -163,10 +160,6 @@ class CoalitionLedger:
             "lastid": self.lastid,
             "agreements": {str(k): v for k, v in self.agreements},
         }
-
-
-def ledger_of(locals_: dict) -> CoalitionLedger:
-    return locals_["ledger"]
 
 
 # ---------------------------------------------------------------------------
@@ -177,24 +170,25 @@ def ledger_of(locals_: dict) -> CoalitionLedger:
 class ProtocolAutomaton:
     """Deterministic per-process machine for one iterated model.
 
+    ``init(pid, inp)`` returns the locals record (see the module docstring);
     ``select_object(rnd, pid, sm, val, locals)`` picks this round's object;
     ``write_payload(pid, inp, sm, val, locals)`` produces the written value;
     ``decide(sm, val, locals)`` may output; ``step(locals, sm, val)`` folds the
-    finished round into the locals.  ``sm_filter``/``val_filter`` run right
+    finished round into a new record.  ``sm_filter``/``val_filter`` run right
     after the scan/invoke events; they exist for the model simulations,
     which discard one round-1 result.
     """
 
     model: str
     name: str
-    init: Callable[[int, Any], dict]
-    select_object: Callable[[int, int, Any, Any, dict], Any]
-    decide: Callable[[Any, Any, dict], Any]
-    step: Callable[[dict, Any, Any], dict]
-    write_payload: Optional[Callable[[int, Any, Any, Any, dict], Any]] = None
-    sc_input: Optional[Callable[[int, dict], Any]] = None
-    sm_filter: Optional[Callable[[int, int, Any, dict], Any]] = None
-    val_filter: Optional[Callable[[int, int, Any, dict], Any]] = None
+    init: Callable[[int, Any], Any]
+    select_object: Callable[[int, int, Any, Any, Any], Any]
+    decide: Callable[[Any, Any, Any], Any]
+    step: Callable[[Any, Any, Any], Any]
+    write_payload: Optional[Callable[[int, Any, Any, Any, Any], Any]] = None
+    sc_input: Optional[Callable[[int, Any], Any]] = None
+    sm_filter: Optional[Callable[[int, int, Any, Any], Any]] = None
+    val_filter: Optional[Callable[[int, int, Any, Any], Any]] = None
     round_budget: Optional[int] = None
 
     def __post_init__(self):
@@ -227,6 +221,14 @@ def _choose_side(sm, lo: int, hi: int, side: int):
 # g-2coalitions-consensus from one safe-consensus object
 
 
+@dataclass(frozen=True, slots=True)
+class TwoCC:
+    """Locals of ``protocol_2cc``: the process's (left, right) input pair."""
+
+    id: int
+    pair: Any
+
+
 def protocol_2cc(g: int) -> ProtocolAutomaton:
     """One-round WOR automaton solving g-2coalitions-consensus.
 
@@ -238,13 +240,13 @@ def protocol_2cc(g: int) -> ProtocolAutomaton:
         raise InvalidConfigurationError(f"need at least 2 processes, got g={g}")
 
     def init(pid, inp):
-        return {"id": pid, "pair": inp}
+        return TwoCC(id=pid, pair=inp)
 
     def select_object(rnd, pid, sm, val, loc):
         return 0
 
     def write_payload(pid, inp, sm, val, loc):
-        return loc["pair"]
+        return loc.pair
 
     def decide(sm, val, loc):
         if not isinstance(sm, tuple) or len(sm) != g:
@@ -273,6 +275,15 @@ def protocol_2cc(g: int) -> ProtocolAutomaton:
 GROUP_OBJECT = 0  # per-round index of the group's shared object
 
 
+@dataclass(frozen=True, slots=True)
+class Consensus:
+    """Locals of ``protocol_consensus_wor``: rounds done and the ledger."""
+
+    id: int
+    r: int
+    ledger: CoalitionLedger
+
+
 def protocol_consensus_wor(n: int) -> ProtocolAutomaton:
     """WOR consensus for n processes in C(n,2) rounds.
 
@@ -288,14 +299,11 @@ def protocol_consensus_wor(n: int) -> ProtocolAutomaton:
     budget = comb(n, 2)
 
     def init(pid, inp):
-        return {
-            "id": pid,
-            "r": 0,
-            "ledger": CoalitionLedger(agreements=((tup(pid, pid), inp),)),
-        }
+        return Consensus(id=pid, r=0,
+                         ledger=CoalitionLedger(agreements=((tup(pid, pid), inp),)))
 
     def window(loc):
-        led = ledger_of(loc)
+        led = loc.ledger
         return led.firstid, led.firstid + led.step
 
     def select_object(rnd, pid, sm, val, loc):
@@ -305,7 +313,7 @@ def protocol_consensus_wor(n: int) -> ProtocolAutomaton:
     def write_payload(pid, inp, sm, val, loc):
         fid, lid = window(loc)
         if fid <= pid <= lid:
-            led = ledger_of(loc)
+            led = loc.ledger
             return (led.get(tup(fid, lid - 1)), led.get(tup(fid + 1, lid)))
         return (None, None)
 
@@ -318,24 +326,19 @@ def protocol_consensus_wor(n: int) -> ProtocolAutomaton:
         return chosen
 
     def decide(sm, val, loc):
-        if loc["r"] + 1 < budget:
+        if loc.r + 1 < budget:
             return None
         fid, lid = window(loc)  # final round: fid=1, lid=n
-        led = ledger_of(loc)
-        if fid <= loc["id"] <= lid:
+        if fid <= loc.id <= lid:
             return group_choice(sm, val, fid, lid)
-        return led.get(tup(1, n))  # pragma: no cover - final group is everyone
+        return loc.ledger.get(tup(1, n))  # pragma: no cover - final group is everyone
 
     def step(loc, sm, val):
-        out = dict(loc)
-        led = ledger_of(loc)
-        fid, lid = led.firstid, led.firstid + led.step
-        pid = loc["id"]
-        if fid <= pid <= lid:
+        led = loc.ledger
+        fid, lid = window(loc)
+        if fid <= loc.id <= lid:
             led = led.with_agreement(tup(fid, lid), group_choice(sm, val, fid, lid))
-        out["ledger"] = led.advance(n)
-        out["r"] = loc["r"] + 1
-        return out
+        return replace(loc, r=loc.r + 1, ledger=led.advance(n))
 
     return ProtocolAutomaton(
         model=WOR,
@@ -353,6 +356,31 @@ def protocol_consensus_wor(n: int) -> ProtocolAutomaton:
 # model simulations
 
 
+@dataclass(frozen=True, slots=True)
+class OwrSim:
+    """Locals of ``transform_wro_to_owr``: the source's record one round behind,
+    the scan it reads with the next output, and its decision once made."""
+
+    id: int
+    r: int
+    decp: Any
+    prev_sm: Any
+    inner: Any
+
+
+@dataclass(frozen=True, slots=True)
+class WroSim:
+    """Locals of ``transform_owr_to_wro``: the source's record one round behind,
+    the output it reads with the next scan, and its decision once made."""
+
+    id: int
+    inp: Any
+    r: int
+    decp: Any
+    prev_val: Any
+    inner: Any
+
+
 def transform_wro_to_owr(proto: ProtocolAutomaton) -> ProtocolAutomaton:
     """Simulate a write-scan-invoke protocol in the invoke-write-scan model.
 
@@ -367,11 +395,10 @@ def transform_wro_to_owr(proto: ProtocolAutomaton) -> ProtocolAutomaton:
         raise ModelMismatchError(f"source must be a WRO protocol, got {proto.model}")
 
     def init(pid, inp):
-        return {"id": pid, "r": 0, "decp": None, "prev_sm": inp,
-                "inner": proto.init(pid, inp)}
+        return OwrSim(id=pid, r=0, decp=None, prev_sm=inp, inner=proto.init(pid, inp))
 
     def select_object(rnd, pid, sm, val, loc):
-        return proto.select_object(rnd - 1, pid, sm, val, thaw_map(loc["inner"]))
+        return proto.select_object(rnd - 1, pid, sm, val, loc.inner)
 
     def val_filter(rnd, pid, val, loc):
         return None if rnd == 1 else val
@@ -379,31 +406,21 @@ def transform_wro_to_owr(proto: ProtocolAutomaton) -> ProtocolAutomaton:
     def write_payload(pid, inp, sm, val, loc):
         # round r writes what the source writes in its round r: the fold of
         # the source's round r-1 happens on the fly (the stored locals lag).
-        rnd = loc["r"] + 1
-        inner = thaw_map(loc["inner"])
-        if rnd >= 2:
+        inner = loc.inner
+        if loc.r >= 1:
             inner = proto.step(inner, sm, val)
         return proto.payload(pid, inp, sm, val, inner)
 
     def decide(sm, val, loc):
-        rnd = loc["r"] + 1
-        if rnd == 1:
-            return None
-        if loc["decp"] is not None:
-            return loc["decp"]
-        return proto.decide(loc["prev_sm"], val, thaw_map(loc["inner"]))
+        if loc.r == 0 or loc.decp is not None:
+            return loc.decp  # None in round 1: step sets decp from round 2 on
+        return proto.decide(loc.prev_sm, val, loc.inner)
 
     def step(loc, sm, val):
-        out = dict(loc)
-        rnd = loc["r"] + 1
-        if rnd >= 2:
-            inner = thaw_map(loc["inner"])
-            if out["decp"] is None:
-                out["decp"] = proto.decide(loc["prev_sm"], val, inner)
-            out["inner"] = proto.step(inner, loc["prev_sm"], val)
-        out["prev_sm"] = sm
-        out["r"] = rnd
-        return out
+        if loc.r >= 1:
+            loc = replace(loc, decp=decide(sm, val, loc),
+                          inner=proto.step(loc.inner, loc.prev_sm, val))
+        return replace(loc, r=loc.r + 1, prev_sm=sm)
 
     return ProtocolAutomaton(
         model=OWR,
@@ -430,45 +447,35 @@ def transform_owr_to_wro(proto: ProtocolAutomaton) -> ProtocolAutomaton:
         raise ModelMismatchError(f"source must be an OWR protocol, got {proto.model}")
 
     def init(pid, inp):
-        return {"id": pid, "inp": inp, "r": 0, "decp": None, "prev_val": None,
-                "inner": proto.init(pid, inp)}
+        return WroSim(id=pid, inp=inp, r=0, decp=None, prev_val=None,
+                      inner=proto.init(pid, inp))
 
     def sm_filter(rnd, pid, sm, loc):
-        return loc["inp"] if rnd == 1 else sm
+        return loc.inp if rnd == 1 else sm
 
     def select_object(rnd, pid, sm, val, loc):
         # the source folds its round rnd-1 before selecting in round rnd;
         # replay that fold on the fly (the stored inner lags one round).
-        inner = thaw_map(loc["inner"])
+        inner = loc.inner
         if rnd >= 2:
             inner = proto.step(inner, sm, val)
         return proto.select_object(rnd, pid, sm, val, inner)
 
     def write_payload(pid, inp, sm, val, loc):
-        rnd = loc["r"] + 1
-        if rnd == 1:
+        if loc.r == 0:
             return (sm, val)  # scans of round 1 are reset, content irrelevant
-        return proto.payload(pid, inp, sm, val, thaw_map(loc["inner"]))
+        return proto.payload(pid, inp, sm, val, loc.inner)
 
     def decide(sm, val, loc):
-        rnd = loc["r"] + 1
-        if rnd == 1:
-            return None
-        if loc["decp"] is not None:
-            return loc["decp"]
-        return proto.decide(sm, loc["prev_val"], thaw_map(loc["inner"]))
+        if loc.r == 0 or loc.decp is not None:
+            return loc.decp  # None in round 1: step sets decp from round 2 on
+        return proto.decide(sm, loc.prev_val, loc.inner)
 
     def step(loc, sm, val):
-        out = dict(loc)
-        rnd = loc["r"] + 1
-        if rnd >= 2:
-            inner = thaw_map(loc["inner"])
-            if out["decp"] is None:
-                out["decp"] = proto.decide(sm, loc["prev_val"], inner)
-            out["inner"] = proto.step(inner, sm, loc["prev_val"])
-        out["prev_val"] = val
-        out["r"] = rnd
-        return out
+        if loc.r >= 1:
+            loc = replace(loc, decp=decide(sm, val, loc),
+                          inner=proto.step(loc.inner, sm, loc.prev_val))
+        return replace(loc, r=loc.r + 1, prev_val=val)
 
     return ProtocolAutomaton(
         model=WRO,

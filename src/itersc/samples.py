@@ -13,6 +13,7 @@ invoke-first simulation queries round 0 and discards the result).
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from .errors import InvalidArgumentError
@@ -22,18 +23,27 @@ from .protocols import ProtocolAutomaton, protocol_2cc, protocol_consensus_wor
 SOLO_BASE = 1000  # solo object for process i uses index SOLO_BASE + i
 
 
+@dataclass(frozen=True, slots=True)
+class Knowledge:
+    """Locals of a knowledge automaton: rounds done, sorted inputs heard of."""
+
+    id: int
+    r: int
+    known: tuple
+
+
 def knowledge_automaton(model: str, name: str, select: Callable,
                         decide_round: Optional[int] = None) -> ProtocolAutomaton:
     """Gossip automaton: payload = sorted tuple of known inputs."""
 
     def init(pid, inp):
-        return {"id": pid, "r": 0, "known": (inp,)}
+        return Knowledge(id=pid, r=0, known=(inp,))
 
     def write_payload(pid, inp, sm, val, loc):
-        return loc["known"]
+        return loc.known
 
     def merge(loc, sm):
-        known = set(loc["known"])
+        known = set(loc.known)
         if isinstance(sm, tuple):
             for cell in sm:
                 if isinstance(cell, tuple):
@@ -41,15 +51,12 @@ def knowledge_automaton(model: str, name: str, select: Callable,
         return tuple(sorted(known))
 
     def decide(sm, val, loc):
-        if decide_round is None or loc["r"] + 1 < decide_round:
+        if decide_round is None or loc.r + 1 < decide_round:
             return None
         return min(merge(loc, sm))
 
     def step(loc, sm, val):
-        out = dict(loc)
-        out["known"] = merge(loc, sm)
-        out["r"] = loc["r"] + 1
-        return out
+        return replace(loc, r=loc.r + 1, known=merge(loc, sm))
 
     return ProtocolAutomaton(
         model=model,
@@ -118,17 +125,6 @@ def sel_val_parity(rnd, pid, sm, val, loc):
 def sel_share_after(k):
     def sel(rnd, pid, sm, val, loc):
         return 0 if rnd > k else SOLO_BASE + pid
-
-    return sel
-
-
-def sel_pair_then_share(pair, k):
-    pair = frozenset(pair)
-
-    def sel(rnd, pid, sm, val, loc):
-        if rnd > k:
-            return 0
-        return 0 if pid in pair else SOLO_BASE + pid
 
     return sel
 

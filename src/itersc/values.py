@@ -1,12 +1,14 @@
 """Canonical value handling: freezing, ordering, JSON encoding.
 
-Every value that ends up inside a state (inputs, write payloads, protocol
-locals) is frozen to a hashable form so that states can be compared and
-hashed structurally.  Bottom is represented by ``None`` throughout.
+Every value inside a state is immutable and hashable, so that states can be
+compared and hashed structurally.  Input from outside the program is frozen
+on entry; automata build everything else from immutable values and keep
+their locals as frozen records.  Bottom is represented by ``None`` throughout.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from typing import Any
@@ -28,18 +30,7 @@ def freeze(value: Any) -> Any:
     if isinstance(value, dict):
         items = sorted(((k, freeze(v)) for k, v in value.items()), key=lambda kv: _sort_key(kv[0]))
         return ("#map", tuple(items))
-    if hasattr(value, "_freeze_"):
-        return value._freeze_()
     raise TypeError(f"cannot freeze value of type {type(value).__name__}")
-
-
-def thaw_map(frozen: Any) -> dict:
-    """Inverse of freeze() for values produced from dicts."""
-    if isinstance(frozen, tuple) and len(frozen) == 2 and frozen[0] == "#map":
-        return {k: v for k, v in frozen[1]}
-    if isinstance(frozen, dict):
-        return dict(frozen)
-    raise TypeError("not a frozen map")
 
 
 def _sort_key(value: Any) -> tuple:
@@ -66,11 +57,14 @@ def sorted_values(values) -> list:
 
 
 def jsonable(value: Any) -> Any:
-    """Convert a frozen value into plain JSON data (bottom -> null)."""
+    """Convert a frozen value into plain JSON data (bottom -> null); a
+    dataclass without ``to_jsonable`` (a locals record) gives its fields."""
     if value is None or isinstance(value, (int, float, str, bool)):
         return value
     if hasattr(value, "to_jsonable"):
         return jsonable(value.to_jsonable())
+    if dataclasses.is_dataclass(value):
+        return {f.name: jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, bytes):
         return value.decode("latin1")
     if isinstance(value, tuple):

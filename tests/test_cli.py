@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import json
+import os
 
 import pytest
 
-from itersc.cli import EXIT_OK, EXIT_USAGE, build_parser, main
+from itersc.cli import EXIT_OK, EXIT_USAGE, _sampled_sweep, build_parser, main
 from itersc.executor import enumerate_round_schedules, make_schedule
 
 
@@ -194,3 +196,27 @@ def test_simulate_ordered_partition_family(capsys, tmp_path):
     assert len(scheds) == 3
     assert all(sched in family for sched in scheds)
     assert not all(sched in sigma for sched in scheds)  # 13 of the 7,117 are sigma
+
+
+def test_sampled_sweep_starts_at_most_one_worker_per_cpu(monkeypatch):
+    """``--jobs`` sets the split, not the pool size; the fake pool maps in
+    this process, so no worker starts even when the bound is missing."""
+    workers = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    report = _sampled_sweep(3, 20, 0, 10_000)
+    assert workers and max(workers) <= (os.cpu_count() or 1)
+    assert report == _sampled_sweep(3, 20, 0, 1)

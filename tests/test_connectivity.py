@@ -326,6 +326,16 @@ def test_connect_endpoints_match_requested_values():
     assert box_values_of(p.last)[b] == 2
 
 
+def test_connect_appends_only_onto_its_start():
+    proto = _two_pairs_proto()
+    s = make_initial_state(4, [0, 1, 0, 1], WOR, proto)
+    pb = connectivity.PathBuilder(s)  # the round-0 state, not the sigma(X) successor
+    with pytest.raises(ConstructionError, match="tail"):
+        connectivity._connect(connectivity._Rounds(proto), pb, s, {1, 2, 3}, {2, 3, 4},
+                              None, None)
+    assert pb.states == [s] and not pb.labels
+
+
 # -- the general extension ---------------------------------------------------
 
 
@@ -637,7 +647,7 @@ def test_engine_refuses_edges_no_process_agrees_on(monkeypatch, engine):
 
 
 @pytest.mark.parametrize("engine", ["wro_extend_round", "extend_path_no3box",
-                                    "extend_path_partition"])
+                                    "extend_path_partition", "extend_path_general"])
 def test_each_edge_is_checked_once(monkeypatch, engine):
     run = dict(_engine_calls())[engine]
     seen = []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 from math import comb
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from itersc import executor
 from itersc.errors import (
     BudgetExceededError,
     InvalidArgumentError,
@@ -45,8 +47,19 @@ from itersc.executor import (
     verify_consensus_sampled,
 )
 from itersc.model import OWR, WOR, WRO, make_initial_state
-from itersc.protocols import protocol_2cc, protocol_consensus_wor
-from itersc.samples import deficient_wor_samples, knowledge_automaton, sel_solo
+from itersc.protocols import (
+    protocol_2cc,
+    protocol_consensus_wor,
+    transform_owr_to_wro,
+    transform_wro_to_owr,
+)
+from itersc.samples import (
+    deficient_wor_samples,
+    knowledge_automaton,
+    owr_transform_samples,
+    sel_solo,
+    wro_transform_samples,
+)
 from itersc.values import freeze, jsonable
 
 
@@ -180,7 +193,7 @@ def test_check_consensus_shapes():
     # agreement violation: two processes that decide their own inputs
     selfish = knowledge_automaton(WOR, "selfish", sel_solo, decide_round=1)
     import dataclasses
-    selfish = dataclasses.replace(selfish, decide=lambda sm, v, lo: lo["known"][0])
+    selfish = dataclasses.replace(selfish, decide=lambda sm, v, lo: lo.known[0])
     exe = run_execution(selfish, [0, 1], [sigma_schedule([], 2, WOR)], None)
     verdict = check_consensus(exe, [0, 1])
     assert not verdict.ok and not verdict.agreement
@@ -413,3 +426,69 @@ def test_random_ordered_partition_schedules_are_family_members(n, model):
     draws = [random_ordered_partition_schedule(n, model, rng) for _ in range(200)]
     assert all(sched in family for sched in draws)
     assert len(set(draws)) > 1
+
+
+# -- locals records ------------------------------------------------------------
+
+
+def _recorded_runs():
+    """name -> (automaton, inputs, sigma groups of each round, adversary seed)."""
+    wro, owr = wro_transform_samples(), owr_transform_samples()
+    return {
+        "consensus": (protocol_consensus_wor(3), [0, 1, 1], [[{1}], [{2, 3}], []], 1),
+        "2cc": (protocol_2cc(3), [(5, None), (5, 7), (None, 7)], [[{2}, {1}]], 2),
+        "knowledge-wor": (deficient_wor_samples()["wor-pair12-min"], [1, 0, 1],
+                          [[{3}], [{1, 2}]], 3),
+        "knowledge-wro": (wro["wro-pair12-d3"], [1, 0, 2], [[{3}], [], [{1}, {2}]], 4),
+        "owr-sim": (transform_wro_to_owr(wro["wro-rotating-d3"]), [2, 0, 1],
+                    [[], [{2}], [{1, 3}], [{3}, {1}]], 5),
+        "wro-sim": (transform_owr_to_wro(owr["owr-val-parity-d4"]), [1, 1, 0],
+                    [[{1}], [], [{2}], [{3}], [{1, 2}]], 6),
+    }
+
+
+def _recorded_run(name):
+    proto, inputs, groups, seed = _recorded_runs()[name]
+    n = len(inputs)
+    return run_execution(proto, inputs, [sigma_schedule(g, n, proto.model) for g in groups],
+                         SeededRandomAdversary(seed, n))
+
+
+def test_rounds_freeze_nothing(monkeypatch):
+    """Automata keep their locals as records and return immutable values,
+    so the engine stores what they return without converting it."""
+    def refuse(value):
+        raise AssertionError(f"freeze({value!r}) called inside a round")
+
+    monkeypatch.setattr(executor, "freeze", refuse)
+    for name, (_proto, _inputs, groups, _seed) in _recorded_runs().items():
+        exe = _recorded_run(name)
+        assert exe.rounds == len(groups), name
+        assert exe.final.all_decided(), name
+        assert all(dataclasses.is_dataclass(ls.locals_) for ls in exe.final.locals_), name
+
+
+# SHA-256 of (to_jsonl(), final.to_json()) of each recorded run: pins the
+# JSON form of traces, states and locals records.
+RECORDED_DIGESTS = {
+    "consensus": ("3fc3ace026e8cac77d81a1d5ea230128af17887bfd35416d38482e2608dae073",
+                  "09a042bea01019a2da73eef4efbd969055ee3fb44afa068cca35800b3139505f"),
+    "2cc": ("5f3e9552ef266206437c79a40fd210c5615150ea0746a864f6349e6c36ff91e6",
+            "5e4444f8b3c4579b390b55372e2f6c9fa9c84b3587b3efa10f06452acea27647"),
+    "knowledge-wor": ("4e252993d1a591d086b93662a2a58bcfc7a5c48336a6877e40e386d3f11dfeb3",
+                      "9ef364e2a6644c58439eef33211ee6c3a0e6d6dc99ec2b41283a81c0b10a7313"),
+    "knowledge-wro": ("1bc8f8981c23930a8eb039f2c9dbfcd344ec99ab4a7d7accfebfefea07481e1a",
+                      "c25cb64fa625f9bfa6d836eb66a13f781745b39c8ccd373b329070d5ca27b0c7"),
+    "owr-sim": ("878a9a4d7f9ae8b6c7e55a7d461b1b957c7cfd798f9b0013aa46cb9d2a4fa3c8",
+                "6dd64488a6656028f1c7329df75b7edc2336ce43eb86c28cbe41e2def198046e"),
+    "wro-sim": ("f4c4c1d1e8f13082c296da7ee6c797eb4e4244a96a78ac8958fe1fde4f193787",
+                "a722644f0149c1f3c43f6b1982f5e472b4f4575f33c96fdfb8b3cca1356a318c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_DIGESTS))
+def test_recorded_run_digests_are_stable(name):
+    exe = _recorded_run(name)
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest()
+                    for text in (exe.to_jsonl(), exe.final.to_json()))
+    assert digests == RECORDED_DIGESTS[name]

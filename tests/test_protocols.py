@@ -196,14 +196,13 @@ def test_consensus_coalition_ledger_soundness():
     inputs = [10, 11, 12, 13]
     state = make_initial_state(n, inputs, WOR, proto)
     sched = sigma_schedule((), n, WOR)
-    from itersc.values import thaw_map
     for r in range(1, comb(n, 2) + 1):
         state = apply_round(state, sched, FixedAdversary(2), proto)
         for m in range(1, n):
             if r != gamma(n, m):
                 continue
             for pid in range(1, n + 1):
-                led = thaw_map(state.local(pid).locals_)["ledger"]
+                led = state.local(pid).locals_.ledger
                 memberships = [
                     (i, led.get(tup(i, i + m)))
                     for i in range(1, n - m + 1)
@@ -214,7 +213,7 @@ def test_consensus_coalition_ledger_soundness():
                     assert v in inputs
                     # every group member agrees on the coalition name
                     for q in range(i, i + m + 1):
-                        lq = thaw_map(state.local(q).locals_)["ledger"]
+                        lq = state.local(q).locals_.ledger
                         got = lq.get(tup(i, i + m))
                         assert got is None or got == v
 
@@ -272,7 +271,7 @@ def test_constant_decider_shifts_by_one_round():
     # a WRO automaton whose delta returns the process's input at round 1
     proto = dataclasses.replace(
         knowledge_automaton(WRO, "const", sel_solo, decide_round=1),
-        decide=lambda sm, val, loc: loc["known"][0])
+        decide=lambda sm, val, loc: loc.known[0])
     sim = transform_wro_to_owr(proto)
     from itersc.equivalence import simulate_paired
     from itersc.executor import SeededRandomAdversary
