@@ -22,7 +22,6 @@ from .model import (  # noqa: F401
 )
 from .protocols import (  # noqa: F401
     CoalitionLedger,
-    CoalitionsTuple,
     ProtocolAutomaton,
     coalition_group,
     gamma,

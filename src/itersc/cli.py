@@ -52,8 +52,6 @@ from .protocols import transform_owr_to_wro, transform_wro_to_owr
 from .samples import resolve_protocol, sample_names
 from .values import jsonable
 
-log = logging.getLogger("itersc")
-
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2

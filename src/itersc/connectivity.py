@@ -18,11 +18,15 @@ only the locals, the round number and n, and the adversaries used here
 (all ones, or outputs by object index) ignore the state.  A hit rebuilds
 the child on the caller's own history.  No probe runs: the all-ones child
 shows the boxes, the contention and the forced values of its round.
+
+The engines return the walk they build; the two demos loop-erase each
+round's path (``Path.loop_erased``) before the next round extends it.
 """
 
 from __future__ import annotations
 
 import itertools
+import logging
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -57,6 +61,8 @@ from .model import (
     sc_value_of,
 )
 from .values import jsonable
+
+log = logging.getLogger("itersc")
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +108,32 @@ class Path:
                     f"edge {idx}: claimed {sorted(label)} but only "
                     f"{sorted(actual)} agree")
         return True
+
+    def loop_erased(self) -> "Path":
+        """The same walk with its cycles cut out.
+
+        When a state recurs, the path is cut back to its first visit, and
+        the walk goes on from there along the edge that left the recurrence.
+        Every kept edge is an edge of this path with its label, both
+        endpoints stay and the degree cannot drop.  Each state is hashed
+        once; the bookkeeping runs on the integer keys.
+        """
+        ids: dict = {}
+        keys = [ids.setdefault(s, len(ids)) for s in self.states]
+        at: dict = {}  # key -> its position in ``kept``
+        kept: list = []  # per kept position, the input index of its last visit
+        for idx, key in enumerate(keys):
+            pos = at.get(key)
+            if pos is None:
+                at[key] = len(kept)
+                kept.append(idx)
+                continue
+            for dropped in kept[pos + 1:]:
+                del at[keys[dropped]]
+            del kept[pos + 1:]
+            kept[pos] = idx
+        return Path(states=tuple(self.states[i] for i in kept),
+                    labels=tuple(self.labels[i] for i in kept[:-1]))
 
     def concat(self, other: "Path") -> "Path":
         if self.last != other.first:
@@ -978,6 +1010,14 @@ def wro_extend_round(path: Path, proto) -> Path:
     return out
 
 
+def _erased_round(proto, engine: str, rnd: int, raw: Path) -> Path:
+    """One demo round's path with its loops erased, logged at DEBUG."""
+    path = raw.loop_erased()
+    log.debug("%s %s round %d: raw_states=%d states=%d degree=%s", engine,
+              proto.name, rnd, len(raw.states), len(path.states), path.degree())
+    return path
+
+
 def initial_chain(proto, n: int) -> Path:
     """Initial states from all-0 to all-1, flipping one input per edge."""
     full = frozenset(range(1, n + 1))
@@ -997,10 +1037,12 @@ def wro_obstruction_demo(proto, n: int = 3, rounds: int = 5) -> dict:
     path = initial_chain(proto, n)
     per_round = []
     for r in range(1, rounds + 1):
-        path = wro_extend_round(path, proto)
+        raw = wro_extend_round(path, proto)
+        path = _erased_round(proto, "wro-obstruction", r, raw)
         per_round.append({
             "round": r,
             "states": len(path.states),
+            "raw_states": len(raw.states),
             "degree": path.degree(),
             "b_regular": is_b_regular(path),
             "labels_verified": path.verify(),
@@ -1041,10 +1083,11 @@ def lower_bound_demo(proto, rounds: Optional[int] = None) -> dict:
     partition_rounds = []
     p = part_path
     for r in range(1, rounds + 1):
-        p = extend_path_partition(p, a, b_, proto)
+        raw = extend_path_partition(p, a, b_, proto)
+        p = _erased_round(proto, "partition", r, raw)
         partition_rounds.append({
-            "round": r, "states": len(p.states), "degree": p.degree(),
-            "verified": p.verify(),
+            "round": r, "states": len(p.states), "raw_states": len(raw.states),
+            "degree": p.degree(), "verified": p.verify(),
         })
     part_endpoints = (p.first, p.last)
 
@@ -1053,10 +1096,11 @@ def lower_bound_demo(proto, rounds: Optional[int] = None) -> dict:
     q = chain
     no3_rounds = []
     for r in range(1, rounds + 1):
-        q = extend_path_no3box(q, proto)
+        raw = extend_path_no3box(q, proto)
+        q = _erased_round(proto, "no3box", r, raw)
         no3_rounds.append({
-            "round": r, "states": len(q.states), "degree": q.degree(),
-            "verified": q.verify(),
+            "round": r, "states": len(q.states), "raw_states": len(raw.states),
+            "degree": q.degree(), "verified": q.verify(),
         })
 
     horizon = proto.round_budget or 2

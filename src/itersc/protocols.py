@@ -64,28 +64,6 @@ def coalition_group(n: int, r: int) -> tuple[int, int, int]:
 # coalitions tuples
 
 
-@dataclass(frozen=True, slots=True)
-class CoalitionsTuple:
-    """Ordered tuple of (left, right) pairs forming a 2-coalitions input."""
-
-    entries: tuple
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def field_values(self) -> set:
-        vals = set()
-        for left, right in self.entries:
-            if left is not None:
-                vals.add(left)
-            if right is not None:
-                vals.add(right)
-        return vals
-
-
 def validate_coalitions_tuple(entries) -> bool:
     """True iff the entries form a valid g-coalitions tuple.
 
@@ -93,8 +71,6 @@ def validate_coalitions_tuple(entries) -> bool:
     non-bottom rights agree; (c) exactly one entry has right = bottom and
     the last entry is the unique one with left = bottom.
     """
-    if isinstance(entries, CoalitionsTuple):
-        entries = entries.entries
     try:
         pairs = [(e[0], e[1]) for e in entries]
     except (TypeError, IndexError):

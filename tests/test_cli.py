@@ -95,6 +95,19 @@ def test_connectivity_wro_obstruction_single(capsys):
     assert code == EXIT_OK
 
 
+def test_connectivity_wro_obstruction_long_horizon(capsys):
+    # unerased paths grow fourfold a round: stop at round 5 before trying 20
+    code, out, _ = run_cli(capsys, "connectivity", "--demo", "wro-obstruction",
+                           "--automaton", "wro-solo", "--horizon", "5")
+    assert json.loads(out)["result"]["samples"][0]["per_round"][-1]["states"] <= 100
+    code, out, _ = run_cli(capsys, "connectivity", "--demo", "wro-obstruction",
+                           "--automaton", "wro-solo", "--horizon", "20")
+    assert code == EXIT_OK
+    (report,) = json.loads(out)["result"]["samples"]
+    assert len(report["per_round"]) == 20
+    assert all(r["raw_states"] >= r["states"] for r in report["per_round"])
+
+
 def test_simulate_trace(capsys, tmp_path):
     out_file = tmp_path / "trace.jsonl"
     code, _, err = run_cli(capsys, "simulate", "--protocol", "consensus",

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import logging
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from itersc import connectivity
 from itersc.connectivity import (
@@ -117,6 +121,63 @@ def test_single_state_path_trivially_b_regular():
     s = make_initial_state(3, [0, 1, 1], WOR, PAIR)
     x = apply_round(s, sigma_schedule((), 3, WOR), FixedAdversary(1), PAIR)
     assert is_b_regular(Path(states=(x,), labels=()))
+
+
+# -- loop erasure ------------------------------------------------------------
+
+
+@st.composite
+def int_paths(draw):
+    """Paths over small-int states; ``Path`` checks only the label count."""
+    states = draw(st.lists(st.integers(0, 5), min_size=1, max_size=30))
+    labels = draw(st.lists(st.frozensets(st.integers(1, 4), min_size=1),
+                           min_size=len(states) - 1, max_size=len(states) - 1))
+    return Path(states=tuple(states), labels=tuple(labels))
+
+
+def _triples(p: Path) -> set:
+    return set(zip(p.states, p.labels, p.states[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_paths())
+def test_loop_erased_properties(p):
+    out = p.loop_erased()
+    assert out.first == p.first and out.last == p.last
+    assert len(set(out.states)) == len(out.states)
+    assert _triples(out) <= _triples(p)
+    if out.labels:
+        assert out.degree() >= p.degree()
+    assert out.loop_erased() == out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.permutations(range(8)), st.integers(1, 8), st.data())
+def test_loop_erased_keeps_a_simple_path(perm, size, data):
+    labels = data.draw(st.lists(st.frozensets(st.integers(1, 3), min_size=1),
+                                min_size=size - 1, max_size=size - 1))
+    p = Path(states=tuple(perm[:size]), labels=tuple(labels))
+    assert p.loop_erased() == p
+
+
+def test_loop_erased_cuts_back_to_the_first_visit():
+    a, b, c = frozenset({1}), frozenset({2}), frozenset({3})
+    p = Path(states=(0, 1, 2, 1, 3), labels=(a, b, c, a | b))
+    assert p.loop_erased() == Path(states=(0, 1, 3), labels=(a, a | b))
+    assert Path(states=(0, 1, 0), labels=(a, b)).loop_erased() == Path(states=(0,), labels=())
+
+
+def test_loop_erased_wro_round_three_path():
+    proto = wro_obstruction_samples()["wro-solo"]
+    p = initial_chain(proto, 3)
+    for _ in range(3):
+        p = wro_extend_round(p, proto)
+    out = p.loop_erased()
+    assert len(out.states) < len(p.states)
+    assert out.first == p.first and out.last == p.last
+    assert out.verify()
+    assert is_b_regular(out)
+    assert out.degree() >= 2
 
 
 # -- the partition bridge ----------------------------------------------------
@@ -454,6 +515,36 @@ def test_wro_obstruction_all_samples():
     for name, proto in wro_obstruction_samples().items():
         report = wro_obstruction_demo(proto, 3, 2)
         assert report["ok"], name
+        assert all(r["raw_states"] >= r["states"] for r in report["per_round"])
+
+
+def test_wro_obstruction_long_horizon():
+    proto = wro_obstruction_samples()["wro-solo"]
+    # unerased, round 5 already has 3,044 states and round 20 is out of reach
+    assert wro_obstruction_demo(proto, 3, 5)["per_round"][-1]["states"] <= 100
+    report = wro_obstruction_demo(proto, 3, 20)
+    assert report["ok"] and report["rounds"] == 20
+    assert [r["round"] for r in report["per_round"]] == list(range(1, 21))
+    for row in report["per_round"]:
+        assert row["degree"] == 2 and row["labels_verified"] and row["b_regular"]
+        assert row["raw_states"] >= row["states"]
+    assert report["per_round"][-1]["states"] < 400
+
+
+def test_demos_log_one_debug_line_per_round(caplog):
+    caplog.set_level(logging.DEBUG, logger="itersc")
+    wro_obstruction_demo(wro_obstruction_samples()["wro-solo"], 3, 3)
+    lines = [r.getMessage() for r in caplog.records if r.name == "itersc"]
+    assert len(lines) == 3
+    assert lines[2] == ("wro-obstruction wro-solo round 3: "
+                        "raw_states=200 states=68 degree=2")
+    caplog.clear()
+    report = lower_bound_demo(SOLO, rounds=2)
+    lines = [r.getMessage() for r in caplog.records if r.name == "itersc"]
+    assert len(lines) == 4
+    rows = report["partition_rounds"] + report["no3box_rounds"]
+    for line, row in zip(lines, rows):
+        assert f"raw_states={row['raw_states']} states={row['states']}" in line
 
 
 def test_wro_extension_keeps_degree_two():
@@ -473,6 +564,8 @@ def test_lower_bound_demo_all_deficient_automata():
         report = lower_bound_demo(proto, rounds=3)
         assert report["ok"], (name, report)
         assert report["valency"] == {"all-0": "0-valent", "all-1": "1-valent"}
+        for row in report["partition_rounds"] + report["no3box_rounds"]:
+            assert row["raw_states"] >= row["states"]
 
 
 def test_diff_box_set_is_within_both_specs():

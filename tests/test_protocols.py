@@ -310,12 +310,3 @@ def test_never_deciding_protocol_stays_undecided_through_simulation():
     src, sim = simulate_paired(proto, [0, 1, 0], scheds, SeededRandomAdversary(2, 3))
     assert not src.decision_rounds()
     assert not sim.decision_rounds()
-
-
-def test_coalitions_tuple_type():
-    from itersc.protocols import CoalitionsTuple
-    c = CoalitionsTuple(entries=((5, None), (5, 7), (None, 7)))
-    assert len(c) == 3
-    assert validate_coalitions_tuple(c)
-    assert c.field_values() == {5, 7}
-    assert not validate_coalitions_tuple(CoalitionsTuple(entries=((5, None), (5, None))))
