@@ -208,9 +208,10 @@ def cmd_connectivity(args) -> int:
     t0 = time.time()
     config = {"demo": args.demo, "automaton": args.automaton, "n": args.n,
               "rounds": args.horizon}
+    rounds = {} if args.horizon is None else {"rounds": args.horizon}
     if args.demo == "lower-bound":
         proto = resolve_protocol(args.automaton or "wor-pair12-min", args.n)
-        result = lower_bound_demo(proto, rounds=args.horizon or 5)
+        result = lower_bound_demo(proto, **rounds)
         return _emit(args, "connectivity", config, result, result["ok"], t0)
     if args.demo == "wro-obstruction":
         from .samples import wro_obstruction_samples
@@ -220,7 +221,7 @@ def cmd_connectivity(args) -> int:
         else:
             protos = wro_obstruction_samples(args.n)
         for name, proto in protos.items():
-            reports.append(wro_obstruction_demo(proto, args.n, args.horizon or 5))
+            reports.append(wro_obstruction_demo(proto, args.n, **rounds))
         ok = all(r["ok"] for r in reports)
         return _emit(args, "connectivity", config, {"samples": reports}, ok, t0)
     if args.demo == "partition-round":

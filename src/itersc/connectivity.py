@@ -11,13 +11,14 @@ their own.  A construction that cannot be verified raises ConstructionError
 instead of returning a weaker path.
 
 Each public extension call applies its rounds through one private memo,
-which lives for that call only.  A round's outcome (new locals, snapshot,
-instances) is keyed by ``(rnd, locals_, groups, script)``, with the sigma
-groups in a canonical spelling of their schedule: a round reads
-only the locals, the round number and n, and the adversaries used here
-(all ones, or outputs by object index) ignore the state.  A hit rebuilds
-the child on the caller's own history.  No probe runs: the all-ones child
-shows the boxes, the contention and the forced values of its round.
+which lives for that call only.  A round's child state is keyed by
+``(rnd, locals_, groups, script)``, with the sigma groups in a canonical
+spelling of their schedule: a round reads only the locals, the round number
+and n, and the adversaries used here (all ones, or outputs by object index)
+ignore the state.  A state holds only its own round's shared objects, so a
+hit is exactly the child a fresh round would build.  No probe runs: the
+all-ones child shows the boxes, the contention and the forced values of its
+round.
 
 The engines return the walk they build; the two demos loop-erase each
 round's path (``Path.loop_erased``) before the next round extends it.
@@ -263,31 +264,27 @@ class _Rounds:
 
     def __init__(self, proto):
         self.proto = proto
-        self.deltas: dict = {}
+        self.children: dict = {}
 
     def child(self, state: GlobalState, groups, script: Optional[tuple] = None) -> GlobalState:
         """The sigma(groups) successor.  Contended instances output 1, or
         the value ``script`` pairs with their object index."""
         groups = _schedule_key(groups, state.n)
         key = (state.rnd, state.locals_, groups, script)
-        delta = self.deltas.get(key)
-        if delta is None:
+        child = self.children.get(key)
+        if child is None:
             sched = sigma_schedule(groups, state.n, self.proto.model)
             adv = FixedAdversary(1) if script is None else MapAdversary(dict(script))
-            child = apply_round(state, sched, adv, self.proto)
-            self.deltas[key] = (child.locals_, child.memory[-1], child.instances[-1])
-            return child
-        locals_, snap, insts = delta
-        return GlobalState(n=state.n, model=state.model, rnd=state.rnd + 1, locals_=locals_,
-                           memory=state.memory + (snap,), instances=state.instances + (insts,))
+            child = self.children[key] = apply_round(state, sched, adv, self.proto)
+        return child
 
     def boxes(self, state: GlobalState) -> frozenset:
-        return frozenset(inst.box for inst in self.child(state, ()).instances[-1])
+        return frozenset(inst.box for inst in self.child(state, ()).instances)
 
     def successor(self, state: GlobalState, groups, box_values: dict) -> GlobalState:
         ones = self.child(state, groups)
         script = {}
-        for inst in ones.instances[-1]:
+        for inst in ones.instances:
             b, want = inst.box, box_values.get(inst.box)
             if not inst.forced:
                 script[inst.object_index] = want if want is not None else min(b)
@@ -313,8 +310,8 @@ def build_successor(state: GlobalState, groups, proto, box_values: dict) -> Glob
 
 
 def box_values_of(state: GlobalState) -> dict:
-    """Actual safe-consensus outputs per box in the state's last round."""
-    return {inst.box: inst.output for inst in state.instances[-1]}
+    """Actual safe-consensus outputs per box in the round that produced the state."""
+    return {inst.box: inst.output for inst in state.instances}
 
 
 # ---------------------------------------------------------------------------
@@ -1034,6 +1031,8 @@ def initial_chain(proto, n: int) -> Path:
 def wro_obstruction_demo(proto, n: int = 3, rounds: int = 5) -> dict:
     """Sustain B-regular degree-(n-1) paths between successors of the all-0
     and all-1 initial states for the requested number of rounds."""
+    if rounds < 1:
+        raise InvalidArgumentError(f"the demo needs at least one round, got {rounds}")
     path = initial_chain(proto, n)
     per_round = []
     for r in range(1, rounds + 1):
@@ -1060,15 +1059,17 @@ def wro_obstruction_demo(proto, n: int = 3, rounds: int = 5) -> dict:
 # the n=3 lower-bound demonstration
 
 
-def lower_bound_demo(proto, rounds: Optional[int] = None) -> dict:
+def lower_bound_demo(proto, rounds: int = 5) -> dict:
     """Reproduce the contradiction shape for a box-deficient 3-process
     automaton: connected successors of the 0- and 1-input states every
-    round, with the endpoints certified univalent for opposite values
-    within the automaton's round budget (2 rounds without one)."""
+    round (5 by default, C(3,2) + 2), with the endpoints certified univalent
+    for opposite values within the automaton's round budget (2 rounds
+    without one)."""
     from .johnson import partition_two_blocks, vertex_set as jvs
 
+    if rounds < 1:
+        raise InvalidArgumentError(f"the demo needs at least one round, got {rounds}")
     n = 3
-    rounds = rounds or 5  # C(3,2) + 2
     o_state = make_initial_state(n, [0, 0, 0], proto.model, proto)
     u_state = make_initial_state(n, [1, 1, 1], proto.model, proto)
 

@@ -413,12 +413,11 @@ def apply_round_recorded(state: GlobalState, sched: RoundSchedule,
         new_locals.append(LocalState(
             pid=ls.pid, rnd=rnd, inp=ls.inp, sm=cur_sm[i], val=cur_val[i],
             dec=dec, locals_=proto.step(loc[i], cur_sm[i], cur_val[i])))
-    snap = SnapshotObject(cells=tuple(cells))
     new_state = GlobalState(
         n=state.n, model=state.model, rnd=rnd,
         locals_=tuple(new_locals),
-        memory=state.memory + (snap,),
-        instances=state.instances + (instances,),
+        snapshot=SnapshotObject(cells=tuple(cells)),
+        instances=instances,
     )
     return new_state, tuple(choices)
 
@@ -432,7 +431,7 @@ def probe_round(state: GlobalState, sched: RoundSchedule, proto: ProtocolAutomat
     """
     probe_state, _ = apply_round_recorded(state, sched, FixedAdversary(1), proto)
     out = []
-    for inst in probe_state.instances[-1]:
+    for inst in probe_state.instances:
         out.append((inst.object_index, inst.box, not inst.forced,
                     inst.output if inst.forced else None))
     return out
@@ -670,14 +669,13 @@ class GammaReport:
 @dataclass(frozen=True)
 class ExplorationBudget:
     rounds: Optional[int] = None
-    mode: str = "auto"  # auto | exhaustive | sampled
     max_executions: int = 2000
-    inputs: Optional[tuple] = None
 
 
 def collect_gamma(proto: ProtocolAutomaton, n: int,
                   budget: Optional[ExplorationBudget] = None) -> GammaReport:
-    """Observe boxes across explored executions; exhaustive when n is small.
+    """Observe boxes across explored executions: every schedule x adversary
+    tree for n <= 4, ``max_executions`` random executions above.
 
     The exhaustive census stops (``partial``) after the schedule tree that
     reaches ``100 * max_executions`` leaves, with all that tree's boxes.
@@ -686,20 +684,15 @@ def collect_gamma(proto: ProtocolAutomaton, n: int,
     rounds = budget.rounds or proto.round_budget
     if rounds is None:
         raise InvalidArgumentError("protocol has no round budget; supply one")
-    mode = budget.mode
-    if mode == "auto":
-        mode = "exhaustive" if n <= 4 else "sampled"
     boxes: set[frozenset] = set()
     count = 0
     partial = False
-    # distinct default inputs; the box structure does not depend on values
-    inputs = list(budget.inputs) if budget.inputs is not None else list(range(n))
+    inputs = list(range(n))  # distinct inputs; the box structure does not depend on values
 
     def record(state: GlobalState):
-        for inst in state.instances[-1]:
-            boxes.add(inst.box)
+        boxes.update(inst.box for inst in state.instances)
 
-    if mode == "exhaustive":
+    if n <= 4:
         init = make_initial_state(n, inputs, proto.model, proto)
         cap = budget.max_executions * 100
         for sched in enumerate_round_schedules(n, proto.model, "sigma"):
@@ -926,7 +919,7 @@ def protocol_descriptor(proto: ProtocolAutomaton, n: int) -> dict:
         state, _ = apply_round_recorded(state, sched, FixedAdversary(1), proto)
         table.append({
             "round": r,
-            "boxes": [sorted(inst.box) for inst in state.instances[-1]],
+            "boxes": [sorted(inst.box) for inst in state.instances],
         })
     return {
         "name": proto.name,

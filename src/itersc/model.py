@@ -2,12 +2,15 @@
 
 Processes are numbered 1..n.  A global state is only ever materialized at a
 round boundary; applying a round schedule to a state yields a fresh state,
-so everything here is immutable.
+so everything here is immutable.  A state holds only its own round's shared
+objects: every round uses a fresh snapshot and fresh safe-consensus objects,
+and no process reads an earlier round's, so the history of a run lives in
+its ``Execution.steps``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
 from .errors import (
@@ -120,14 +123,15 @@ class SafeConsensusInstance:
 
 @dataclass(frozen=True, slots=True)
 class GlobalState:
-    """System state at a round boundary, including the full shared history."""
+    """System state at a round boundary: the locals and the shared objects of
+    the round that produced it (none at round 0)."""
 
     n: int
     model: str
     rnd: int
     locals_: tuple  # tuple[LocalState, ...] indexed pid-1
-    memory: tuple = field(default=())  # tuple[SnapshotObject, ...] rounds 1..rnd
-    instances: tuple = field(default=())  # per-round tuples of SafeConsensusInstance
+    snapshot: Optional[SnapshotObject] = None  # this round's snapshot array
+    instances: tuple = ()  # this round's SafeConsensusInstance objects
 
     def local(self, pid: int) -> LocalState:
         return self.locals_[pid - 1]
@@ -144,8 +148,8 @@ class GlobalState:
             "model": self.model,
             "round": self.rnd,
             "locals": [ls.to_jsonable() for ls in self.locals_],
-            "memory": [m.to_jsonable() for m in self.memory],
-            "instances": [[i.to_jsonable() for i in rnd] for rnd in self.instances],
+            "snapshot": None if self.snapshot is None else self.snapshot.to_jsonable(),
+            "instances": [i.to_jsonable() for i in self.instances],
         }
 
     def to_json(self) -> str:
@@ -217,7 +221,7 @@ def invocation_spec(s: GlobalState) -> InvocationSpec:
     """Boxes of the round that produced ``s``."""
     if s.rnd < 1 or not s.instances:
         raise NoInvocationsError("round-0 states have no invocation specification")
-    return InvocationSpec(boxes=frozenset(inst.box for inst in s.instances[-1]))
+    return InvocationSpec(boxes=frozenset(inst.box for inst in s.instances))
 
 
 def sc_value_of(b, s: GlobalState):
@@ -225,7 +229,7 @@ def sc_value_of(b, s: GlobalState):
     if s.rnd < 1 or not s.instances:
         raise NoInvocationsError("round-0 states have no invocations")
     target = frozenset(b)
-    for inst in s.instances[-1]:
+    for inst in s.instances:
         if inst.box == target:
             return inst.output
     raise MissingBoxError(f"box {sorted(target)} not invoked in round {s.rnd}")

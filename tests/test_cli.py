@@ -96,7 +96,7 @@ def test_connectivity_wro_obstruction_single(capsys):
 
 
 def test_connectivity_wro_obstruction_long_horizon(capsys):
-    # unerased paths grow fourfold a round: stop at round 5 before trying 20
+    # guard: paths that grew every round would put round 20 out of reach
     code, out, _ = run_cli(capsys, "connectivity", "--demo", "wro-obstruction",
                            "--automaton", "wro-solo", "--horizon", "5")
     assert json.loads(out)["result"]["samples"][0]["per_round"][-1]["states"] <= 100
@@ -106,6 +106,28 @@ def test_connectivity_wro_obstruction_long_horizon(capsys):
     (report,) = json.loads(out)["result"]["samples"]
     assert len(report["per_round"]) == 20
     assert all(r["raw_states"] >= r["states"] for r in report["per_round"])
+
+
+def test_connectivity_lower_bound_long_horizon(capsys):
+    # guard: a no-3-box path that grew threefold a round would put round 20
+    # out of reach; round 7 fails fast instead
+    code, out, _ = run_cli(capsys, "connectivity", "--demo", "lower-bound", "--horizon", "7")
+    assert all(r["states"] <= 30 for r in json.loads(out)["result"]["no3box_rounds"])
+    code, out, _ = run_cli(capsys, "connectivity", "--demo", "lower-bound", "--horizon", "20")
+    assert code == EXIT_OK
+    result = json.loads(out)["result"]
+    assert result["ok"] and result["rounds"] == 20
+    for engine in ("partition_rounds", "no3box_rounds"):
+        assert len(result[engine]) == 20
+        assert all(r["states"] <= 30 for r in result[engine])
+
+
+@pytest.mark.parametrize("demo,horizon", [("wro-obstruction", "-1"), ("lower-bound", "-2"),
+                                          ("wro-obstruction", "0"), ("lower-bound", "0")])
+def test_connectivity_demo_refuses_fewer_than_one_round(capsys, demo, horizon):
+    code, out, err = run_cli(capsys, "connectivity", "--demo", demo, "--horizon", horizon)
+    assert code == EXIT_USAGE and out == ""
+    assert "at least one round" in err
 
 
 def test_simulate_trace(capsys, tmp_path):

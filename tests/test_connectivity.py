@@ -520,7 +520,8 @@ def test_wro_obstruction_all_samples():
 
 def test_wro_obstruction_long_horizon():
     proto = wro_obstruction_samples()["wro-solo"]
-    # unerased, round 5 already has 3,044 states and round 20 is out of reach
+    # guard: a path that kept its loops, or states that kept their round
+    # history, would put round 20 out of reach; round 5 fails fast instead
     assert wro_obstruction_demo(proto, 3, 5)["per_round"][-1]["states"] <= 100
     report = wro_obstruction_demo(proto, 3, 20)
     assert report["ok"] and report["rounds"] == 20
@@ -531,13 +532,21 @@ def test_wro_obstruction_long_horizon():
     assert report["per_round"][-1]["states"] < 400
 
 
+@pytest.mark.parametrize("rounds", [0, -1])
+def test_demos_refuse_fewer_than_one_round(rounds):
+    with pytest.raises(InvalidArgumentError, match="at least one round"):
+        wro_obstruction_demo(wro_obstruction_samples()["wro-solo"], 3, rounds)
+    with pytest.raises(InvalidArgumentError, match="at least one round"):
+        lower_bound_demo(SOLO, rounds=rounds)
+
+
 def test_demos_log_one_debug_line_per_round(caplog):
     caplog.set_level(logging.DEBUG, logger="itersc")
     wro_obstruction_demo(wro_obstruction_samples()["wro-solo"], 3, 3)
     lines = [r.getMessage() for r in caplog.records if r.name == "itersc"]
     assert len(lines) == 3
     assert lines[2] == ("wro-obstruction wro-solo round 3: "
-                        "raw_states=200 states=68 degree=2")
+                        "raw_states=196 states=40 degree=2")
     caplog.clear()
     report = lower_bound_demo(SOLO, rounds=2)
     lines = [r.getMessage() for r in caplog.records if r.name == "itersc"]
@@ -566,6 +575,18 @@ def test_lower_bound_demo_all_deficient_automata():
         assert report["valency"] == {"all-0": "0-valent", "all-1": "1-valent"}
         for row in report["partition_rounds"] + report["no3box_rounds"]:
             assert row["raw_states"] >= row["states"]
+
+
+def test_lower_bound_long_horizon():
+    # guard: with states that carried their round history, round 7's no-3-box
+    # path had 2,260 states and tripled a round; fail fast before trying 20
+    assert all(row["states"] <= 30 for row in lower_bound_demo(SOLO, rounds=7)["no3box_rounds"])
+    for name, proto in deficient_wor_samples().items():
+        report = lower_bound_demo(proto, rounds=20)
+        assert report["ok"] and report["rounds"] == 20, name
+        rows = report["partition_rounds"] + report["no3box_rounds"]
+        assert [r["round"] for r in rows] == 2 * list(range(1, 21)), name
+        assert all(r["states"] <= 30 and r["verified"] for r in rows), name
 
 
 def test_diff_box_set_is_within_both_specs():
@@ -658,16 +679,18 @@ def test_memoized_engines_equal_probe_then_apply(monkeypatch):
             assert got.states == want.states and got.labels == want.labels, (label, r)
 
 
-def test_memo_hit_rebuilds_the_callers_history():
+def test_memo_hit_is_the_fresh_child():
+    """A state that recurs along a path shares one memo entry per round
+    with its first visit, and the stored child is the one a fresh round
+    builds: a state holds no history that could tell the visits apart."""
     proto = wro_obstruction_samples()["wro-share-all"]
     p = initial_chain(proto, 3)
     for _ in range(3):
         p = wro_extend_round(p, proto)
-    by_locals: dict = {}
-    for s in p.states:
-        by_locals.setdefault((s.rnd, s.locals_), []).append(s)
-    s1, s2 = next((x, y) for same in by_locals.values() for x in same for y in same
-                  if x.memory != y.memory)
+    first: dict = {}
+    i, j = next((first[s], k) for k, s in enumerate(p.states) if first.setdefault(s, k) != k)
+    s1, s2 = p.states[i], p.states[j]
+    assert (s1.rnd, s1.locals_) == (s2.rnd, s2.locals_) and i != j
     rounds = connectivity._Rounds(proto)
     all_groups = [(), (frozenset({1}),), (frozenset({2, 3}), frozenset({1}))]
     children = set()
@@ -675,15 +698,12 @@ def test_memo_hit_rebuilds_the_callers_history():
         for parent in (s1, s2):
             sched = sigma_schedule(groups, 3, WRO)
             child = rounds.child(parent, groups)
-            assert child.memory[:-1] == parent.memory
-            assert child.instances[:-1] == parent.instances
             assert child == apply_round(parent, sched, FixedAdversary(1), proto)
             planned = rounds.successor(parent, groups, {frozenset({1, 2, 3}): 3})
-            assert planned.memory[:-1] == parent.memory
             assert planned == apply_round(parent, sched, FixedAdversary(3), proto)
             children.add(child.locals_)
     assert len(children) == len(all_groups)  # the groups lead to different rounds
-    assert len(rounds.deltas) == 2 * len(all_groups)  # both parents share every round
+    assert len(rounds.children) == 2 * len(all_groups)  # both parents share every round
 
 
 def test_memo_keys_on_the_schedule_not_its_spelling():
@@ -694,12 +714,12 @@ def test_memo_keys_on_the_schedule_not_its_spelling():
         rounds = connectivity._Rounds(proto)
         spelled = rounds.child(s, (full - {j}, frozenset({j})))
         short = rounds.child(s, (full - {j},))
-        assert len(rounds.deltas) == 1
+        assert len(rounds.children) == 1
         assert spelled == short == apply_round(s, sigma_schedule((full - {j},), 3, WRO),
                                                FixedAdversary(1), proto)
     rounds = connectivity._Rounds(proto)
     assert rounds.child(s, ()) == rounds.child(s, (full,)) == rounds.child(s, (set(), full))
-    assert len(rounds.deltas) == 1
+    assert len(rounds.children) == 1
     with pytest.raises(InvalidScheduleError):  # an overlapping group is never dropped
         rounds.child(s, ({1, 2}, full))
 

@@ -242,8 +242,7 @@ def test_collect_gamma_consensus_n4():
 
 
 def test_collect_gamma_single_box_protocol():
-    budget = ExplorationBudget(rounds=1, inputs=((5, None), (5, 7), (None, 7)))
-    report = collect_gamma(protocol_2cc(3), 3, budget)
+    report = collect_gamma(protocol_2cc(3), 3, ExplorationBudget(rounds=1))
     assert report.gamma[3] == {frozenset({1, 2, 3})}
     assert report.nu_total == 1
 
@@ -309,7 +308,7 @@ def test_scripted_adversary_from_json():
 
 def test_collect_gamma_scales_to_n5_sampled():
     report = collect_gamma(protocol_consensus_wor(5), 5,
-                           ExplorationBudget(mode="sampled", max_executions=20))
+                           ExplorationBudget(max_executions=20))
     assert report.nu == {2: 4, 3: 3, 4: 2, 5: 1}
     assert report.nu_total == 10
     for m, count in report.nu.items():
@@ -358,7 +357,7 @@ def _reference_report(proto, n, inputs_list, per_round_cross):
     runs = [_plain_walk(proto, inputs, tree) for inputs in inputs_list for tree in trees]
     boxes = set()
     census = sum(_plain_walk(proto, list(range(n)), [sched],
-                             lambda st: boxes.update(i.box for i in st.instances[-1]))
+                             lambda st: boxes.update(i.box for i in st.instances))
                  ["executions"] for sched in scheds)
     gamma = {m: frozenset(b for b in boxes if len(b) == m) for m in {len(b) for b in boxes}}
     nu = {m: len(bs) for m, bs in gamma.items() if m >= 2}
@@ -469,20 +468,21 @@ def test_rounds_freeze_nothing(monkeypatch):
 
 
 # SHA-256 of (to_jsonl(), final.to_json()) of each recorded run: pins the
-# JSON form of traces, states and locals records.
+# JSON form of traces, states and locals records.  A state holds only its
+# own round's snapshot and instances; traces never held either.
 RECORDED_DIGESTS = {
     "consensus": ("3fc3ace026e8cac77d81a1d5ea230128af17887bfd35416d38482e2608dae073",
-                  "09a042bea01019a2da73eef4efbd969055ee3fb44afa068cca35800b3139505f"),
+                  "4f7e7238cc8d754d23ba87805951594c8921e43249fa8f6007693d843d343551"),
     "2cc": ("5f3e9552ef266206437c79a40fd210c5615150ea0746a864f6349e6c36ff91e6",
-            "5e4444f8b3c4579b390b55372e2f6c9fa9c84b3587b3efa10f06452acea27647"),
+            "e4e3a2f2101c940a197be3e79bb4b1045f2cdbba724a6bbffa76d0c78d8359fb"),
     "knowledge-wor": ("4e252993d1a591d086b93662a2a58bcfc7a5c48336a6877e40e386d3f11dfeb3",
-                      "9ef364e2a6644c58439eef33211ee6c3a0e6d6dc99ec2b41283a81c0b10a7313"),
+                      "a191d365041b300a357f0e9810794e4efca09ebd4b378342b4d6a4ddcb637652"),
     "knowledge-wro": ("1bc8f8981c23930a8eb039f2c9dbfcd344ec99ab4a7d7accfebfefea07481e1a",
-                      "c25cb64fa625f9bfa6d836eb66a13f781745b39c8ccd373b329070d5ca27b0c7"),
+                      "ec8a542faf3748df36f77f49c05896dc80146dd8f18491745bd8d56ca0739e54"),
     "owr-sim": ("878a9a4d7f9ae8b6c7e55a7d461b1b957c7cfd798f9b0013aa46cb9d2a4fa3c8",
-                "6dd64488a6656028f1c7329df75b7edc2336ce43eb86c28cbe41e2def198046e"),
+                "829e76e4ba37cf2450dd55d0e93d653c6905443ed835c0c14257f560543c4e4b"),
     "wro-sim": ("f4c4c1d1e8f13082c296da7ee6c797eb4e4244a96a78ac8958fe1fde4f193787",
-                "a722644f0149c1f3c43f6b1982f5e472b4f4575f33c96fdfb8b3cca1356a318c"),
+                "5f7d47488225092140ec658e71c3e84c7d5066d723692eca2acdc3aaf4804c15"),
 }
 
 

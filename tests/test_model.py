@@ -33,7 +33,7 @@ def test_initial_state_round0_components():
     assert s.rnd == 0
     assert [ls.sm for ls in s.locals_] == [0, 1]
     assert all(ls.dec is None and ls.val is None for ls in s.locals_)
-    assert s.memory == ()
+    assert s.snapshot is None and s.instances == ()
 
 
 def test_initial_state_all_zero_exists():
@@ -155,7 +155,7 @@ def test_state_json_golden():
         '{"instances":[],"locals":['
         '{"dec":null,"id":1,"input":0,"locals":{},"round":0,"sm":0,"val":null},'
         '{"dec":null,"id":2,"input":1,"locals":{},"round":0,"sm":1,"val":null}],'
-        '"memory":[],"model":"WOR","n":2,"round":0}'
+        '"model":"WOR","n":2,"round":0,"snapshot":null}'
     )
     assert s.digest() == make_initial_state(2, [0, 1], WOR).digest()
 
@@ -193,7 +193,7 @@ def test_indistinguishability_is_symmetric_and_transitive_per_process(seed):
 def test_safe_validity_holds_on_every_instance(seed):
     _, _, exe = _random_execution(seed)
     for step in exe.steps:
-        for inst in step.state.instances[-1]:
+        for inst in step.state.instances:
             if inst.forced:
                 inputs = dict(inst.inputs)
                 assert inst.output in inputs.values()
@@ -206,7 +206,7 @@ def test_resolution_oracle_agrees_with_the_engine(seed):
     _, _, exe = _random_execution(seed)
     for step in exe.steps:
         invoke_groups = [g for kind, g in step.schedule.events if kind == "S"]
-        for inst in step.state.instances[-1]:
+        for inst in step.state.instances:
             choice = None if inst.forced else inst.output
             out, forced = resolve_safe_consensus(
                 inst.invokers, dict(inst.inputs), invoke_groups, choice, n=3)
@@ -219,7 +219,7 @@ def test_resolution_oracle_agrees_with_the_engine(seed):
 def test_agreement_all_invokers_store_the_same_val(seed):
     _, _, exe = _random_execution(seed)
     for step in exe.steps:
-        for inst in step.state.instances[-1]:
+        for inst in step.state.instances:
             vals = {step.state.local(p).val for p in inst.invokers}
             assert vals == {inst.output}
 
