@@ -210,6 +210,8 @@ def cmd_connectivity(args) -> int:
               "rounds": args.horizon}
     rounds = {} if args.horizon is None else {"rounds": args.horizon}
     if args.demo == "lower-bound":
+        if args.n != 3:
+            raise InvalidArgumentError(f"the lower-bound demo runs 3 processes, not --n {args.n}")
         proto = resolve_protocol(args.automaton or "wor-pair12-min", args.n)
         result = lower_bound_demo(proto, **rounds)
         return _emit(args, "connectivity", config, result, result["ok"], t0)
@@ -225,6 +227,9 @@ def cmd_connectivity(args) -> int:
         ok = all(r["ok"] for r in reports)
         return _emit(args, "connectivity", config, {"samples": reports}, ok, t0)
     if args.demo == "partition-round":
+        if args.horizon is not None:
+            raise InvalidArgumentError("the partition-round demo builds one round; "
+                                       "it takes no --horizon")
         proto = resolve_protocol(args.automaton or "wor-pair12-min", args.n)
         a = _parse_ids(args.block_a or "1,2")
         b = _parse_ids(args.block_b or "3")

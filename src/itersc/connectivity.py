@@ -1,4 +1,4 @@
-"""Indistinguishability graphs, verified path constructions, and valency.
+"""Verified indistinguishability-path constructions, and valency.
 
 Every construction here follows the same discipline: build the successor
 states prescribed by the corresponding structural argument, choosing the
@@ -26,9 +26,7 @@ round's path (``Path.loop_erased``) before the next round extends it.
 
 from __future__ import annotations
 
-import itertools
 import logging
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
@@ -38,10 +36,8 @@ from .errors import (
     ConstructionError,
     FullBoxConflictError,
     InvalidArgumentError,
-    MissingBoxError,
     NoInvocationsError,
     PreconditionViolationError,
-    RoundMismatchError,
 )
 from .executor import (
     FixedAdversary,
@@ -136,12 +132,6 @@ class Path:
         return Path(states=tuple(self.states[i] for i in kept),
                     labels=tuple(self.labels[i] for i in kept[:-1]))
 
-    def concat(self, other: "Path") -> "Path":
-        if self.last != other.first:
-            raise ConstructionError("paths do not share an endpoint")
-        return Path(states=self.states + other.states[1:],
-                    labels=self.labels + other.labels)
-
     def to_jsonable(self) -> dict:
         return {
             "round": self.states[0].rnd if self.states else None,
@@ -149,16 +139,6 @@ class Path:
             "labels": [sorted(x) for x in self.labels],
             "degree": self.degree(),
         }
-
-    def to_dot(self, name: str = "path") -> str:
-        lines = [f'graph "{name}" {{']
-        for i, s in enumerate(self.states):
-            lines.append(f'  n{i} [label="{s.digest()}"];')
-        for i, x in enumerate(self.labels):
-            lbl = ",".join(map(str, sorted(x)))
-            lines.append(f'  n{i} -- n{i + 1} [label="{{{lbl}}}"];')
-        lines.append("}")
-        return "\n".join(lines)
 
 
 class PathBuilder:
@@ -197,53 +177,15 @@ def is_b_regular(path: Path) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# indistinguishability graph
-
-
-def build_indist_graph(states) -> dict:
-    """Adjacency dict: ``graph[a][b]`` is the indistinguishability set of
-    ``a`` and ``b``, present when nonempty.  Equal states are one node."""
-    graph: dict = {s: {} for s in states}
-    rounds = {s.rnd for s in graph}
-    if len(rounds) > 1:
-        raise RoundMismatchError(f"states span rounds {sorted(rounds)}")
-    for a, b in itertools.combinations(graph, 2):
-        x = indistinguishability_set(a, b)
-        if x:
-            graph[a][b] = graph[b][a] = x
-    return graph
-
-
-def find_path(graph: dict, s: GlobalState, q: GlobalState,
-              min_degree: int = 1) -> Optional[Path]:
-    """Shortest path whose labels all have at least ``min_degree`` members."""
-    if s not in graph or q not in graph:
-        raise InvalidArgumentError("both endpoints must be in the graph")
-    parent = {s: None}
-    frontier = deque([s])
-    while q not in parent:
-        if not frontier:
-            return None
-        a = frontier.popleft()
-        for b, label in graph[a].items():
-            if b not in parent and len(label) >= min_degree:
-                parent[b] = a
-                frontier.append(b)
-    nodes = [q]
-    while parent[nodes[-1]] is not None:
-        nodes.append(parent[nodes[-1]])
-    nodes.reverse()
-    labels = tuple(graph[a][b] for a, b in zip(nodes, nodes[1:]))
-    return Path(states=tuple(nodes), labels=labels)
-
-
-# ---------------------------------------------------------------------------
 # prescriptive successor construction
 
 
 def successor_boxes(state: GlobalState, proto) -> frozenset:
     """Boxes the protocol will use in the next round (schedule-independent
-    for write-invoke-scan protocols, whose selector sees the old snapshot)."""
+    for write-invoke-scan protocols, whose selector sees the old snapshot).
+
+    No engine calls it: it probes the round, so it is the independent
+    reference that ``_Rounds.boxes`` is checked against."""
     sched = sigma_schedule((), state.n, proto.model)
     return frozenset(b for (_o, b, _c, _f) in probe_round(state, sched, proto))
 
@@ -282,6 +224,10 @@ class _Rounds:
         return frozenset(inst.box for inst in self.child(state, ()).instances)
 
     def successor(self, state: GlobalState, groups, box_values: dict) -> GlobalState:
+        """The sigma(groups) successor under the per-box output plan
+        ``box_values``: a contended box the plan leaves out outputs its
+        smallest id, and outputs that Safe-Validity forces must match the
+        plan.  The all-ones child is the answer when the plan asks for 1."""
         ones = self.child(state, groups)
         script = {}
         for inst in ones.instances:
@@ -295,18 +241,6 @@ class _Rounds:
         if all(v == 1 for v in script.values()):
             return ones
         return self.child(state, groups, tuple(script.items()))
-
-
-def build_successor(state: GlobalState, groups, proto, box_values: dict) -> GlobalState:
-    """One sigma-round successor with planned safe-consensus outputs.
-
-    ``box_values`` maps boxes (frozensets) to the output each box must take;
-    a contended box the plan leaves out outputs its smallest id, and
-    instances that Safe-Validity forces are checked against the plan.  No
-    probe runs: the all-ones round shows the contention and forced values,
-    and is itself the answer when the plan gives every contended box 1.
-    """
-    return _Rounds(proto).successor(state, groups, box_values)
 
 
 def box_values_of(state: GlobalState) -> dict:
@@ -496,37 +430,7 @@ def _require_no_full_box(boxes) -> None:
 
 
 # ---------------------------------------------------------------------------
-# ladders (the general peel-and-swap machinery)
-
-
-@dataclass(frozen=True)
-class LadderState:
-    """Successor built by peeling a target set into <=2-size groups before
-    a final block equal to the step box's share of the target set."""
-
-    base: GlobalState
-    groups: tuple  # peeled groups, each nonempty of size <= 2
-    step_box: frozenset
-    tail: frozenset
-    state: GlobalState
-
-    @property
-    def target(self) -> frozenset:
-        out = set(self.tail)
-        for g in self.groups:
-            out |= g
-        return frozenset(out)
-
-
-def is_ladder_state(lad: LadderState) -> bool:
-    peeled: set = set()
-    for g in lad.groups:
-        if not 1 <= len(g) <= 2 or (g & peeled):
-            return False
-        peeled |= g
-    if peeled & lad.step_box:
-        return False
-    return lad.tail == lad.step_box & lad.target
+# the one-round connection of the general engine (peel-and-swap ladders)
 
 
 def _peel_groups(piece: frozenset) -> list[frozenset]:
@@ -552,49 +456,6 @@ def _ladder_chain(boxes, target: frozenset, step_box: frozenset):
             groups = tuple(peeled) + ((frozenset(rem),) if rem else ())
             chain.append((groups, k))
     return chain, tuple(peeled)
-
-
-def _ladder_plan(boxes, target: frozenset) -> dict:
-    """Outputs sustainable in every state of a peel chain over ``target``."""
-    plan = {}
-    for b in boxes:
-        if len(b) == 1:
-            continue
-        piece = b & target
-        plan[b] = min(piece) if len(piece) == 1 else min(b)
-    return plan
-
-
-def build_ladder_path(state: GlobalState, x, b, proto) -> tuple[LadderState, Path]:
-    """Connect sigma(X) to a ladder state for X with the given step box.
-
-    The other boxes' shares of X are peeled off in groups of at most two,
-    so every label has at least n-2 members.
-    """
-    x = frozenset(x)
-    b = frozenset(b)
-    if not x:
-        raise InvalidArgumentError("the target set must be nonempty")
-    rounds = _Rounds(proto)
-    boxes = rounds.boxes(state)
-    if b not in boxes:
-        raise MissingBoxError(f"box {sorted(b)} is not invoked next round")
-    plan = _ladder_plan(boxes, x)
-    start = rounds.successor(state, (x,), plan)
-    if len(boxes) == 1:
-        lad = LadderState(base=state, groups=(), step_box=b, tail=x & b, state=start)
-        return lad, Path(states=(start,), labels=())
-    full = frozenset(range(1, state.n + 1))
-    chain, peeled = _ladder_chain(boxes, x, b)
-    pb = PathBuilder(start)
-    for groups, moved in chain:
-        pb.append(rounds.successor(state, groups, plan), full - moved)
-    lad = LadderState(base=state, groups=peeled, step_box=b, tail=x & b,
-                      state=pb.tail)
-    path = pb.build()
-    if path.labels and path.degree() < state.n - 2:
-        raise ConstructionError("ladder path degree fell below n-2")
-    return lad, path
 
 
 def _swap_chain(state: GlobalState, c_groups: tuple, b: frozenset,
@@ -644,26 +505,15 @@ def _swap_chain(state: GlobalState, c_groups: tuple, b: frozenset,
         pb.append(rounds.successor(state, groups, plan2), full - kys[t - 1])
 
 
-def connect_one_round_successors(state: GlobalState, x, y, proto,
-                                 values_x: Optional[dict] = None,
-                                 values_y: Optional[dict] = None) -> Path:
-    """Connect sigma(X) and sigma(Y) successors of one state.
-
-    Swaps the boxes' shares of X for their shares of Y one box at a time,
-    using the peel/swap ladder machinery.  With equal endpoint outputs the
-    degree stays at n-2 or above; every differing box contributes exactly
-    one edge labelled by its complement.
-    """
-    rounds = _Rounds(proto)
-    pb = PathBuilder(rounds.successor(state, (x,), values_x or {}))
-    _connect(rounds, pb, state, x, y, values_x, values_y)
-    return pb.build()
-
-
 def _connect(rounds: _Rounds, pb: PathBuilder, state: GlobalState, x, y,
              values_x: Optional[dict], values_y: Optional[dict]) -> None:
     """Append the connection from the sigma(X) to the sigma(Y) successor of
-    ``state`` to ``pb``, whose tail must be the connection's start."""
+    ``state`` to ``pb``, whose tail must be the connection's start.
+
+    Swaps the boxes' shares of X for their shares of Y one box at a time.
+    With equal endpoint outputs the degree stays at n-2 or above; every
+    differing box contributes exactly one edge labelled by its complement.
+    """
     x, y = frozenset(x), frozenset(y)
     n = state.n
     full = frozenset(range(1, n + 1))
@@ -739,12 +589,8 @@ def _assert_connect_postconditions(labels, diff: frozenset, n: int) -> None:
 # general one-round extension (the desk-scale version of the iterated engine)
 
 
-def beta_set(path: Path, proto, size: Optional[int] = None) -> frozenset:
-    """Boxes whose intersection with two different labels is a singleton."""
-    return _beta(_Rounds(proto), path, size)
-
-
 def _beta(rounds: _Rounds, path: Path, size: Optional[int] = None) -> frozenset:
+    """Boxes whose intersection with two different labels is a singleton."""
     universe: set = set()
     for s in path.states:
         universe |= rounds.boxes(s)
@@ -934,19 +780,10 @@ def _wro_successor(rounds: _Rounds, state: GlobalState, groups) -> GlobalState:
     return rounds.child(state, groups)
 
 
-def wro_bridge(state: GlobalState, i: int, j: int, proto) -> Path:
-    """Connect sigma-wro(all-i) and sigma-wro(all-j) successors of a state
-    with a path whose labels all have n-1 members."""
-    rounds = _Rounds(proto)
-    full = frozenset(range(1, state.n + 1))
-    pb = PathBuilder(_wro_successor(rounds, state, (full - {i},)))
-    _wro_bridge(rounds, pb, state, i, j)
-    return pb.build()
-
-
 def _wro_bridge(rounds: _Rounds, pb: PathBuilder, state: GlobalState, i: int, j: int) -> None:
     """Append the bridge from sigma-wro(all-i) to sigma-wro(all-j) of
-    ``state`` to ``pb``, whose tail must be the bridge's start."""
+    ``state`` to ``pb``, whose tail must be the bridge's start.  Every
+    label of the bridge has n-1 members."""
     n = state.n
     full = frozenset(range(1, n + 1))
     if _wro_successor(rounds, state, (full - {i},)) != pb.tail:

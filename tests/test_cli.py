@@ -130,6 +130,26 @@ def test_connectivity_demo_refuses_fewer_than_one_round(capsys, demo, horizon):
     assert "at least one round" in err
 
 
+@pytest.mark.parametrize("horizon", ["-3", "2"])
+def test_connectivity_partition_round_refuses_horizon(capsys, horizon):
+    code, out, err = run_cli(capsys, "connectivity", "--demo", "partition-round",
+                             "--horizon", horizon)
+    assert code == EXIT_USAGE and out == ""
+    assert "no --horizon" in err
+    code, out, _ = run_cli(capsys, "connectivity", "--demo", "partition-round")
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["config"]["rounds"] is None and report["result"]["verified"]
+
+
+@pytest.mark.parametrize("n", ["2", "4"])
+def test_connectivity_lower_bound_is_three_process(capsys, n):
+    code, out, err = run_cli(capsys, "connectivity", "--demo", "lower-bound",
+                             "--n", n, "--horizon", "1")
+    assert code == EXIT_USAGE and out == ""
+    assert "3 processes" in err
+
+
 def test_simulate_trace(capsys, tmp_path):
     out_file = tmp_path / "trace.jsonl"
     code, _, err = run_cli(capsys, "simulate", "--protocol", "consensus",

@@ -1,8 +1,12 @@
-"""Indistinguishability graphs, path constructions, valency analysis."""
+"""Path constructions, loop erasure, valency analysis, and the guard that
+every public connectivity name is reached from the package."""
 
 from __future__ import annotations
 
+import ast
+import itertools
 import logging
+import pathlib
 
 import pytest
 from hypothesis import given, settings
@@ -13,23 +17,16 @@ from itersc.connectivity import (
     WRO_PLAN_VALUE,
     Path,
     Valency,
-    beta_set,
     bounded_valency,
     box_values_of,
-    build_indist_graph,
-    build_ladder_path,
-    connect_one_round_successors,
     connect_partition_round,
     extend_path_general,
     extend_path_no3box,
     extend_path_partition,
-    find_path,
     initial_chain,
     is_b_regular,
-    is_ladder_state,
     lower_bound_demo,
     successor_boxes,
-    wro_bridge,
     wro_extend_round,
     wro_obstruction_demo,
 )
@@ -40,12 +37,12 @@ from itersc.errors import (
     InvalidScheduleError,
     NoInvocationsError,
     PreconditionViolationError,
-    RoundMismatchError,
 )
 from itersc.executor import (
     FixedAdversary,
     MapAdversary,
     apply_round,
+    enumerate_round_schedules,
     probe_round,
     sigma_schedule,
 )
@@ -69,41 +66,7 @@ def _two_pairs_proto():
     return knowledge_automaton(WOR, "pairs-12-34", sel)
 
 
-# -- graph layer -------------------------------------------------------------
-
-
-def test_graph_identical_states_full_edge():
-    s = make_initial_state(3, [0, 1, 1], WOR)
-    q = make_initial_state(3, [0, 1, 1], WOR)
-    g = build_indist_graph([s, q])
-    # identical content collapses to one node: a singleton path connects them
-    p = find_path(g, s, q)
-    assert p is not None and len(p.states) == 1
-
-
-def test_graph_initial_states_are_connected():
-    states = [make_initial_state(3, list(bits), WOR)
-              for bits in __import__("itertools").product((0, 1), repeat=3)]
-    g = build_indist_graph(states)
-    o = states[0]
-    u = states[-1]
-    p = find_path(g, o, u, min_degree=1)
-    assert p is not None and p.verify()
-    assert find_path(g, o, u, min_degree=4) is None
-
-
-def test_graph_round_mismatch():
-    s = make_initial_state(3, [0, 1, 1], WOR, SOLO)
-    s1 = apply_round(s, sigma_schedule((), 3, WOR), None, SOLO)
-    with pytest.raises(RoundMismatchError):
-        build_indist_graph([s, s1])
-
-
-def test_graph_no_edge_between_disjoint_histories():
-    a = make_initial_state(3, [0, 0, 0], WOR)
-    b = make_initial_state(3, [1, 1, 1], WOR)
-    g = build_indist_graph([a, b])
-    assert b not in g[a] and a not in g[b]
+# -- B-regularity ------------------------------------------------------------
 
 
 def test_is_b_regular():
@@ -208,14 +171,6 @@ def test_partition_bridge_solo_case():
     assert p.verify()
 
 
-def test_graph_search_rediscovers_the_bridge():
-    s = make_initial_state(3, [0, 1, 0], WOR, PAIR)
-    bridge = connect_partition_round(s, {1, 2}, {3}, PAIR)
-    g = build_indist_graph(list(bridge.states))
-    p = find_path(g, bridge.first, bridge.last, min_degree=1)
-    assert p is not None and p.verify() and len(p.states) == 3
-
-
 def test_partition_bridge_rejects_empty_side():
     s = make_initial_state(3, [0, 1, 0], WOR, PAIR)
     with pytest.raises(PreconditionViolationError):
@@ -298,58 +253,28 @@ def test_no3box_requires_three_processes():
         extend_path_no3box(chain, proto)
 
 
-# -- ladders and the general connect -----------------------------------------
+# -- the one-round connection of the general engine ----------------------------
 
 
-def test_ladder_single_box_is_immediate():
-    proto = knowledge_automaton(WOR, "all-share", lambda r, p, sm, v, lo: 0)
-    s = make_initial_state(3, [0, 1, 0], WOR, proto)
-    lad, p = build_ladder_path(s, {1, 2}, {1, 2, 3}, proto)
-    assert is_ladder_state(lad)
-    assert len(p.states) == 1 and lad.groups == ()
-
-
-def test_ladder_two_pairs_n4():
-    proto = _two_pairs_proto()
-    s = make_initial_state(4, [0, 1, 0, 1], WOR, proto)
-    lad, p = build_ladder_path(s, {1, 2, 3}, frozenset({1, 2}), proto)
-    assert is_ladder_state(lad)
-    assert lad.tail == {1, 2}
-    assert [sorted(g) for g in lad.groups] == [[3]]
-    assert p.verify()
-    assert p.degree() is None or p.degree() >= 2
-
-
-def test_ladder_missing_box():
-    from itersc.errors import MissingBoxError
-    proto = _two_pairs_proto()
-    s = make_initial_state(4, [0, 1, 0, 1], WOR, proto)
-    with pytest.raises(MissingBoxError):
-        build_ladder_path(s, {1, 2}, frozenset({1, 3}), proto)
-
-
-def test_ladder_every_n3_spec_has_degree_one():
-    for name, proto in deficient_wor_samples().items():
-        s = make_initial_state(3, [0, 1, 1], WOR, proto)
-        for b in successor_boxes(s, proto):
-            for x in ({1, 2}, {1, 2, 3}, {3}, {2}):
-                lad, p = build_ladder_path(s, x, b, proto)
-                assert is_ladder_state(lad)
-                assert p.degree() is None or p.degree() >= 1
-                assert p.verify()
+def _connected(proto, state, x, y, values_x=None, values_y=None):
+    """The sigma(X) to sigma(Y) connection of ``state``, built on its own."""
+    rounds = connectivity._Rounds(proto)
+    pb = connectivity.PathBuilder(rounds.successor(state, (x,), values_x or {}))
+    connectivity._connect(rounds, pb, state, x, y, values_x, values_y)
+    return pb.build()
 
 
 def test_connect_singleton_when_targets_match():
     proto = _two_pairs_proto()
     s = make_initial_state(4, [0, 1, 0, 1], WOR, proto)
-    p = connect_one_round_successors(s, {1, 2, 3}, {1, 2, 3}, proto)
+    p = _connected(proto, s, {1, 2, 3}, {1, 2, 3})
     assert len(p.states) == 1
 
 
 def test_connect_no_diff_keeps_degree_n_minus_2():
     proto = _two_pairs_proto()
     s = make_initial_state(4, [0, 1, 0, 1], WOR, proto)
-    p = connect_one_round_successors(s, {1, 2, 3}, {2, 3, 4}, proto)
+    p = _connected(proto, s, {1, 2, 3}, {2, 3, 4})
     assert p.verify()
     assert p.degree() >= 2
     assert is_b_regular(p)
@@ -361,8 +286,7 @@ def test_connect_differing_three_box_exposes_complement_label():
     proto = knowledge_automaton(WOR, "triple-123", sel)
     s = make_initial_state(4, [0, 1, 0, 1], WOR, proto)
     b = frozenset({1, 2, 3})
-    p = connect_one_round_successors(s, {1, 2, 4}, {1, 2, 4}, proto,
-                                     values_x={b: 1}, values_y={b: 2})
+    p = _connected(proto, s, {1, 2, 4}, {1, 2, 4}, values_x={b: 1}, values_y={b: 2})
     assert p.verify()
     assert p.degree() == 1  # n - |b|
     assert frozenset({4}) in p.isets()
@@ -373,16 +297,14 @@ def test_connect_full_box_conflict():
     s = make_initial_state(4, [0, 1, 0, 1], WOR, proto)
     full = frozenset({1, 2, 3, 4})
     with pytest.raises(FullBoxConflictError):
-        connect_one_round_successors(s, {1, 2}, {1, 2}, proto,
-                                     values_x={full: 1}, values_y={full: 2})
+        _connected(proto, s, {1, 2}, {1, 2}, values_x={full: 1}, values_y={full: 2})
 
 
 def test_connect_endpoints_match_requested_values():
     proto = _two_pairs_proto()
     s = make_initial_state(4, [0, 1, 0, 1], WOR, proto)
     b = frozenset({1, 2})
-    p = connect_one_round_successors(s, {1, 2}, {1, 2, 3}, proto,
-                                     values_x={b: 4}, values_y={b: 2})
+    p = _connected(proto, s, {1, 2}, {1, 2, 3}, values_x={b: 4}, values_y={b: 2})
     assert box_values_of(p.first)[b] == 4
     assert box_values_of(p.last)[b] == 2
 
@@ -428,7 +350,7 @@ def test_general_extension_budget_guard():
 def test_beta_set_counts_doubly_hit_boxes():
     q = initial_chain(PAIR, 3)
     # labels {2,3},{1,3},{1,2}; box {1,2} meets {1,3} and {2,3} in singletons
-    assert frozenset({1, 2}) in beta_set(q, PAIR)
+    assert frozenset({1, 2}) in connectivity._beta(connectivity._Rounds(PAIR), q)
 
 
 # -- valency ----------------------------------------------------------------
@@ -473,22 +395,18 @@ def test_connected_univalent_states_share_valency_instance():
     # valency propagation, desk scale: on a correct protocol, connected
     # decided states never disagree
     proto = protocol_consensus_wor(2)
-    import itertools as it
-    from itersc.executor import MapAdversary, probe_round
     states = []
     for inputs in ([0, 1], [1, 1], [0, 0], [1, 0]):
-        for sched in __import__("itersc.executor", fromlist=["x"]).enumerate_round_schedules(2, WOR, "sigma"):
+        for sched in enumerate_round_schedules(2, WOR, "sigma"):
             init = make_initial_state(2, inputs, WOR, proto)
             contended = [o for (o, _b, c, _f) in probe_round(init, sched, proto) if c]
             scripts = [dict(zip(contended, vs))
-                       for vs in it.product((1, 2), repeat=len(contended))] or [{}]
+                       for vs in itertools.product((1, 2), repeat=len(contended))] or [{}]
             for script in scripts:
                 states.append(apply_round(init, sched, MapAdversary(script), proto))
-    g = build_indist_graph(states)
-    for a, b in ((a, b) for a in g for b in g[a]):
-        da, db = set(a.decisions().values()), set(b.decisions().values())
-        if da and db:
-            shared = indistinguishability_set(a, b)
+    for a, b in itertools.combinations(states, 2):
+        shared = indistinguishability_set(a, b)
+        if shared and a.decisions() and b.decisions():
             for pid in shared:
                 assert a.local(pid).dec == b.local(pid).dec
 
@@ -496,10 +414,19 @@ def test_connected_univalent_states_share_valency_instance():
 # -- the write-scan-invoke obstruction ----------------------------------------
 
 
+def _wro_bridged(proto, state, i, j):
+    """The sigma-wro bridge from all-i to all-j of ``state``, built on its own."""
+    rounds = connectivity._Rounds(proto)
+    full = frozenset(range(1, state.n + 1))
+    pb = connectivity.PathBuilder(connectivity._wro_successor(rounds, state, (full - {i},)))
+    connectivity._wro_bridge(rounds, pb, state, i, j)
+    return pb.build()
+
+
 def test_wro_bridge_labels_and_regularity():
     proto = wro_obstruction_samples()["wro-share-all"]
     s = make_initial_state(3, [0, 1, 0], WRO, proto)
-    p = wro_bridge(s, 1, 3, proto)
+    p = _wro_bridged(proto, s, 1, 3)
     assert p.verify()
     assert p.degree() == 2
     assert is_b_regular(p)
@@ -508,7 +435,7 @@ def test_wro_bridge_labels_and_regularity():
 def test_wro_bridge_same_anchor_is_singleton():
     proto = wro_obstruction_samples()["wro-solo"]
     s = make_initial_state(3, [0, 1, 0], WRO, proto)
-    assert len(wro_bridge(s, 2, 2, proto).states) == 1
+    assert len(_wro_bridged(proto, s, 2, 2).states) == 1
 
 
 def test_wro_obstruction_all_samples():
@@ -530,6 +457,18 @@ def test_wro_obstruction_long_horizon():
         assert row["degree"] == 2 and row["labels_verified"] and row["b_regular"]
         assert row["raw_states"] >= row["states"]
     assert report["per_round"][-1]["states"] < 400
+
+
+@pytest.mark.parametrize("n,rounds,cap", [(4, 5, 130), (5, 3, 200)])
+def test_wro_obstruction_beyond_three_processes(n, rounds, cap):
+    # the erased paths hold at most 123 (n=4) and 176 (n=5) states; a cap
+    # just above makes a regression in path growth fail fast
+    for name in ("wro-solo", "wro-share-all"):
+        report = wro_obstruction_demo(wro_obstruction_samples(n)[name], n, rounds)
+        assert report["ok"] and len(report["per_round"]) == rounds, name
+        for row in report["per_round"]:
+            assert row["degree"] == n - 1 and row["b_regular"], (name, row)
+            assert row["states"] <= cap, (name, row)
 
 
 @pytest.mark.parametrize("rounds", [0, -1])
@@ -591,12 +530,11 @@ def test_lower_bound_long_horizon():
 
 def test_diff_box_set_is_within_both_specs():
     from itersc.model import diff_box_set, invocation_spec
-    from itersc.connectivity import build_successor
-    proto = PAIR
-    s = make_initial_state(3, [0, 1, 0], WOR, proto)
+    rounds = connectivity._Rounds(PAIR)
+    s = make_initial_state(3, [0, 1, 0], WOR, PAIR)
     b = frozenset({1, 2})
-    q1 = build_successor(s, ({1, 2, 3},), proto, {b: 1})
-    q2 = build_successor(s, ({1, 2, 3},), proto, {b: 3})
+    q1 = rounds.successor(s, ({1, 2, 3},), {b: 1})
+    q2 = rounds.successor(s, ({1, 2, 3},), {b: 3})
     d = diff_box_set(q1, q2)
     assert d == {b}
     assert d <= invocation_spec(q1).boxes & invocation_spec(q2).boxes
@@ -622,7 +560,7 @@ def test_partition_bridge_labels_exactly_a_and_b_everywhere():
 
 
 def _probe_then_apply_successor(rounds, state, groups, box_values):
-    """Reference build_successor: probe the round, then apply the plan."""
+    """Reference ``_Rounds.successor``: probe the round, then apply the plan."""
     sched = sigma_schedule(groups, state.n, rounds.proto.model)
     script = {}
     for obj, b, contended, forced_val in probe_round(state, sched, rounds.proto):
@@ -728,7 +666,7 @@ def test_memo_keys_on_the_schedule_not_its_spelling():
 
 
 def _engine_calls():
-    """One call per public engine, each on an input whose output has an edge."""
+    """One call per engine, each on an input whose output has an edge."""
     a, b = frozenset({1, 2}), frozenset({3})
     wro = wro_obstruction_samples()["wro-rotating"]
     pairs = _two_pairs_proto()
@@ -741,11 +679,9 @@ def _engine_calls():
         ("connect_partition_round", lambda: connect_partition_round(s3, a, b, PAIR)),
         ("extend_path_partition", lambda: extend_path_partition(part, a, b, PAIR)),
         ("extend_path_no3box", lambda: extend_path_no3box(chain_solo, SOLO)),
-        ("build_ladder_path", lambda: build_ladder_path(s4, {1, 2, 3}, {1, 2}, pairs)[1]),
-        ("connect_one_round_successors",
-         lambda: connect_one_round_successors(s4, {1, 2, 3}, {2, 3, 4}, pairs)),
+        ("_connect", lambda: _connected(pairs, s4, {1, 2, 3}, {2, 3, 4})),
         ("extend_path_general", lambda: extend_path_general(chain_pair, PAIR)[0]),
-        ("wro_bridge", lambda: wro_bridge(make_initial_state(3, [0, 1, 0], WRO, wro), 1, 3, wro)),
+        ("_wro_bridge", lambda: _wro_bridged(wro, make_initial_state(3, [0, 1, 0], WRO, wro), 1, 3)),
         ("wro_extend_round", lambda: wro_extend_round(chain_wro, wro)),
     ]
 
@@ -773,3 +709,61 @@ def test_each_edge_is_checked_once(monkeypatch, engine):
     out = run()
     assert len(out.labels) > 1
     assert len(seen) == len(out.labels)
+
+
+# -- no unreached public names -------------------------------------------------
+
+
+class _NamesUsed(ast.NodeVisitor):
+    """Every name and attribute a module mentions, except a definition's
+    mentions of itself."""
+
+    def __init__(self):
+        self.used: set = set()
+        self.inside: list = []
+
+    def _see(self, name):
+        if name not in self.inside:
+            self.used.add(name)
+
+    def _visit_def(self, node):
+        self.inside.append(node.name)
+        self.generic_visit(node)
+        self.inside.pop()
+
+    visit_FunctionDef = visit_ClassDef = _visit_def
+
+    def visit_Name(self, node):
+        self._see(node.id)
+
+    def visit_Attribute(self, node):
+        self._see(node.attr)
+        self.generic_visit(node)
+
+    def visit_alias(self, node):
+        self._see(node.name)
+
+
+# public names that no code of the package reaches, each kept on purpose
+UNREACHED_ON_PURPOSE = {
+    "successor_boxes": "the probing reference that the memo tests and "
+                       "perfbench check the memo's boxes against",
+    "extend_path_general": "ROADMAP item 1 decides whether the general engine "
+                           "gets a demo or goes",
+}
+
+
+def test_every_public_connectivity_name_is_reached():
+    source = pathlib.Path(connectivity.__file__)
+    public = set()
+    for node in ast.parse(source.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            public.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                public |= {m.name for m in node.body
+                           if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")}
+    names = _NamesUsed()
+    for module in sorted(source.parent.glob("*.py")):
+        names.visit(ast.parse(module.read_text()))
+    assert sorted(public - names.used - set(UNREACHED_ON_PURPOSE)) == []
+    assert set(UNREACHED_ON_PURPOSE) <= public - names.used  # no stale entry

@@ -26,13 +26,6 @@ def test_path_jsonable_digests_and_labels():
     json.dumps(data)  # round-trips through the encoder
 
 
-def test_path_dot_export():
-    dot = _bridge_path().to_dot("bridge")
-    assert dot.startswith('graph "bridge"')
-    assert dot.count(" -- ") == 2
-    assert "{3}" in dot
-
-
 def test_trace_jsonl_replays_via_script_file(tmp_path):
     proto = protocol_consensus_wor(2)
     sched = sigma_schedule([], 2, WOR)
@@ -56,13 +49,7 @@ def test_parallel_sampled_sweep_matches_serial_counts():
 def test_path_concat_and_label_count_validation():
     import pytest
     from itersc.connectivity import Path
-    from itersc.errors import ConstructionError, InvalidArgumentError
+    from itersc.errors import InvalidArgumentError
     p = _bridge_path()
-    left = Path(states=p.states[:2], labels=p.labels[:1])
-    right = Path(states=p.states[1:], labels=p.labels[1:])
-    glued = left.concat(right)
-    assert glued.states == p.states and glued.labels == p.labels
-    with pytest.raises(ConstructionError):
-        right.concat(left)
     with pytest.raises(InvalidArgumentError):
         Path(states=p.states, labels=p.labels[:1])
