@@ -901,7 +901,7 @@ def lower_bound_demo(proto, rounds: int = 5) -> dict:
     automaton: connected successors of the 0- and 1-input states every
     round (5 by default, C(3,2) + 2), with the endpoints certified univalent
     for opposite values within the automaton's round budget (2 rounds
-    without one)."""
+    without one), and decided by every process at both ends of the path."""
     from .johnson import partition_two_blocks, vertex_set as jvs
 
     if rounds < 1:
@@ -948,8 +948,8 @@ def lower_bound_demo(proto, rounds: int = 5) -> dict:
     end_dec_1 = part_endpoints[1].decisions()
     ok = (
         v0 == Valency.ZERO and v1 == Valency.ONE
-        and all(d == 0 for d in end_dec_0.values())
-        and all(d == 1 for d in end_dec_1.values())
+        and sorted(end_dec_0.values()) == [0] * n
+        and sorted(end_dec_1.values()) == [1] * n
         and all(x["verified"] for x in partition_rounds + no3_rounds)
     )
     return {

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import logging
 import random
+import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Optional
 
@@ -42,6 +44,8 @@ from .model import (
 from .protocols import ProtocolAutomaton, validate_coalitions_tuple
 from .values import canonical_json, digest, freeze, jsonable
 
+log = logging.getLogger("itersc")
+
 W, S, R = "W", "S", "R"
 EVENT_ORDER = {WOR: (W, S, R), WRO: (W, R, S), OWR: (S, W, R)}
 
@@ -56,19 +60,19 @@ class RoundSchedule:
 
     model: str
     n: int
-    events: tuple  # ((kind, frozenset), ...)
+    events: tuple  # ((kind, ids in ascending order), ...)
 
     def key(self) -> tuple:
-        return tuple((k, tuple(sorted(g))) for k, g in self.events)
+        return self.events
 
     def part(self, kinds) -> tuple:
         return tuple((k, g) for k, g in self.events if k in kinds)
 
     def to_jsonable(self) -> list:
-        return [[k, sorted(g)] for k, g in self.events]
+        return [[k, list(g)] for k, g in self.events]
 
     def __str__(self) -> str:
-        return ",".join(f"{k}{{{','.join(map(str, sorted(g)))}}}" for k, g in self.events)
+        return ",".join(f"{k}{{{','.join(map(str, g))}}}" for k, g in self.events)
 
 
 def make_schedule(model: str, n: int, events) -> RoundSchedule:
@@ -90,7 +94,7 @@ def make_schedule(model: str, n: int, events) -> RoundSchedule:
             if (pid, kind) in positions:
                 raise InvalidScheduleError(f"process {pid} has two {kind} events")
             positions[(pid, kind)] = pos
-        evs.append((kind, group))
+        evs.append((kind, tuple(sorted(group))))
     for pid in range(1, n + 1):
         try:
             seq = [positions[(pid, k)] for k in order]
@@ -223,15 +227,39 @@ def random_ordered_partition_schedule(n: int, model: str, rng: random.Random) ->
 
 def random_sigma_schedule(n: int, model: str, rng: random.Random) -> RoundSchedule:
     """Uniform-ish random member of the sigma family."""
+    return sigma_schedule(_sigma_blocks(n, rng), n, model)
+
+
+def _sigma_blocks(n: int, rng: random.Random) -> tuple:
+    """The sigma groups of one random draw, each as a sorted id tuple."""
     ids = list(range(1, n + 1))
     rng.shuffle(ids)
     blocks = []
     i = 0
-    while i < len(ids):
-        size = rng.randint(1, len(ids) - i)
-        blocks.append(ids[i:i + size])
+    while i < n:
+        size = rng.randint(1, n - i)
+        blocks.append(tuple(sorted(ids[i:i + size])))
         i += size
-    return sigma_schedule(blocks, n, model)
+    return tuple(blocks)
+
+
+def _sigma_draws(n: int, model: str) -> Callable[[random.Random], RoundSchedule]:
+    """``random_sigma_schedule`` for one sweep: the same RNG calls, but each distinct
+    schedule is built and validated once, then shared.  Interning the blocks and the
+    at most ``3 * (2**n - 1)`` distinct events keeps the table small."""
+    table: dict[tuple, RoundSchedule] = {}
+    interned: dict = {}
+
+    def draw(rng: random.Random) -> RoundSchedule:
+        blocks = _sigma_blocks(n, rng)
+        sched = table.get(blocks)
+        if sched is None:
+            events = sigma_schedule(blocks, n, model).events
+            sched = RoundSchedule(model, n, tuple(interned.setdefault(e, e) for e in events))
+            table[tuple(interned.setdefault(b, b) for b in blocks)] = sched
+        return sched
+
+    return draw
 
 
 # ---------------------------------------------------------------------------
@@ -306,81 +334,70 @@ def _run_events(state: GlobalState, sched: RoundSchedule, proto: ProtocolAutomat
     """Walk one round's events; returns per-process components and instances."""
     n = state.n
     rnd = state.rnd + 1
-    cur_sm = [ls.sm for ls in state.locals_]
-    cur_val = [ls.val for ls in state.locals_]
-    loc = [ls.locals_ for ls in state.locals_]
+    locals_ = state.locals_
+    cur_sm = [ls.sm for ls in locals_]
+    cur_val = [ls.val for ls in locals_]
+    loc = [ls.locals_ for ls in locals_]
+    payload, select, sc_input = proto.payload, proto.select_object, proto.sc_input
+    sm_filter, val_filter = proto.sm_filter, proto.val_filter
     cells: list = [None] * n
-    selections: dict[int, Any] = {}
-    sc_inputs: dict[int, Any] = {}
-    outputs: dict[Any, Any] = {}
+    invoked: dict[Any, list] = {}  # object -> its (pid, input) pairs so far this round
+    outputs: dict[Any, Any] = {}  # in resolution order
     forced: dict[Any, bool] = {}
-    order: list = []
     choices: list = []
 
     for kind, group in sched.events:
         if kind == W:
-            for pid in sorted(group):
+            for pid in group:
                 i = pid - 1
-                cells[i] = proto.payload(pid, state.locals_[i].inp,
-                                         cur_sm[i], cur_val[i], loc[i])
+                cells[i] = payload(pid, locals_[i].inp, cur_sm[i], cur_val[i], loc[i])
         elif kind == R:
             snap = tuple(cells)
-            for pid in sorted(group):
+            for pid in group:
                 i = pid - 1
-                sm = snap
-                if proto.sm_filter is not None:
-                    sm = proto.sm_filter(rnd, pid, sm, loc[i])
-                cur_sm[i] = sm
+                cur_sm[i] = snap if sm_filter is None else sm_filter(rnd, pid, snap, loc[i])
         else:  # invoke
-            here: dict[Any, list[int]] = {}
-            for pid in sorted(group):
+            picks = []
+            for pid in group:
                 i = pid - 1
-                obj = proto.select_object(rnd, pid, cur_sm[i], cur_val[i], loc[i])
+                obj = select(rnd, pid, cur_sm[i], cur_val[i], loc[i])
                 if not isinstance(obj, int) or obj < 0:
                     raise InvalidArgumentError(
                         f"object selector returned {obj!r}; expected a "
                         f"non-negative index")
-                selections[pid] = obj
-                sc_inputs[pid] = proto.object_input(pid, loc[i])
-                here.setdefault(obj, []).append(pid)
-            for obj in sorted(here):
-                invokers = here[obj]
+                picks.append(obj)
+                invoked.setdefault(obj, []).append(
+                    (pid, pid if sc_input is None else sc_input(pid, loc[i])))
+            for obj in sorted(set(picks)):
                 if obj in outputs:
                     continue
-                order.append(obj)
-                if len(invokers) == 1:
-                    outputs[obj] = sc_inputs[invokers[0]]
+                # unresolved so far, so every invoker of obj is in this group
+                first = invoked[obj]
+                if len(first) == 1:
+                    outputs[obj] = first[0][1]
                     forced[obj] = True
                 else:
+                    pids = [p for p, _ in first]
                     if adversary is None:
                         raise UnresolvedInstanceError(
-                            f"object {obj!r} contended by {invokers} needs an adversary")
-                    v = adversary.choose(rnd, obj, tuple(invokers), state)
+                            f"object {obj!r} contended by {pids} needs an adversary")
+                    v = adversary.choose(rnd, obj, tuple(pids), state)
                     if not (isinstance(v, int) and 1 <= v <= n):
                         raise InvalidAdversaryError(
                             f"adversary chose {v!r} outside 1..{n}")
                     outputs[obj] = v
                     forced[obj] = False
                     choices.append((rnd, obj, v))
-            for pid in sorted(group):
-                i = pid - 1
-                v = outputs[selections[pid]]
-                if proto.val_filter is not None:
-                    v = proto.val_filter(rnd, pid, v, loc[i])
-                cur_val[i] = v
+            for pid, obj in zip(group, picks):
+                v = outputs[obj]
+                if val_filter is not None:
+                    v = val_filter(rnd, pid, v, loc[pid - 1])
+                cur_val[pid - 1] = v
 
-    by_obj: dict[Any, list[int]] = {}
-    for pid, obj in selections.items():
-        by_obj.setdefault(obj, []).append(pid)
     instances = tuple(
-        SafeConsensusInstance(
-            object_index=obj,
-            invokers=frozenset(by_obj[obj]),
-            inputs=tuple(sorted((p, sc_inputs[p]) for p in by_obj[obj])),
-            output=outputs[obj],
-            forced=forced[obj],
-        )
-        for obj in order
+        SafeConsensusInstance(obj, frozenset(p for p, _ in invoked[obj]),
+                              tuple(sorted(invoked[obj])), out, forced[obj])
+        for obj, out in outputs.items()
     )
     return cur_sm, cur_val, loc, cells, instances, choices
 
@@ -405,20 +422,16 @@ def apply_round_recorded(state: GlobalState, sched: RoundSchedule,
     rnd = state.rnd + 1
     cur_sm, cur_val, loc, cells, instances, choices = _run_events(
         state, sched, proto, adversary)
+    decide, step = proto.decide, proto.step
     new_locals = []
     for i, ls in enumerate(state.locals_):
+        sm, val = cur_sm[i], cur_val[i]
         dec = ls.dec
         if dec is None:
-            dec = proto.decide(cur_sm[i], cur_val[i], loc[i])
-        new_locals.append(LocalState(
-            pid=ls.pid, rnd=rnd, inp=ls.inp, sm=cur_sm[i], val=cur_val[i],
-            dec=dec, locals_=proto.step(loc[i], cur_sm[i], cur_val[i])))
-    new_state = GlobalState(
-        n=state.n, model=state.model, rnd=rnd,
-        locals_=tuple(new_locals),
-        snapshot=SnapshotObject(cells=tuple(cells)),
-        instances=instances,
-    )
+            dec = decide(sm, val, loc[i])
+        new_locals.append(LocalState(ls.pid, rnd, ls.inp, sm, val, dec, step(loc[i], sm, val)))
+    new_state = GlobalState(state.n, state.model, rnd, tuple(new_locals),
+                            SnapshotObject(tuple(cells)), instances)
     return new_state, tuple(choices)
 
 
@@ -705,9 +718,9 @@ def collect_gamma(proto: ProtocolAutomaton, n: int,
                 break
     else:
         rng = random.Random(0)
+        draw = _sigma_draws(n, proto.model)
         for _ in range(budget.max_executions):
-            scheds = [random_sigma_schedule(n, proto.model, rng)
-                      for _ in range(rounds)]
+            scheds = [draw(rng) for _ in range(rounds)]
             adv = SeededRandomAdversary(rng.randrange(2**31), n)
             state = make_initial_state(n, inputs, proto.model, proto)
             for sched in scheds:
@@ -820,8 +833,11 @@ def verify_consensus_exhaustive(n: int, proto_factory=None,
     trees = [scheds] if per_round_cross else [[sched] for sched in scheds]
     for inputs in (inputs_list or consensus_input_vectors(n)):
         valid = {freeze(i) for i in inputs}
-        for tree in trees:
+        for t, tree in enumerate(trees, start=1):
+            t0 = time.perf_counter()
             count, bad, found = _sweep_tree(proto, inputs, tree, rounds, valid)
+            log.debug("exhaustive %s inputs %s tree %d/%d: %d executions, %d violations, %.3fs",
+                      proto.name, inputs, t, len(trees), count, bad, time.perf_counter() - t0)
             total += count
             violations += bad
             if first is None and found is not None:
@@ -852,12 +868,14 @@ def verify_consensus_sampled(n: int, executions: int = 10000, seed: int = 0,
 
 def _sample_range(proto: ProtocolAutomaton, n: int, seed: int, lo: int, hi: int):
     """Violation count and first counterexample of sampled executions lo..hi-1."""
+    t0 = time.perf_counter()
     rounds = proto.round_budget
+    draw = _sigma_draws(n, proto.model)
     violations, first = 0, None
     for k in range(lo, hi):
         rng = random.Random(f"{seed}:{k}")
         inputs = [rng.randint(0, 1) for _ in range(n)]
-        scheds = [random_sigma_schedule(n, proto.model, rng) for _ in range(rounds)]
+        scheds = [draw(rng) for _ in range(rounds)]
         adv = SeededRandomAdversary(rng.randrange(2**31), n)
         exe = run_execution(proto, inputs, scheds, adv)
         verdict = check_consensus(exe, inputs)
@@ -866,6 +884,8 @@ def _sample_range(proto: ProtocolAutomaton, n: int, seed: int, lo: int, hi: int)
             if first is None:
                 first = {"inputs": inputs, "seed": seed, "index": k,
                          "violation": jsonable(verdict.first_violation)}
+    log.debug("sampled %s seed %d indices %d..%d: %d executions, %d violations, %.3fs",
+              proto.name, seed, lo, hi - 1, hi - lo, violations, time.perf_counter() - t0)
     return violations, first
 
 

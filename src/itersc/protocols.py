@@ -8,7 +8,7 @@ write, how to fold a finished round into their locals and when to decide.
 Component conventions:
 
 * ``locals`` is the automaton's own frozen dataclass record, read by
-  attribute; ``step`` returns ``dataclasses.replace(loc, ...)``.  Components
+  attribute; ``step`` returns a new record.  Components
   take and return immutable values, which the executor stores as they are.
 * object indices are fresh per round: the executor keys instances by
   (round, index), matching the one-shot discipline of the iterated models.
@@ -111,12 +111,7 @@ class CoalitionLedger:
     def with_agreement(self, key: int, value) -> "CoalitionLedger":
         items = dict(self.agreements)
         items[key] = value
-        return CoalitionLedger(
-            agreements=tuple(sorted(items.items())),
-            step=self.step,
-            firstid=self.firstid,
-            lastid=self.lastid,
-        )
+        return CoalitionLedger(tuple(sorted(items.items())), self.step, self.firstid, self.lastid)
 
     def advance(self, n: int) -> "CoalitionLedger":
         """End-of-round bookkeeping: slide the window or widen the span."""
@@ -127,7 +122,7 @@ class CoalitionLedger:
         elif fid > 1:
             fid = 1
             stp += 1
-        return CoalitionLedger(agreements=self.agreements, step=stp, firstid=fid, lastid=lid)
+        return CoalitionLedger(self.agreements, stp, fid, lid)
 
     def to_jsonable(self) -> dict:
         return {
@@ -175,11 +170,6 @@ class ProtocolAutomaton:
         if self.write_payload is not None:
             return self.write_payload(pid, inp, sm, val, locals_)
         return (sm, val)
-
-    def object_input(self, pid, locals_):
-        if self.sc_input is not None:
-            return self.sc_input(pid, locals_)
-        return pid
 
 
 def _choose_side(sm, lo: int, hi: int, side: int):
@@ -314,7 +304,7 @@ def protocol_consensus_wor(n: int) -> ProtocolAutomaton:
         fid, lid = window(loc)
         if fid <= loc.id <= lid:
             led = led.with_agreement(tup(fid, lid), group_choice(sm, val, fid, lid))
-        return replace(loc, r=loc.r + 1, ledger=led.advance(n))
+        return Consensus(loc.id, loc.r + 1, led.advance(n))
 
     return ProtocolAutomaton(
         model=WOR,

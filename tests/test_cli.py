@@ -9,7 +9,7 @@ import os
 
 import pytest
 
-from itersc.cli import EXIT_OK, EXIT_USAGE, _sampled_sweep, build_parser, main
+from itersc.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, _sampled_sweep, build_parser, main
 from itersc.executor import enumerate_round_schedules, make_schedule
 
 
@@ -87,6 +87,13 @@ def test_connectivity_lower_bound(capsys):
     assert code == EXIT_OK
     rep = json.loads(out)
     assert rep["result"]["valency"] == {"all-0": "0-valent", "all-1": "1-valent"}
+
+
+def test_connectivity_lower_bound_one_round_is_too_short(capsys):
+    code, out, _ = run_cli(capsys, "connectivity", "--demo", "lower-bound", "--horizon", "1")
+    assert code == EXIT_VIOLATION
+    result = json.loads(out)["result"]
+    assert not result["ok"] and result["endpoint_decisions"] == {"first": {}, "last": {}}
 
 
 def test_connectivity_wro_obstruction_single(capsys):

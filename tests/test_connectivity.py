@@ -516,6 +516,15 @@ def test_lower_bound_demo_all_deficient_automata():
             assert row["raw_states"] >= row["states"]
 
 
+def test_lower_bound_demo_needs_every_process_decided_at_both_ends():
+    # no process decides in round 1, so one round cannot certify the endpoints
+    for name, proto in deficient_wor_samples().items():
+        short = lower_bound_demo(proto, rounds=1)
+        assert short["endpoint_decisions"] == {"first": {}, "last": {}}, name
+        assert not short["ok"], name
+        assert lower_bound_demo(proto, rounds=7)["ok"], name
+
+
 def test_lower_bound_long_horizon():
     # guard: with states that carried their round history, round 7's no-3-box
     # path had 2,260 states and tripled a round; fail fast before trying 20

@@ -5,6 +5,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
+import logging
+import random
+import re
 from math import comb
 
 import pytest
@@ -57,6 +60,7 @@ from itersc.samples import (
     deficient_wor_samples,
     knowledge_automaton,
     owr_transform_samples,
+    resolve_protocol,
     sel_solo,
     wro_transform_samples,
 )
@@ -381,6 +385,100 @@ def test_memoized_sweep_equals_plain_tree_walk(name, proto, inputs_list, per_rou
                                          per_round_cross=per_round_cross,
                                          inputs_list=inputs_list)
     assert report == _reference_report(proto, 3, inputs_list, per_round_cross)
+
+
+# -- sampled sweeps against the plain per-execution loop -----------------------
+
+
+def _sampled_reference(proto, n, executions, seed):
+    """Reference sampled sweep: every round draws its schedule afresh."""
+    rounds = proto.round_budget
+    violations, first = 0, None
+    for k in range(executions):
+        rng = random.Random(f"{seed}:{k}")
+        inputs = [rng.randint(0, 1) for _ in range(n)]
+        scheds = [random_sigma_schedule(n, proto.model, rng) for _ in range(rounds)]
+        adv = SeededRandomAdversary(rng.randrange(2**31), n)
+        verdict = check_consensus(run_execution(proto, inputs, scheds, adv), inputs)
+        if not verdict.ok:
+            violations += 1
+            first = first or {"inputs": inputs, "seed": seed, "index": k,
+                              "violation": jsonable(verdict.first_violation)}
+    return SweepReport(n=n, mode="sampled", executions=executions,
+                       violations=violations, first_counterexample=first)
+
+
+@pytest.mark.parametrize("n, seed", [(5, 5), (5, 11), (6, 6), (6, 12)])
+def test_sampled_sweep_equals_plain_loop(n, seed):
+    report = verify_consensus_sampled(n, executions=200, seed=seed)
+    assert report == _sampled_reference(protocol_consensus_wor(n), n, 200, seed)
+
+
+def test_sampled_sweep_splits_equal_plain_loop_with_violations():
+    from itersc.cli import _sampled_sweep
+    reference = _sampled_reference(DEFICIENT["wor-solo-min"], 3, 60, seed=5)
+    assert reference.violations > 0 and reference.first_counterexample["index"] > 0
+    for jobs in (1, 2, 4):
+        assert _sampled_sweep(3, 60, seed=5, jobs=jobs, protocol="wor-solo-min") == reference
+
+
+@pytest.mark.parametrize("model", [WOR, WRO, OWR])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_sigma_table_draws_like_random_sigma_schedule(n, model):
+    draw = executor._sigma_draws(n, model)
+    plain, tabled = random.Random(n), random.Random(n)
+    drawn = []
+    for _ in range(500):
+        want = random_sigma_schedule(n, model, plain)
+        before = tabled.getstate()
+        got = draw(tabled)
+        assert got == want and str(got) == str(want) and got.to_jsonable() == want.to_jsonable()
+        assert tabled.getstate() == plain.getstate()
+        tabled.setstate(before)
+        assert draw(tabled) is got
+        drawn.append(got)
+    # interned: one object per distinct (kind, ids) event across the table
+    assert len({id(event) for sched in drawn for event in sched.events}) <= 3 * (2**n - 1)
+
+
+def _gamma_reference(proto, n, rounds, executions):
+    """Reference sampled Gamma census: fresh schedules, every round's boxes."""
+    rng = random.Random(0)
+    boxes = set()
+    for _ in range(executions):
+        scheds = [random_sigma_schedule(n, proto.model, rng) for _ in range(rounds)]
+        adv = SeededRandomAdversary(rng.randrange(2**31), n)
+        state = make_initial_state(n, list(range(n)), proto.model, proto)
+        for sched in scheds:
+            state = apply_round(state, sched, adv, proto)
+            boxes.update(inst.box for inst in state.instances)
+    gamma = {m: frozenset(b for b in boxes if len(b) == m) for m in {len(b) for b in boxes}}
+    nu = {m: len(bs) for m, bs in gamma.items() if m >= 2}
+    return GammaReport(n=n, gamma=gamma, nu=nu, nu_total=sum(nu.values()),
+                       executions=executions, partial=False)
+
+
+@pytest.mark.parametrize("name, n, rounds", [
+    ("consensus", 5, 10), ("consensus", 6, 15),
+    ("wro-val-parity", 5, 3),  # its boxes follow the adversary outputs
+])
+def test_sampled_gamma_census_equals_plain_loop(name, n, rounds):
+    proto = resolve_protocol(name, n)
+    report = collect_gamma(proto, n, ExplorationBudget(rounds=rounds, max_executions=100))
+    assert report == _gamma_reference(proto, n, rounds, 100)
+
+
+def test_sweeps_log_one_debug_line_per_tree_and_range(caplog):
+    caplog.set_level(logging.DEBUG, logger="itersc")
+    exhaustive = verify_consensus_exhaustive(2)
+    verify_consensus_sampled(3, executions=20, seed=1)
+    lines = [r.getMessage() for r in caplog.records if r.name == "itersc"]
+    assert len(lines) == len(consensus_input_vectors(2)) + 1
+    trees = [re.fullmatch(r"exhaustive consensus-wor-2 inputs \[.*\] tree 1/1: "
+                          r"(\d+) executions, 0 violations, [0-9.]+s", line) for line in lines[:-1]]
+    assert all(trees) and sum(int(m[1]) for m in trees) == exhaustive.executions
+    assert re.fullmatch(r"sampled consensus-wor-3 seed 1 indices 0\.\.19: "
+                        r"20 executions, 0 violations, [0-9.]+s", lines[-1])
 
 
 # -- negative controls: a sweep that explores nothing cannot pass ---------------
