@@ -13,7 +13,6 @@ import logging
 import os
 import sys
 import time
-from functools import partial
 from typing import Any, Optional
 
 from . import __version__
@@ -22,8 +21,6 @@ from .errors import BudgetExceededError, InvalidArgumentError, IterscError
 from .executor import (
     ScriptedAdversary,
     SeededRandomAdversary,
-    SweepReport,
-    _sample_range,
     collect_gamma,
     protocol_descriptor,
     random_ordered_partition_schedule,
@@ -135,31 +132,10 @@ def cmd_verify_consensus(args) -> int:
         args.mode = "exhaustive" if args.n <= 4 else "sampled"
         config["mode"] = args.mode
     if args.mode == "exhaustive":
-        report = verify_consensus_exhaustive(args.n)
+        report = verify_consensus_exhaustive(args.n, jobs=args.jobs)
     else:
-        report = _sampled_sweep(args.n, args.executions, args.seed, args.jobs)
+        report = verify_consensus_sampled(args.n, args.executions, args.seed, jobs=args.jobs)
     return _emit(args, "verify-consensus", config, report.to_jsonable(), report.ok, t0)
-
-
-def _sampled_sweep(n: int, executions: int, seed: int, jobs: int, protocol: str = "consensus"):
-    """Sampled sweep over ``jobs`` index ranges; every split gives the serial report."""
-    if jobs <= 1:
-        return verify_consensus_sampled(n, executions, seed, partial(resolve_protocol, protocol))
-    from concurrent.futures import ProcessPoolExecutor
-    chunk = max(1, -(-executions // jobs))
-    specs = [(protocol, n, seed, lo, min(lo + chunk, executions))
-             for lo in range(0, executions, chunk)]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(specs), os.cpu_count() or 1)) as pool:
-        parts = list(pool.map(_sampled_worker, specs))
-    firsts = [first for _bad, first in parts if first is not None]
-    return SweepReport(n=n, mode="sampled", executions=executions,
-                       violations=sum(bad for bad, _first in parts),
-                       first_counterexample=min(firsts, key=lambda f: f["index"], default=None))
-
-
-def _sampled_worker(spec):
-    protocol, n, seed, lo, hi = spec
-    return _sample_range(resolve_protocol(protocol, n), n, seed, lo, hi)
 
 
 def cmd_verify_2cc(args) -> int:
@@ -280,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
         "adversary": dict(default="random", help="random | script:FILE"),
         "seed": dict(type=int, default=0, help="seed of every random draw"),
         "horizon": dict(type=int, default=None, help="number of rounds"),
-        "jobs": dict(type=int, default=1, help="index ranges of a sampled sweep, "
-                     "run on at most one worker process per CPU"),
+        "jobs": dict(type=int, default=None, help="index ranges or (input, tree) pairs, "
+                     "default one per usable CPU"),
     }
 
     def command(name, summary, func, *flags):

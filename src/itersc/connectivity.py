@@ -207,6 +207,7 @@ class _Rounds:
     def __init__(self, proto):
         self.proto = proto
         self.children: dict = {}
+        self.schedules: dict = {}  # each RoundSchedule built once, by its groups
 
     def child(self, state: GlobalState, groups, script: Optional[tuple] = None) -> GlobalState:
         """The sigma(groups) successor.  Contended instances output 1, or
@@ -215,7 +216,9 @@ class _Rounds:
         key = (state.rnd, state.locals_, groups, script)
         child = self.children.get(key)
         if child is None:
-            sched = sigma_schedule(groups, state.n, self.proto.model)
+            sched = self.schedules.get(groups)
+            if sched is None:
+                sched = self.schedules[groups] = sigma_schedule(groups, state.n, self.proto.model)
             adv = FixedAdversary(1) if script is None else MapAdversary(dict(script))
             child = self.children[key] = apply_round(state, sched, adv, self.proto)
         return child

@@ -5,12 +5,12 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
-import os
 
 import pytest
 
-from itersc.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, _sampled_sweep, build_parser, main
-from itersc.executor import enumerate_round_schedules, make_schedule
+from itersc import executor
+from itersc.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, build_parser, main
+from itersc.executor import enumerate_round_schedules, make_schedule, verify_consensus_sampled
 
 
 def run_cli(capsys, *argv):
@@ -261,24 +261,45 @@ def test_simulate_ordered_partition_family(capsys, tmp_path):
 
 
 def test_sampled_sweep_starts_at_most_one_worker_per_cpu(monkeypatch):
-    """``--jobs`` sets the split, not the pool size; the fake pool maps in
+    """``jobs`` sets the split, not the pool size; the fake pool maps in
     this process, so no worker starts even when the bound is missing."""
     workers = []
 
     class FakePool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context=None, initializer=None, initargs=()):
             workers.append(max_workers)
+            initializer(*initargs)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
+        def shutdown(self, cancel_futures=False):
+            pass
+
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    report = _sampled_sweep(3, 20, 0, 10_000)
-    assert workers and max(workers) <= (os.cpu_count() or 1)
-    assert report == _sampled_sweep(3, 20, 0, 1)
+    monkeypatch.setattr(executor, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(executor, "_task", None)
+    report = verify_consensus_sampled(3, 20, 0, jobs=10_000)
+    assert workers and max(workers) <= 3
+    assert report == verify_consensus_sampled(3, 20, 0, jobs=1)
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_verify_consensus_refuses_fewer_than_one_job(capsys, mode, jobs):
+    code, _, err = run_cli(capsys, "verify-consensus", "--n", "3", "--mode", mode,
+                           "--executions", "10", "--jobs", jobs)
+    assert code == EXIT_USAGE
+    assert f"jobs must be at least 1, got {jobs}" in err
+
+
+def test_verify_consensus_exhaustive_result_does_not_depend_on_jobs(capsys):
+    results = []
+    for jobs in ("1", "2"):
+        code, out, _ = run_cli(capsys, "verify-consensus", "--mode", "exhaustive",
+                               "--n", "3", "--jobs", jobs)
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["config"]["jobs"] == int(jobs)
+        results.append(report["result"])
+    assert results[0] == results[1]

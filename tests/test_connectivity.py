@@ -653,6 +653,26 @@ def test_memo_hit_is_the_fresh_child():
     assert len(rounds.children) == 2 * len(all_groups)  # both parents share every round
 
 
+@pytest.mark.parametrize("engine, proto", [
+    (wro_extend_round, wro_obstruction_samples()["wro-solo"]),
+    (extend_path_no3box, PAIR),
+], ids=["wro", "no3box"])
+def test_extension_round_builds_each_sigma_schedule_once(monkeypatch, engine, proto):
+    """n = 3 has 13 sigma schedules per model; a round builds each it uses once."""
+    builds = []
+
+    def counting(groups, n, model=WOR):
+        builds.append(groups)
+        return sigma_schedule(groups, n, model)
+
+    monkeypatch.setattr(connectivity, "sigma_schedule", counting)
+    path = initial_chain(proto, 3)
+    for _ in range(4):
+        builds.clear()
+        path = engine(path, proto).loop_erased()
+        assert len(builds) == len(set(builds)) <= 13
+
+
 def test_memo_keys_on_the_schedule_not_its_spelling():
     proto = wro_obstruction_samples()["wro-share-all"]
     s = make_initial_state(3, [0, 1, 0], WRO, proto)

@@ -6,8 +6,10 @@ import dataclasses
 import hashlib
 import itertools
 import logging
+import multiprocessing
 import random
 import re
+from functools import partial
 from math import comb
 
 import pytest
@@ -20,6 +22,7 @@ from itersc.errors import (
     InvalidArgumentError,
     InvalidInputError,
     InvalidScheduleError,
+    ProtocolInvariantError,
     UnresolvedInstanceError,
 )
 from itersc.executor import (
@@ -415,11 +418,42 @@ def test_sampled_sweep_equals_plain_loop(n, seed):
 
 
 def test_sampled_sweep_splits_equal_plain_loop_with_violations():
-    from itersc.cli import _sampled_sweep
     reference = _sampled_reference(DEFICIENT["wor-solo-min"], 3, 60, seed=5)
     assert reference.violations > 0 and reference.first_counterexample["index"] > 0
     for jobs in (1, 2, 4):
-        assert _sampled_sweep(3, 60, seed=5, jobs=jobs, protocol="wor-solo-min") == reference
+        assert verify_consensus_sampled(3, 60, 5, partial(resolve_protocol, "wor-solo-min"),
+                                        jobs=jobs) == reference
+
+
+@pytest.mark.parametrize("name", ["wor-solo-min", "wor-pair12-min", "wor-altpair12-min"])
+def test_exhaustive_sweep_report_does_not_depend_on_jobs(name):
+    serial = verify_consensus_exhaustive(3, proto_factory=lambda n: DEFICIENT[name], jobs=1)
+    assert serial.violations > 0 and serial.first_counterexample is not None
+    for jobs in (2, 4):
+        assert verify_consensus_exhaustive(3, proto_factory=lambda n: DEFICIENT[name],
+                                           jobs=jobs) == serial
+
+
+def test_fixed_schedule_trees_split_like_the_serial_sweep():
+    assert verify_consensus_exhaustive(4, jobs=2) == verify_consensus_exhaustive(4, jobs=1)
+
+
+def _broken_consensus(n):
+    def step(locals_, sm, val):
+        raise ProtocolInvariantError("broken step")
+    return dataclasses.replace(protocol_consensus_wor(n), step=step)
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda: verify_consensus_exhaustive(3, proto_factory=_broken_consensus, jobs=2),
+    lambda: verify_consensus_sampled(3, 400, 0, proto_factory=_broken_consensus, jobs=2),
+], ids=["exhaustive", "sampled"])
+def test_worker_error_reraises_with_its_type_and_leaves_no_process(sweep):
+    with pytest.raises(ProtocolInvariantError, match="broken step") as caught:
+        sweep()
+    if executor._usable_cpus() > 1:  # raised in a worker, not in this process
+        assert type(caught.value.__cause__).__name__ == "_RemoteTraceback"
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("model", [WOR, WRO, OWR])

@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import json
+from functools import partial
 
 from itersc.connectivity import connect_partition_round
-from itersc.executor import FixedAdversary, run_execution, sigma_schedule
+from itersc.executor import (
+    FixedAdversary,
+    run_execution,
+    sigma_schedule,
+    verify_consensus_sampled,
+)
 from itersc.model import WOR, make_initial_state
 from itersc.protocols import protocol_consensus_wor
-from itersc.samples import deficient_wor_samples
+from itersc.samples import deficient_wor_samples, resolve_protocol
 
 
 def _bridge_path():
@@ -39,11 +45,12 @@ def test_trace_jsonl_replays_via_script_file(tmp_path):
 
 
 def test_parallel_sampled_sweep_matches_serial_counts():
-    from itersc.cli import _sampled_sweep
-    serial = _sampled_sweep(3, 60, seed=5, jobs=1, protocol="wor-solo-min")
+    factory = partial(resolve_protocol, "wor-solo-min")
+    serial = verify_consensus_sampled(3, 60, seed=5, proto_factory=factory, jobs=1)
     assert serial.violations > 0 and serial.first_counterexample["index"] > 0
     for jobs in (2, 4):  # with 4 chunks the first counterexample lies past the first
-        assert _sampled_sweep(3, 60, seed=5, jobs=jobs, protocol="wor-solo-min") == serial
+        assert verify_consensus_sampled(3, 60, seed=5, proto_factory=factory,
+                                        jobs=jobs) == serial
 
 
 def test_path_concat_and_label_count_validation():
