@@ -339,7 +339,7 @@ def _run_events(state: GlobalState, sched: RoundSchedule, proto: ProtocolAutomat
     cur_sm = [ls.sm for ls in locals_]
     cur_val = [ls.val for ls in locals_]
     loc = [ls.locals_ for ls in locals_]
-    payload, select, sc_input = proto.payload, proto.select_object, proto.sc_input
+    write, select, sc_input = proto.write_payload, proto.select_object, proto.sc_input
     sm_filter, val_filter = proto.sm_filter, proto.val_filter
     cells: list = [None] * n
     invoked: dict[Any, list] = {}  # object -> its (pid, input) pairs so far this round
@@ -351,7 +351,8 @@ def _run_events(state: GlobalState, sched: RoundSchedule, proto: ProtocolAutomat
         if kind == W:
             for pid in group:
                 i = pid - 1
-                cells[i] = payload(pid, locals_[i].inp, cur_sm[i], cur_val[i], loc[i])
+                cells[i] = ((cur_sm[i], cur_val[i]) if write is None
+                            else write(pid, locals_[i].inp, cur_sm[i], cur_val[i], loc[i]))
         elif kind == R:
             snap = tuple(cells)
             for pid in group:
@@ -359,6 +360,7 @@ def _run_events(state: GlobalState, sched: RoundSchedule, proto: ProtocolAutomat
                 cur_sm[i] = snap if sm_filter is None else sm_filter(rnd, pid, snap, loc[i])
         else:  # invoke
             picks = []
+            fresh = []  # objects first invoked in this group: the unresolved ones
             for pid in group:
                 i = pid - 1
                 obj = select(rnd, pid, cur_sm[i], cur_val[i], loc[i])
@@ -367,11 +369,11 @@ def _run_events(state: GlobalState, sched: RoundSchedule, proto: ProtocolAutomat
                         f"object selector returned {obj!r}; expected a "
                         f"non-negative index")
                 picks.append(obj)
-                invoked.setdefault(obj, []).append(
-                    (pid, pid if sc_input is None else sc_input(pid, loc[i])))
-            for obj in sorted(set(picks)):
-                if obj in outputs:
-                    continue
+                if obj not in invoked:
+                    invoked[obj] = []
+                    fresh.append(obj)
+                invoked[obj].append((pid, pid if sc_input is None else sc_input(pid, loc[i])))
+            for obj in sorted(fresh):
                 # unresolved so far, so every invoker of obj is in this group
                 first = invoked[obj]
                 if len(first) == 1:
@@ -395,12 +397,14 @@ def _run_events(state: GlobalState, sched: RoundSchedule, proto: ProtocolAutomat
                     v = val_filter(rnd, pid, v, loc[pid - 1])
                 cur_val[pid - 1] = v
 
-    instances = tuple(
-        SafeConsensusInstance(obj, frozenset(p for p, _ in invoked[obj]),
-                              tuple(sorted(invoked[obj])), out, forced[obj])
-        for obj, out in outputs.items()
-    )
-    return cur_sm, cur_val, loc, cells, instances, choices
+    instances = []
+    for obj, out in outputs.items():
+        pairs = invoked[obj]
+        if len(pairs) > 1:
+            pairs.sort()
+        instances.append(SafeConsensusInstance(obj, frozenset([p for p, _ in pairs]),
+                                               tuple(pairs), out, forced[obj]))
+    return cur_sm, cur_val, loc, cells, tuple(instances), choices
 
 
 def apply_round(state: GlobalState, sched: RoundSchedule,
@@ -819,8 +823,9 @@ def verify_consensus_exhaustive(n: int, proto_factory=None,
     of each tree, although ``explore`` checks each distinct subtree once.
 
     Each (input vector, tree) pair is its own ``explore``, so the pairs run
-    on up to ``jobs`` worker processes (default: every usable CPU), and the
-    counts merge in serial order: any ``jobs`` gives the serial report.
+    on up to ``jobs`` worker processes (default: one per usable CPU and per
+    ``_MIN_RANGE`` schedule sequences); the counts merge in serial order, so
+    any ``jobs`` gives the serial report.
     """
     from .protocols import protocol_consensus_wor
     _check_jobs(jobs)
@@ -851,9 +856,11 @@ def verify_consensus_exhaustive(n: int, proto_factory=None,
         return count, bad, found, time.perf_counter() - t0
 
     cpus = _usable_cpus()
+    if jobs is None:  # each pair's tree holds len(tree) ** rounds schedule sequences
+        jobs = max(1, min(cpus, len(pairs) * len(trees[0]) ** rounds // _MIN_RANGE))
     total = violations = 0
     first = None
-    parts = _fan_out(sweep, pairs, min(jobs or cpus, cpus))
+    parts = _fan_out(sweep, pairs, min(jobs, cpus))
     for (inputs, t), (count, bad, found, seconds) in zip(pairs, parts):
         log.debug("exhaustive %s inputs %s tree %d/%d: %d executions, %d violations, %.3fs",
                   proto.name, inputs, t + 1, len(trees), count, bad, seconds)
@@ -926,8 +933,8 @@ def _sample_range(proto: ProtocolAutomaton, n: int, seed: int, lo: int, hi: int)
 # ---------------------------------------------------------------------------
 # fanning a sweep out over forked worker processes
 
-# A sampled index range shorter than this stays in the calling process:
-# starting a fork pool and joining it takes about 10 ms on a 2-core x86
+# The least work per worker, in sampled executions or exhaustive schedule
+# sequences: a fork pool takes about 10 ms to start and join on a 2-core x86
 # machine with Python 3.11, against 0.2-1.5 ms per execution at n = 3..6.
 _MIN_RANGE = 100
 

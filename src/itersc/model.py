@@ -21,7 +21,7 @@ from .errors import (
     RoundMismatchError,
     UnresolvedInstanceError,
 )
-from .values import canonical_json, digest, freeze, jsonable
+from .values import canonical_json, digest, freeze, frozen_record, jsonable
 
 WOR = "WOR"
 WRO = "WRO"
@@ -29,6 +29,7 @@ OWR = "OWR"
 MODELS = (WOR, WRO, OWR)
 
 
+@frozen_record
 @dataclass(frozen=True, slots=True)
 class LocalState:
     """Per-process state at a round boundary.
@@ -59,6 +60,7 @@ class LocalState:
         }
 
 
+@frozen_record
 @dataclass(frozen=True, slots=True)
 class SnapshotObject:
     """One-shot snapshot array for a single round."""
@@ -93,6 +95,7 @@ class InvocationSpec:
         return [sorted(b) for b in self]
 
 
+@frozen_record
 @dataclass(frozen=True, slots=True)
 class SafeConsensusInstance:
     """One resolved safe-consensus object invocation.
@@ -121,6 +124,7 @@ class SafeConsensusInstance:
         }
 
 
+@frozen_record
 @dataclass(frozen=True, slots=True)
 class GlobalState:
     """System state at a round boundary: the locals and the shared objects of

@@ -16,7 +16,7 @@ Component conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import comb
 from typing import Any, Callable, Optional
 
@@ -27,6 +27,7 @@ from .errors import (
     ProtocolInvariantError,
 )
 from .model import MODELS, OWR, WOR, WRO
+from .values import frozen_record
 
 # ---------------------------------------------------------------------------
 # coalition arithmetic
@@ -93,6 +94,7 @@ def validate_coalitions_tuple(entries) -> bool:
 # coalition ledger (the per-process agreement store of the consensus protocol)
 
 
+@frozen_record
 @dataclass(frozen=True, slots=True)
 class CoalitionLedger:
     """Per-process record of coalition agreements plus the round bookkeeping."""
@@ -108,13 +110,10 @@ class CoalitionLedger:
                 return v
         return None
 
-    def with_agreement(self, key: int, value) -> "CoalitionLedger":
-        items = dict(self.agreements)
-        items[key] = value
-        return CoalitionLedger(tuple(sorted(items.items())), self.step, self.firstid, self.lastid)
-
-    def advance(self, n: int) -> "CoalitionLedger":
-        """End-of-round bookkeeping: slide the window or widen the span."""
+    def advance(self, n: int, agreement=None) -> "CoalitionLedger":
+        """End of round: store the ``(key, value)`` agreement, if any; move the window."""
+        agreements = self.agreements if agreement is None else tuple(  # the new pair wins
+            sorted(dict(self.agreements + (agreement,)).items()))
         fid, stp = self.firstid, self.step
         lid = fid + stp
         if lid < n:
@@ -122,7 +121,7 @@ class CoalitionLedger:
         elif fid > 1:
             fid = 1
             stp += 1
-        return CoalitionLedger(self.agreements, stp, fid, lid)
+        return CoalitionLedger(agreements, stp, fid, lid)
 
     def to_jsonable(self) -> dict:
         return {
@@ -187,6 +186,7 @@ def _choose_side(sm, lo: int, hi: int, side: int):
 # g-2coalitions-consensus from one safe-consensus object
 
 
+@frozen_record
 @dataclass(frozen=True, slots=True)
 class TwoCC:
     """Locals of ``protocol_2cc``: the process's (left, right) input pair."""
@@ -241,6 +241,7 @@ def protocol_2cc(g: int) -> ProtocolAutomaton:
 GROUP_OBJECT = 0  # per-round index of the group's shared object
 
 
+@frozen_record
 @dataclass(frozen=True, slots=True)
 class Consensus:
     """Locals of ``protocol_consensus_wor``: rounds done and the ledger."""
@@ -300,11 +301,9 @@ def protocol_consensus_wor(n: int) -> ProtocolAutomaton:
         return loc.ledger.get(tup(1, n))  # pragma: no cover - final group is everyone
 
     def step(loc, sm, val):
-        led = loc.ledger
         fid, lid = window(loc)
-        if fid <= loc.id <= lid:
-            led = led.with_agreement(tup(fid, lid), group_choice(sm, val, fid, lid))
-        return Consensus(loc.id, loc.r + 1, led.advance(n))
+        agreement = (tup(fid, lid), group_choice(sm, val, fid, lid)) if fid <= loc.id <= lid else None
+        return Consensus(loc.id, loc.r + 1, loc.ledger.advance(n, agreement))
 
     return ProtocolAutomaton(
         model=WOR,
@@ -322,6 +321,7 @@ def protocol_consensus_wor(n: int) -> ProtocolAutomaton:
 # model simulations
 
 
+@frozen_record
 @dataclass(frozen=True, slots=True)
 class OwrSim:
     """Locals of ``transform_wro_to_owr``: the source's record one round behind,
@@ -334,6 +334,7 @@ class OwrSim:
     inner: Any
 
 
+@frozen_record
 @dataclass(frozen=True, slots=True)
 class WroSim:
     """Locals of ``transform_owr_to_wro``: the source's record one round behind,
@@ -384,9 +385,9 @@ def transform_wro_to_owr(proto: ProtocolAutomaton) -> ProtocolAutomaton:
 
     def step(loc, sm, val):
         if loc.r >= 1:
-            loc = replace(loc, decp=decide(sm, val, loc),
-                          inner=proto.step(loc.inner, loc.prev_sm, val))
-        return replace(loc, r=loc.r + 1, prev_sm=sm)
+            return OwrSim(loc.id, loc.r + 1, decide(sm, val, loc), sm,
+                          proto.step(loc.inner, loc.prev_sm, val))
+        return OwrSim(loc.id, loc.r + 1, loc.decp, sm, loc.inner)
 
     return ProtocolAutomaton(
         model=OWR,
@@ -439,9 +440,9 @@ def transform_owr_to_wro(proto: ProtocolAutomaton) -> ProtocolAutomaton:
 
     def step(loc, sm, val):
         if loc.r >= 1:
-            loc = replace(loc, decp=decide(sm, val, loc),
-                          inner=proto.step(loc.inner, sm, loc.prev_val))
-        return replace(loc, r=loc.r + 1, prev_val=val)
+            return WroSim(loc.id, loc.inp, loc.r + 1, decide(sm, val, loc), val,
+                          proto.step(loc.inner, sm, loc.prev_val))
+        return WroSim(loc.id, loc.inp, loc.r + 1, loc.decp, val, loc.inner)
 
     return ProtocolAutomaton(
         model=WRO,

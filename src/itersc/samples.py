@@ -13,16 +13,18 @@ invoke-first simulation queries round 0 and discards the result).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import InvalidArgumentError
 from .model import OWR, WOR, WRO
 from .protocols import ProtocolAutomaton, protocol_2cc, protocol_consensus_wor
+from .values import frozen_record
 
 SOLO_BASE = 1000  # solo object for process i uses index SOLO_BASE + i
 
 
+@frozen_record
 @dataclass(frozen=True, slots=True)
 class Knowledge:
     """Locals of a knowledge automaton: rounds done, sorted inputs heard of."""
@@ -56,7 +58,7 @@ def knowledge_automaton(model: str, name: str, select: Callable,
         return min(merge(loc, sm))
 
     def step(loc, sm, val):
-        return replace(loc, r=loc.r + 1, known=merge(loc, sm))
+        return Knowledge(loc.id, loc.r + 1, merge(loc, sm))
 
     return ProtocolAutomaton(
         model=model,

@@ -14,6 +14,22 @@ import json
 from typing import Any
 
 
+def frozen_record(cls):
+    """Give a frozen slotted dataclass an ``__init__`` of the same signature that stores
+    each field through its slot descriptor, about twice as fast as ``object.__setattr__``."""
+    fields, params = dataclasses.fields(cls), cls.__dataclass_params__
+    if (not (fields and params.frozen and "__slots__" in vars(cls)) or hasattr(cls, "__post_init__")
+            or any(not f.init or f.kw_only or f.default_factory is not dataclasses.MISSING
+                   for f in fields)):
+        raise TypeError(f"{cls.__name__} is not a plain frozen slotted dataclass")
+    ns = {f"_set_{f.name}": vars(cls)[f.name].__set__ for f in fields}
+    exec(f"def __init__(self, {', '.join(f.name for f in fields)}):"
+         + "".join(f"\n    _set_{f.name}(self, {f.name})" for f in fields), ns)
+    cls.__init__ = ns["__init__"]
+    cls.__init__.__defaults__ = tuple(f.default for f in fields if f.default is not dataclasses.MISSING)
+    return cls
+
+
 def freeze(value: Any) -> Any:
     """Return a hashable, canonical version of ``value``.
 

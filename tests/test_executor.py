@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import hashlib
 import itertools
@@ -436,6 +437,30 @@ def test_exhaustive_sweep_report_does_not_depend_on_jobs(name):
 
 def test_fixed_schedule_trees_split_like_the_serial_sweep():
     assert verify_consensus_exhaustive(4, jobs=2) == verify_consensus_exhaustive(4, jobs=1)
+
+
+class _PoolStarted(Exception):
+    pass
+
+
+def _refuse_pool(*args, **kwargs):
+    raise _PoolStarted
+
+
+def test_exhaustive_n2_default_starts_no_pool(monkeypatch):
+    """20 executions cost 2-3 ms, far less than starting a fork pool."""
+    serial = verify_consensus_exhaustive(2, jobs=1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _refuse_pool)
+    monkeypatch.setattr(executor, "_usable_cpus", lambda: 2)
+    assert verify_consensus_exhaustive(2) == serial
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_exhaustive_default_fans_out_from_n3(monkeypatch, n):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _refuse_pool)
+    monkeypatch.setattr(executor, "_usable_cpus", lambda: 2)
+    with pytest.raises(_PoolStarted):
+        verify_consensus_exhaustive(n)
 
 
 def _broken_consensus(n):

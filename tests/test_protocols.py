@@ -28,6 +28,7 @@ from itersc.protocols import (
     gamma,
     protocol_2cc,
     protocol_consensus_wor,
+    tup,
     transform_owr_to_wro,
     transform_wro_to_owr,
     tup,
@@ -104,6 +105,39 @@ def test_coalition_group_matches_ledger_bookkeeping():
             fid, lid, step = coalition_group(n, r)
             assert (led.firstid, led.firstid + led.step, led.step) == (fid, lid, step)
             led = led.advance(n)
+
+
+def _advance_reference(led, n, agreement):
+    """The ledger update spelled out with a dict and the closed-form window."""
+    items = dict(led.agreements)
+    if agreement is not None:
+        items[agreement[0]] = agreement[1]
+    fid, lid, step = led.firstid, led.firstid + led.step, led.step
+    if lid < n:
+        fid += 1
+    elif fid > 1:
+        fid, step = 1, step + 1
+    return CoalitionLedger(tuple(sorted(items.items())), step, fid, lid)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_ledger_advance_folds_the_agreement_in(n):
+    """Every window of n: a fresh key, an overwritten key and no agreement."""
+    led = CoalitionLedger(agreements=((tup(1, 1), 0), (tup(n, n), 1)))
+    for r in range(1, comb(n, 2) + 1):
+        fid, lid, _step = coalition_group(n, r)
+        fresh = (tup(fid, lid), r % 2)
+        existing = (led.agreements[r % len(led.agreements)][0], f"new-{r}")
+        assert existing[0] in dict(led.agreements) and fresh[0] not in dict(led.agreements)
+        for agreement in (fresh, existing, None):
+            got = led.advance(n, agreement)
+            assert got == _advance_reference(led, n, agreement), (n, r, agreement)
+            assert list(got.agreements) == sorted(got.agreements)
+        if r < comb(n, 2):
+            nxt = coalition_group(n, r + 1)
+            assert (got.firstid, got.step) == (nxt[0], nxt[2])
+        led = led.advance(n, fresh)
+    assert len(led.agreements) == 2 + comb(n, 2)  # one fresh key a round
 
 
 def test_validate_coalitions_tuple():
