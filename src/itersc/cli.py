@@ -99,7 +99,7 @@ def _make_adversary(spec: str, seed: int, n: int):
 def cmd_simulate(args) -> int:
     proto = resolve_protocol(args.protocol, args.n)
     inputs = _parse_ids(args.inputs) if args.inputs else list(range(args.n))
-    rounds = args.horizon or proto.round_budget or 3
+    rounds = args.horizon if args.horizon is not None else proto.round_budget or 3
     import random as _random
     rng = _random.Random(args.seed)
     if args.groups:

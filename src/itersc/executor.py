@@ -232,13 +232,21 @@ def random_sigma_schedule(n: int, model: str, rng: random.Random) -> RoundSchedu
 
 
 def _sigma_blocks(n: int, rng: random.Random) -> tuple:
-    """The sigma groups of one random draw, each as a sorted id tuple."""
+    """The sigma groups of one random draw, each as a sorted id tuple: ``rng.shuffle(ids)``,
+    then ``rng.randint(1, n - i)`` per block, spelled as the getrandbits loops they run."""
+    getrandbits = rng.getrandbits
     ids = list(range(1, n + 1))
-    rng.shuffle(ids)
+    for i in range(n - 1, 0, -1):
+        j = i + 1  # until a draw lands in 0..i
+        while j > i:
+            j = getrandbits((i + 1).bit_length())
+        ids[i], ids[j] = ids[j], ids[i]
     blocks = []
     i = 0
     while i < n:
-        size = rng.randint(1, n - i)
+        size = n - i + 1  # until a draw lands in 1..n-i
+        while size > n - i:
+            size = getrandbits((n - i).bit_length()) + 1
         blocks.append(tuple(sorted(ids[i:i + size])))
         i += size
     return tuple(blocks)
@@ -887,6 +895,8 @@ def verify_consensus_sampled(n: int, executions: int = 10000, seed: int = 0,
     """
     from .protocols import protocol_consensus_wor
     _check_jobs(jobs)
+    if executions < 1:
+        raise InvalidArgumentError(f"executions must be at least 1, got {executions}")
     factory = proto_factory or protocol_consensus_wor
     proto = factory(n)
     cpus = _usable_cpus()
@@ -920,8 +930,10 @@ def _sample_range(proto: ProtocolAutomaton, n: int, seed: int, lo: int, hi: int)
         inputs = [rng.randint(0, 1) for _ in range(n)]
         scheds = [draw(rng) for _ in range(rounds)]
         adv = SeededRandomAdversary(rng.randrange(2**31), n)
-        exe = run_execution(proto, inputs, scheds, adv)
-        verdict = check_consensus(exe, inputs)
+        state = make_initial_state(n, inputs, proto.model, proto)
+        for sched in scheds:
+            state = apply_round(state, sched, adv, proto)
+        verdict = _check_decisions(state, rounds, set(inputs))
         if not verdict.ok:
             violations += 1
             if first is None:

@@ -16,6 +16,7 @@ Component conventions:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb
 from typing import Any, Callable, Optional
@@ -94,6 +95,14 @@ def validate_coalitions_tuple(entries) -> bool:
 # coalition ledger (the per-process agreement store of the consensus protocol)
 
 
+def _agreement(agreements: tuple, key: int):
+    """The value stored under ``key`` in ``(key, value)`` pairs, or None."""
+    for k, v in agreements:
+        if k == key:
+            return v
+    return None
+
+
 @frozen_record
 @dataclass(frozen=True, slots=True)
 class CoalitionLedger:
@@ -105,10 +114,7 @@ class CoalitionLedger:
     lastid: int = 1
 
     def get(self, key: int):
-        for k, v in self.agreements:
-            if k == key:
-                return v
-        return None
+        return _agreement(self.agreements, key)
 
     def advance(self, n: int, agreement=None) -> "CoalitionLedger":
         """End of round: store the ``(key, value)`` agreement, if any; move the window."""
@@ -244,11 +250,24 @@ GROUP_OBJECT = 0  # per-round index of the group's shared object
 @frozen_record
 @dataclass(frozen=True, slots=True)
 class Consensus:
-    """Locals of ``protocol_consensus_wor``: rounds done and the ledger."""
+    """Locals of ``protocol_consensus_wor``: rounds done and the agreements; the
+    rest of the ledger is a function of ``n`` and ``r`` (see ``ledger``)."""
 
     id: int
+    n: int
     r: int
-    ledger: CoalitionLedger
+    agreements: tuple  # sorted ((tup-index, value), ...)
+
+    @property
+    def ledger(self) -> CoalitionLedger:
+        """The ledger that r rounds of ``CoalitionLedger.advance`` leave behind."""
+        last = comb(self.n, 2)
+        fid, _lid, step = coalition_group(self.n, min(self.r + 1, last))
+        lastid = coalition_group(self.n, min(self.r, last))[1] if self.r else 1
+        return CoalitionLedger(self.agreements, step, fid, lastid)
+
+    def to_jsonable(self) -> dict:
+        return {"id": self.id, "r": self.r, "ledger": self.ledger.to_jsonable()}
 
 
 def protocol_consensus_wor(n: int) -> ProtocolAutomaton:
@@ -264,24 +283,23 @@ def protocol_consensus_wor(n: int) -> ProtocolAutomaton:
     if n < 2:
         raise InvalidConfigurationError(f"need at least 2 processes, got n={n}")
     budget = comb(n, 2)
+    last = budget - 1
+    # rounds done -> the next round's (fid, lid, left key, right key, agreement key),
+    # clamped at the last round: past the budget the window stays (1, n)
+    plan = tuple((fid, lid, tup(fid, lid - 1), tup(fid + 1, lid), tup(fid, lid))
+                 for fid, lid, _step in (coalition_group(n, r) for r in range(1, budget + 1)))
 
     def init(pid, inp):
-        return Consensus(id=pid, r=0,
-                         ledger=CoalitionLedger(agreements=((tup(pid, pid), inp),)))
-
-    def window(loc):
-        led = loc.ledger
-        return led.firstid, led.firstid + led.step
+        return Consensus(pid, n, 0, ((tup(pid, pid), inp),))
 
     def select_object(rnd, pid, sm, val, loc):
-        fid, lid = window(loc)
+        fid, lid, _left, _right, _key = plan[loc.r if loc.r < last else last]
         return GROUP_OBJECT if fid <= pid <= lid else pid
 
     def write_payload(pid, inp, sm, val, loc):
-        fid, lid = window(loc)
+        fid, lid, left, right, _key = plan[loc.r if loc.r < last else last]
         if fid <= pid <= lid:
-            led = loc.ledger
-            return (led.get(tup(fid, lid - 1)), led.get(tup(fid + 1, lid)))
+            return (_agreement(loc.agreements, left), _agreement(loc.agreements, right))
         return (None, None)
 
     def group_choice(sm, val, fid, lid):
@@ -293,17 +311,16 @@ def protocol_consensus_wor(n: int) -> ProtocolAutomaton:
         return chosen
 
     def decide(sm, val, loc):
-        if loc.r + 1 < budget:
-            return None
-        fid, lid = window(loc)  # final round: fid=1, lid=n
-        if fid <= loc.id <= lid:
-            return group_choice(sm, val, fid, lid)
-        return loc.ledger.get(tup(1, n))  # pragma: no cover - final group is everyone
+        return None if loc.r < last else group_choice(sm, val, 1, n)  # the last group is everyone
 
     def step(loc, sm, val):
-        fid, lid = window(loc)
-        agreement = (tup(fid, lid), group_choice(sm, val, fid, lid)) if fid <= loc.id <= lid else None
-        return Consensus(loc.id, loc.r + 1, loc.ledger.advance(n, agreement))
+        fid, lid, _left, _right, key = plan[loc.r if loc.r < last else last]
+        agreements = loc.agreements
+        if fid <= loc.id <= lid:
+            i = bisect_left(agreements, (key,))  # (key,) sorts before every (key, value)
+            j = i + 1 if i < len(agreements) and agreements[i][0] == key else i  # the new pair wins
+            agreements = agreements[:i] + ((key, group_choice(sm, val, fid, lid)),) + agreements[j:]
+        return Consensus(loc.id, n, loc.r + 1, agreements)
 
     return ProtocolAutomaton(
         model=WOR,

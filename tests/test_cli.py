@@ -168,6 +168,13 @@ def test_simulate_trace(capsys, tmp_path):
     assert all("schedule" in json.loads(line) for line in lines)
 
 
+def test_simulate_refuses_zero_rounds(capsys):
+    """``--horizon 0`` asks for no round, not for the protocol's round budget."""
+    code, out, err = run_cli(capsys, "simulate", "--n", "6", "--horizon", "0")
+    assert code == EXIT_USAGE and out == ""
+    assert "at least one round schedule is required" in err
+
+
 def test_enumerate_adversary_is_rejected(capsys):
     code, _, err = run_cli(capsys, "simulate", "--adversary", "enumerate")
     assert code == EXIT_USAGE
@@ -291,6 +298,14 @@ def test_verify_consensus_refuses_fewer_than_one_job(capsys, mode, jobs):
                            "--executions", "10", "--jobs", jobs)
     assert code == EXIT_USAGE
     assert f"jobs must be at least 1, got {jobs}" in err
+
+
+@pytest.mark.parametrize("executions", ["0", "-5"])
+def test_verify_consensus_refuses_fewer_than_one_sampled_execution(capsys, executions):
+    code, out, err = run_cli(capsys, "verify-consensus", "--n", "3", "--mode", "sampled",
+                             "--executions", executions)
+    assert code == EXIT_USAGE and out == ""
+    assert f"executions must be at least 1, got {executions}" in err
 
 
 def test_verify_consensus_exhaustive_result_does_not_depend_on_jobs(capsys):

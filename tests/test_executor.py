@@ -500,6 +500,30 @@ def test_sigma_table_draws_like_random_sigma_schedule(n, model):
     assert len({id(event) for sched in drawn for event in sched.events}) <= 3 * (2**n - 1)
 
 
+def _sigma_blocks_reference(n, rng):
+    """The sigma draw as ``random.Random``'s own methods make it."""
+    ids = list(range(1, n + 1))
+    rng.shuffle(ids)
+    blocks = []
+    i = 0
+    while i < n:
+        size = rng.randint(1, n - i)
+        blocks.append(tuple(sorted(ids[i:i + size])))
+        i += size
+    return tuple(blocks)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_sigma_blocks_draw_like_shuffle_and_randint(n):
+    """The spelled-out draw reads the generator exactly as ``shuffle`` and
+    ``randint`` do; a change to ``random.Random`` fails here instead of
+    changing which executions a seed samples."""
+    ours, theirs = random.Random(n), random.Random(n)
+    for _ in range(10_000):
+        assert executor._sigma_blocks(n, ours) == _sigma_blocks_reference(n, theirs)
+        assert ours.getstate() == theirs.getstate()
+
+
 def _gamma_reference(proto, n, rounds, executions):
     """Reference sampled Gamma census: fresh schedules, every round's boxes."""
     rng = random.Random(0)

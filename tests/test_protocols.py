@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from math import comb
 
 import pytest
@@ -13,10 +14,12 @@ from itersc.errors import DomainError, InvalidConfigurationError, ModelMismatchE
 from itersc.executor import (
     FixedAdversary,
     MapAdversary,
+    SeededRandomAdversary,
     apply_round,
     enumerate_round_schedules,
     make_initial_state,
     probe_round,
+    random_sigma_schedule,
     run_execution,
     sigma_schedule,
     verify_2cc,
@@ -40,6 +43,7 @@ from itersc.samples import (
     sel_solo,
     wro_transform_samples,
 )
+from itersc.values import canonical_json, jsonable
 
 
 def test_tup_values():
@@ -223,11 +227,11 @@ def test_consensus_object_usage_n4():
     assert report.nu_total == comb(4, 2)
 
 
-def test_consensus_coalition_ledger_soundness():
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_consensus_coalition_ledger_soundness(n):
     # after round gamma(n, m) every process sits in some span-m coalition
-    n = 4
     proto = protocol_consensus_wor(n)
-    inputs = [10, 11, 12, 13]
+    inputs = [10 + i for i in range(n)]
     state = make_initial_state(n, inputs, WOR, proto)
     sched = sigma_schedule((), n, WOR)
     for r in range(1, comb(n, 2) + 1):
@@ -250,6 +254,41 @@ def test_consensus_coalition_ledger_soundness():
                         lq = state.local(q).locals_.ledger
                         got = lq.get(tup(i, i + m))
                         assert got is None or got == v
+
+
+def _ledger_step_reference(led, pid, n, sm, val):
+    """One consensus round on a stored ledger: a member of the window adopts the
+    lowest non-bottom field of its side, and ``CoalitionLedger.advance`` folds it in."""
+    fid, lid = led.firstid, led.firstid + led.step
+    agreement = None
+    if fid <= pid <= lid:
+        side = 1 if val == lid else 0
+        fields = [cell[side] for cell in sm[fid - 1:lid]
+                  if isinstance(cell, tuple) and len(cell) == 2 and cell[side] is not None]
+        agreement = (tup(fid, lid), fields[0])
+    return led.advance(n, agreement)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_consensus_locals_show_the_stored_ledger(n):
+    """``ledger`` and the JSON form of the consensus locals equal a ledger
+    record advanced round by round, also past the round budget."""
+    proto = protocol_consensus_wor(n)
+    rng = random.Random(n)
+    inputs = [rng.randint(0, 1) for _ in range(n)]
+    state = make_initial_state(n, inputs, WOR, proto)
+    ledgers = [CoalitionLedger(agreements=((tup(pid, pid), inp),))
+               for pid, inp in enumerate(inputs, start=1)]
+    adv = SeededRandomAdversary(n, n)
+    for r in range(1, proto.round_budget + 4):
+        state = apply_round(state, random_sigma_schedule(n, WOR, rng), adv, proto)
+        ledgers = [_ledger_step_reference(led, ls.pid, n, ls.sm, ls.val)
+                   for led, ls in zip(ledgers, state.locals_)]
+        for led, ls in zip(ledgers, state.locals_):
+            assert ls.locals_.ledger == led, (r, ls.pid)
+            want = {"id": ls.pid, "r": r, "ledger": jsonable(led)}
+            assert jsonable(ls.locals_) == want
+            assert canonical_json(ls.locals_) == canonical_json(want)
 
 
 def test_consensus_full_run_decides_common_input():

@@ -47,7 +47,6 @@ from itersc.values import canonical_json, frozen_record, jsonable
 # ---------------------------------------------------------------------------
 # the record constructor
 
-_LEDGER = CoalitionLedger(((4, 0), (12, 1)), 2, 1, 3)
 _KNOWLEDGE = Knowledge(2, 1, (0, 1))
 _LOCAL_VALUES = (1, 2, 0, ((0, None), (1, None)), 2, None, _KNOWLEDGE)
 _LOCAL = LocalState(*_LOCAL_VALUES)
@@ -61,7 +60,7 @@ SAMPLES = {
                   SnapshotObject(((0, None), (1, None))),
                   (SafeConsensusInstance(0, frozenset({1, 2}), ((1, 1), (2, 2)), 2, False),)),
     CoalitionLedger: (((4, 0), (12, 1)), 2, 1, 3),
-    Consensus: (1, 3, _LEDGER),
+    Consensus: (1, 4, 3, ((4, 0), (8, 1))),  # id, n, r, agreements
     TwoCC: (2, (5, None)),
     Knowledge: (2, 1, (0, 1)),
     OwrSim: (1, 2, None, ((0,), (1,)), _KNOWLEDGE),
