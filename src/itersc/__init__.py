@@ -21,7 +21,6 @@ from .model import (  # noqa: F401
     sc_value_of,
 )
 from .protocols import (  # noqa: F401
-    CoalitionLedger,
     ProtocolAutomaton,
     coalition_group,
     gamma,

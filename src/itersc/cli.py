@@ -126,14 +126,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify_consensus(args) -> int:
     t0 = time.time()
-    config = {"n": args.n, "mode": args.mode, "executions": args.executions,
-              "seed": args.seed, "jobs": args.jobs}
-    if args.mode == "auto":
-        args.mode = "exhaustive" if args.n <= 4 else "sampled"
-        config["mode"] = args.mode
-    if args.mode == "exhaustive":
+    mode = args.mode
+    if mode == "auto":
+        mode = "exhaustive" if args.n <= 4 else "sampled"
+    config = {"n": args.n, "mode": mode, "jobs": args.jobs}
+    if mode == "exhaustive":
         report = verify_consensus_exhaustive(args.n, jobs=args.jobs)
     else:
+        config.update(executions=args.executions, seed=args.seed)
         report = verify_consensus_sampled(args.n, args.executions, args.seed, jobs=args.jobs)
     return _emit(args, "verify-consensus", config, report.to_jsonable(), report.ok, t0)
 
@@ -247,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="itersc",
         description="Iterated shared-memory models with safe-consensus objects")
-    parser.add_argument("--config", help="JSON config file (flags override it)")
     sub = parser.add_subparsers(dest="command")
     shared = {
         "n": dict(type=int, default=3, help="number of processes"),

@@ -359,8 +359,7 @@ def _run_events(state: GlobalState, sched: RoundSchedule, proto: ProtocolAutomat
         if kind == W:
             for pid in group:
                 i = pid - 1
-                cells[i] = ((cur_sm[i], cur_val[i]) if write is None
-                            else write(pid, locals_[i].inp, cur_sm[i], cur_val[i], loc[i]))
+                cells[i] = write(pid, locals_[i].inp, cur_sm[i], cur_val[i], loc[i])
         elif kind == R:
             snap = tuple(cells)
             for pid in group:
@@ -487,19 +486,19 @@ def successors(state: GlobalState, sched: RoundSchedule, proto: ProtocolAutomato
 
 
 def explore(root: GlobalState, scheds, proto: ProtocolAutomaton,
-            leaf: Callable, join: Callable, on_child: Optional[Callable] = None):
+            leaf: Callable, join: Callable):
     """Summary of the tree of every schedule in ``scheds`` x every adversary
     output, round after round, below ``root``.
 
-    ``leaf(state, depth)`` returns the summary of a leaf, or None to branch.
+    ``leaf(state, depth)`` returns the summary of a leaf, or None to branch;
+    it sees the root and every child state the walk computes.
     ``join(parts)`` folds the ``((sched, choices), summary)`` pairs of a
     node's children, in depth-first order, into the node's summary.
-    ``on_child`` sees every child state the walk computes.
 
     Identical subtrees are explored once: the summaries of inner nodes are
     memoized by ``(depth, locals_)``.  This is sound because a round reads only the
     locals, round number and n of its state, the enumerated adversary
-    ignores the state, and ``leaf`` must read only the locals.  The walk
+    ignores the state, and the summaries of ``leaf`` must read only the locals.  The walk
     stays depth-first, so counts and first counterexamples are exactly
     those of the plain tree walk.
     """
@@ -515,8 +514,6 @@ def explore(root: GlobalState, scheds, proto: ProtocolAutomaton,
             parts = []
             for sched in scheds:
                 for choices, child in successors(state, sched, proto):
-                    if on_child is not None:
-                        on_child(child)
                     parts.append(((sched, choices), rec(child, depth + 1)))
             summary = memo[key] = join(parts)
         return summary
@@ -715,17 +712,16 @@ def collect_gamma(proto: ProtocolAutomaton, n: int,
     partial = False
     inputs = list(range(n))  # distinct inputs; the box structure does not depend on values
 
-    def record(state: GlobalState):
+    def leaf(state: GlobalState, depth: int):
         boxes.update(inst.box for inst in state.instances)
+        return 1 if depth == rounds else None
 
     if n <= 4:
         init = make_initial_state(n, inputs, proto.model, proto)
         cap = budget.max_executions * 100
         for sched in enumerate_round_schedules(n, proto.model, "sigma"):
-            count += explore(init, [sched], proto,
-                             lambda _s, depth: 1 if depth == rounds else None,
-                             lambda parts: sum(leaves for _step, leaves in parts),
-                             record)
+            count += explore(init, [sched], proto, leaf,
+                             lambda parts: sum(leaves for _step, leaves in parts))
             if count >= cap:
                 count, partial = cap, True
                 break
@@ -738,7 +734,7 @@ def collect_gamma(proto: ProtocolAutomaton, n: int,
             state = make_initial_state(n, inputs, proto.model, proto)
             for sched in scheds:
                 state = apply_round(state, sched, adv, proto)
-                record(state)
+                boxes.update(inst.box for inst in state.instances)
             count += 1
 
     gamma_map: dict[int, set] = {}

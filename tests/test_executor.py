@@ -68,7 +68,7 @@ from itersc.samples import (
     sel_solo,
     wro_transform_samples,
 )
-from itersc.values import freeze, jsonable
+from itersc.values import canonical_json, freeze, jsonable
 
 
 def test_sigma_schedule_wor_shape():
@@ -272,7 +272,7 @@ def test_adversary_enumeration_covers_choice_space():
     for values in itertools.product((1, 2, 3), repeat=len(contended)):
         from itersc.executor import MapAdversary
         nxt = apply_round(init, sched, MapAdversary(dict(zip(contended, values))), proto)
-        outcomes.add(nxt.local(1).val)
+        outcomes.add(nxt.locals_[0].val)
     assert outcomes == {1, 2, 3}
 
 
@@ -648,7 +648,7 @@ def test_rounds_freeze_nothing(monkeypatch):
         assert all(dataclasses.is_dataclass(ls.locals_) for ls in exe.final.locals_), name
 
 
-# SHA-256 of (to_jsonl(), final.to_json()) of each recorded run: pins the
+# SHA-256 of (to_jsonl(), canonical JSON of final) of each recorded run: pins the
 # JSON form of traces, states and locals records.  A state holds only its
 # own round's snapshot and instances; traces never held either.
 RECORDED_DIGESTS = {
@@ -671,5 +671,5 @@ RECORDED_DIGESTS = {
 def test_recorded_run_digests_are_stable(name):
     exe = _recorded_run(name)
     digests = tuple(hashlib.sha256(text.encode()).hexdigest()
-                    for text in (exe.to_jsonl(), exe.final.to_json()))
+                    for text in (exe.to_jsonl(), canonical_json(exe.final.to_jsonable())))
     assert digests == RECORDED_DIGESTS[name]

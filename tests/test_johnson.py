@@ -10,14 +10,10 @@ from hypothesis import strategies as st
 
 from itersc.errors import BudgetExceededError, DomainError, PreconditionViolationError
 from itersc.johnson import (
-    SubgraphView,
     adjacent,
     check_partition,
     components,
-    full_vertex_set,
-    is_connected,
     partition_two_blocks,
-    verify_union_bound,
     verify_zeta_vanishing,
     vertex_set,
     zeta,
@@ -40,7 +36,7 @@ def test_zeta_disjoint_pair_empty():
 
 def test_zeta_domain_error_at_top_level():
     with pytest.raises(DomainError):
-        zeta(full_vertex_set(3, 3))
+        zeta(vertex_set(3, 3, [(1, 2, 3)]))
 
 
 def test_zeta_iter_identity_and_chain():
@@ -65,11 +61,21 @@ def test_components_shapes():
     assert [c.vertices for c in comps] == [((1, 2),), ((3, 4),)]
 
 
+def _is_connected(u):
+    return len(components(u)) <= 1
+
+
+def _union_bound_holds(u):
+    """The lemma for connected induced subgraphs: |union U| <= m - 1 + |U|."""
+    return len(u.union_of()) <= u.m - 1 + len(u)
+
+
 def test_union_bound_cases():
-    assert verify_union_bound(vertex_set(4, 2, [(1, 2)]))
-    assert verify_union_bound(vertex_set(4, 2, [(1, 2), (2, 3), (3, 4)]))
-    with pytest.raises(PreconditionViolationError):
-        verify_union_bound(vertex_set(4, 2, [(1, 2), (3, 4)]))
+    assert _union_bound_holds(vertex_set(4, 2, [(1, 2)]))
+    assert _union_bound_holds(vertex_set(4, 2, [(1, 2), (2, 3), (3, 4)]))
+    # the bound needs connectivity: two disjoint pairs cover 4 > 1 + 2 ids
+    disjoint = vertex_set(4, 2, [(1, 2), (3, 4)])
+    assert not _is_connected(disjoint) and not _union_bound_holds(disjoint)
 
 
 def test_union_bound_exhaustive_small():
@@ -79,8 +85,8 @@ def test_union_bound_exhaustive_small():
         for k in range(1, min(len(vs), 5) + 1):
             for combo in itertools.combinations(vs, k):
                 u = vertex_set(n, m, combo)
-                if is_connected(u):
-                    assert verify_union_bound(u)
+                if _is_connected(u):
+                    assert _union_bound_holds(u)
 
 
 def test_partition_component_split():
@@ -170,10 +176,10 @@ def test_connected_zeta_stays_connected_with_equal_union():
             for k in range(2, min(len(vs), 4) + 1):
                 for combo in itertools.combinations(vs, k):
                     u = vertex_set(n, m, combo)
-                    if not is_connected(u):
+                    if not _is_connected(u):
                         continue
                     zu = zeta(u)
-                    assert is_connected(zu), (n, m, combo)
+                    assert _is_connected(zu), (n, m, combo)
                     assert zu.union_of() == u.union_of()
 
 
@@ -185,16 +191,13 @@ def test_small_connected_families_never_cover_everything():
             for k in range(1, n - m + 1):
                 for combo in itertools.combinations(vs, k):
                     u = vertex_set(n, m, combo)
-                    if is_connected(u):
+                    if _is_connected(u):
                         assert u.union_of() != frozenset(range(1, n + 1))
 
 
-def test_adjacency_rule_and_subgraph_view():
+def test_adjacency_rule():
     assert adjacent((1, 2), (2, 3))
     assert not adjacent((1, 2), (3, 4))
-    g = SubgraphView(vertex_set(4, 2, [(1, 2), (2, 3), (3, 4)]))
-    assert ((1, 2), (2, 3)) in g.edges
-    assert g.neighbors((2, 3)) == [(1, 2), (3, 4)]
 
 
 def test_vertex_set_canonicalization_and_validation():

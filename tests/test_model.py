@@ -17,7 +17,6 @@ from itersc.errors import (
 from itersc.executor import FixedAdversary, apply_round, random_sigma_schedule, run_execution, sigma_schedule
 from itersc.model import (
     WOR,
-    box,
     indistinguishability_set,
     invocation_spec,
     make_initial_state,
@@ -26,6 +25,7 @@ from itersc.model import (
 )
 from itersc.samples import deficient_wor_samples, knowledge_automaton, sel_solo
 from itersc.protocols import protocol_consensus_wor
+from itersc.values import canonical_json
 
 
 def test_initial_state_round0_components():
@@ -136,22 +136,15 @@ def test_sc_value_of_unreached_round():
         sc_value_of({1}, s)
 
 
-def test_box_type_invariants():
-    assert box({2}) == frozenset({2}) and len(box({2})) == 1
-    assert len(box({1, 2})) == 2
-    with pytest.raises(InvalidConfigurationError):
-        box(frozenset())
-
-
 def test_state_json_is_canonical_and_stable():
     s = make_initial_state(2, [0, 1], WOR)
-    assert s.to_json() == s.to_json()
-    assert '"dec":null' in s.to_json()
+    assert canonical_json(s.to_jsonable()) == canonical_json(s.to_jsonable())
+    assert '"dec":null' in canonical_json(s.to_jsonable())
 
 
 def test_state_json_golden():
     s = make_initial_state(2, [0, 1], WOR)
-    assert s.to_json() == (
+    assert canonical_json(s.to_jsonable()) == (
         '{"instances":[],"locals":['
         '{"dec":null,"id":1,"input":0,"locals":{},"round":0,"sm":0,"val":null},'
         '{"dec":null,"id":2,"input":1,"locals":{},"round":0,"sm":1,"val":null}],'
@@ -220,7 +213,7 @@ def test_agreement_all_invokers_store_the_same_val(seed):
     _, _, exe = _random_execution(seed)
     for step in exe.steps:
         for inst in step.state.instances:
-            vals = {step.state.local(p).val for p in inst.invokers}
+            vals = {step.state.locals_[p - 1].val for p in inst.invokers}
             assert vals == {inst.output}
 
 
@@ -229,7 +222,7 @@ def test_agreement_all_invokers_store_the_same_val(seed):
 def test_decision_monotonicity(seed):
     _, _, exe = _random_execution(seed, rounds=4)
     for pid in (1, 2, 3):
-        seen = [s.state.local(pid).dec for s in exe.steps]
+        seen = [s.state.locals_[pid - 1].dec for s in exe.steps]
         first = next((i for i, d in enumerate(seen) if d is not None), None)
         if first is not None:
             assert all(d == seen[first] for d in seen[first:])
@@ -241,14 +234,14 @@ def test_snapshot_atomicity_scan_equals_prior_writes():
     sched = sigma_schedule([{1}, {2}], 3, WOR)
     s1 = apply_round(s0, sched, None, proto)
     # process 1 wrote and scanned before anyone else: sees only itself
-    assert s1.local(1).sm == ((5,), None, None)
+    assert s1.locals_[0].sm == ((5,), None, None)
     # process 2 sees 1 and itself; process 3 (the complement) sees everyone
-    assert s1.local(2).sm == ((5,), (6,), None)
-    assert s1.local(3).sm == ((5,), (6,), (7,))
+    assert s1.locals_[1].sm == ((5,), (6,), None)
+    assert s1.locals_[2].sm == ((5,), (6,), (7,))
 
 
 def test_scans_in_one_group_agree():
     proto = knowledge_automaton(WOR, "solo", sel_solo)
     s0 = make_initial_state(3, [5, 6, 7], WOR, proto)
     s1 = apply_round(s0, sigma_schedule([{1, 2}], 3, WOR), None, proto)
-    assert s1.local(1).sm == s1.local(2).sm
+    assert s1.locals_[0].sm == s1.locals_[1].sm

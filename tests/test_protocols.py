@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 from math import comb
 
 import pytest
@@ -26,7 +27,6 @@ from itersc.executor import (
 )
 from itersc.model import OWR, WOR, WRO
 from itersc.protocols import (
-    CoalitionLedger,
     coalition_group,
     gamma,
     protocol_2cc,
@@ -101,10 +101,43 @@ def test_coalition_group_values():
         coalition_group(4, 0)
 
 
+@dataclass(frozen=True)
+class Ledger:
+    """The consensus protocol's per-process ledger kept incrementally, round by
+    round: the reference that the closed form ``coalition_group`` and the JSON
+    form of the consensus locals are checked against."""
+
+    agreements: tuple  # sorted ((tup-index, value), ...)
+    step: int = 1
+    firstid: int = 1
+    lastid: int = 1
+
+    def advance(self, n: int, agreement=None) -> "Ledger":
+        """End of round: store the ``(key, value)`` agreement, if any; move the window."""
+        agreements = self.agreements if agreement is None else tuple(  # the new pair wins
+            sorted(dict(self.agreements + (agreement,)).items()))
+        fid, stp = self.firstid, self.step
+        lid = fid + stp
+        if lid < n:
+            fid += 1
+        elif fid > 1:
+            fid = 1
+            stp += 1
+        return Ledger(agreements, stp, fid, lid)
+
+    def to_jsonable(self) -> dict:
+        return {
+            "step": self.step,
+            "firstid": self.firstid,
+            "lastid": self.lastid,
+            "agreements": {str(k): v for k, v in self.agreements},
+        }
+
+
 def test_coalition_group_matches_ledger_bookkeeping():
-    # the closed form must agree with the in-protocol ledger advance
+    # the closed form must agree with the incremental ledger advance
     for n in (3, 4, 5, 6):
-        led = CoalitionLedger(agreements=())
+        led = Ledger(agreements=())
         for r in range(1, comb(n, 2) + 1):
             fid, lid, step = coalition_group(n, r)
             assert (led.firstid, led.firstid + led.step, led.step) == (fid, lid, step)
@@ -121,13 +154,13 @@ def _advance_reference(led, n, agreement):
         fid += 1
     elif fid > 1:
         fid, step = 1, step + 1
-    return CoalitionLedger(tuple(sorted(items.items())), step, fid, lid)
+    return Ledger(tuple(sorted(items.items())), step, fid, lid)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_ledger_advance_folds_the_agreement_in(n):
     """Every window of n: a fresh key, an overwritten key and no agreement."""
-    led = CoalitionLedger(agreements=((tup(1, 1), 0), (tup(n, n), 1)))
+    led = Ledger(agreements=((tup(1, 1), 0), (tup(n, n), 1)))
     for r in range(1, comb(n, 2) + 1):
         fid, lid, _step = coalition_group(n, r)
         fresh = (tup(fid, lid), r % 2)
@@ -240,7 +273,7 @@ def test_consensus_coalition_ledger_soundness(n):
             if r != gamma(n, m):
                 continue
             for pid in range(1, n + 1):
-                led = state.local(pid).locals_.ledger
+                led = dict(state.locals_[pid - 1].locals_.agreements)
                 memberships = [
                     (i, led.get(tup(i, i + m)))
                     for i in range(1, n - m + 1)
@@ -251,14 +284,13 @@ def test_consensus_coalition_ledger_soundness(n):
                     assert v in inputs
                     # every group member agrees on the coalition name
                     for q in range(i, i + m + 1):
-                        lq = state.local(q).locals_.ledger
-                        got = lq.get(tup(i, i + m))
+                        got = dict(state.locals_[q - 1].locals_.agreements).get(tup(i, i + m))
                         assert got is None or got == v
 
 
 def _ledger_step_reference(led, pid, n, sm, val):
     """One consensus round on a stored ledger: a member of the window adopts the
-    lowest non-bottom field of its side, and ``CoalitionLedger.advance`` folds it in."""
+    lowest non-bottom field of its side, and ``Ledger.advance`` folds it in."""
     fid, lid = led.firstid, led.firstid + led.step
     agreement = None
     if fid <= pid <= lid:
@@ -271,13 +303,13 @@ def _ledger_step_reference(led, pid, n, sm, val):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_consensus_locals_show_the_stored_ledger(n):
-    """``ledger`` and the JSON form of the consensus locals equal a ledger
-    record advanced round by round, also past the round budget."""
+    """The agreements and the JSON form of the consensus locals equal a ledger
+    advanced round by round, also past the round budget."""
     proto = protocol_consensus_wor(n)
     rng = random.Random(n)
     inputs = [rng.randint(0, 1) for _ in range(n)]
     state = make_initial_state(n, inputs, WOR, proto)
-    ledgers = [CoalitionLedger(agreements=((tup(pid, pid), inp),))
+    ledgers = [Ledger(agreements=((tup(pid, pid), inp),))
                for pid, inp in enumerate(inputs, start=1)]
     adv = SeededRandomAdversary(n, n)
     for r in range(1, proto.round_budget + 4):
@@ -285,7 +317,7 @@ def test_consensus_locals_show_the_stored_ledger(n):
         ledgers = [_ledger_step_reference(led, ls.pid, n, ls.sm, ls.val)
                    for led, ls in zip(ledgers, state.locals_)]
         for led, ls in zip(ledgers, state.locals_):
-            assert ls.locals_.ledger == led, (r, ls.pid)
+            assert ls.locals_.agreements == led.agreements, (r, ls.pid)
             want = {"id": ls.pid, "r": r, "ledger": jsonable(led)}
             assert jsonable(ls.locals_) == want
             assert canonical_json(ls.locals_) == canonical_json(want)

@@ -27,7 +27,6 @@ from itersc.model import (
     make_initial_state,
 )
 from itersc.protocols import (
-    CoalitionLedger,
     Consensus,
     OwrSim,
     TwoCC,
@@ -59,7 +58,6 @@ SAMPLES = {
     GlobalState: (2, WOR, 1, (_LOCAL, dataclasses.replace(_LOCAL, pid=2)),
                   SnapshotObject(((0, None), (1, None))),
                   (SafeConsensusInstance(0, frozenset({1, 2}), ((1, 1), (2, 2)), 2, False),)),
-    CoalitionLedger: (((4, 0), (12, 1)), 2, 1, 3),
     Consensus: (1, 4, 3, ((4, 0), (8, 1))),  # id, n, r, agreements
     TwoCC: (2, (5, None)),
     Knowledge: (2, 1, (0, 1)),
