@@ -12,7 +12,7 @@ instead of returning a weaker path.
 
 Each public extension call applies its rounds through one private memo,
 which lives for that call only.  A round's child state is keyed by
-``(rnd, locals_, groups, script)``, with the sigma groups in a canonical
+``(rnd, locals_key(), groups, script)``, with the sigma groups in a canonical
 spelling of their schedule: a round reads only the locals, the round number
 and n, and the adversaries used here (all ones, or outputs by object index)
 ignore the state.  A state holds only its own round's shared objects, so a
@@ -213,7 +213,7 @@ class _Rounds:
         """The sigma(groups) successor.  Contended instances output 1, or
         the value ``script`` pairs with their object index."""
         groups = _schedule_key(groups, state.n)
-        key = (state.rnd, state.locals_, groups, script)
+        key = (state.rnd, state.locals_key(), groups, script)
         child = self.children.get(key)
         if child is None:
             sched = self.schedules.get(groups)
@@ -224,7 +224,7 @@ class _Rounds:
         return child
 
     def boxes(self, state: GlobalState) -> frozenset:
-        return frozenset(inst.box for inst in self.child(state, ()).instances)
+        return frozenset(box for box, _out in self.child(state, ()).box_outputs())
 
     def successor(self, state: GlobalState, groups, box_values: dict) -> GlobalState:
         """The sigma(groups) successor under the per-box output plan
@@ -233,13 +233,14 @@ class _Rounds:
         plan.  The all-ones child is the answer when the plan asks for 1."""
         ones = self.child(state, groups)
         script = {}
-        for inst in ones.instances:
-            b, want = inst.box, box_values.get(inst.box)
-            if not inst.forced:
-                script[inst.object_index] = want if want is not None else min(b)
-            elif want is not None and inst.output != want:
+        for obj, pairs, out, forced in ones.resolved:
+            b = frozenset([p for p, _ in pairs])
+            want = box_values.get(b)
+            if not forced:
+                script[obj] = want if want is not None else min(b)
+            elif want is not None and out != want:
                 raise ConstructionError(
-                    f"box {sorted(b)} is forced to {inst.output} under "
+                    f"box {sorted(b)} is forced to {out} under "
                     f"{sigma_schedule(groups, state.n, self.proto.model)}, plan wants {want}")
         if all(v == 1 for v in script.values()):
             return ones
@@ -248,7 +249,7 @@ class _Rounds:
 
 def box_values_of(state: GlobalState) -> dict:
     """Actual safe-consensus outputs per box in the round that produced the state."""
-    return {inst.box: inst.output for inst in state.instances}
+    return dict(state.box_outputs())
 
 
 # ---------------------------------------------------------------------------
@@ -737,12 +738,12 @@ def bounded_valency(state: GlobalState, proto, horizon: int) -> Valency:
     """Classify a state by extending it to the horizon under every sigma
     schedule and every adversary output.
 
-    A subtree's summary, computed once per distinct ``(depth, locals_)``, is
+    A subtree's summary, computed once per distinct ``(depth, locals_key())``, is
     its set of decided-value sets and whether some leaf decides nothing.
     """
     if horizon <= 0:
         raise InvalidArgumentError("horizon must be positive")
-    inputs = {ls.inp for ls in state.locals_}
+    inputs = set(state.inp)
     if not inputs <= {0, 1}:
         raise InvalidArgumentError("valency analysis expects binary inputs")
     scheds = list(enumerate_round_schedules(state.n, proto.model, "sigma"))
@@ -750,7 +751,7 @@ def bounded_valency(state: GlobalState, proto, horizon: int) -> Valency:
     def leaf(s: GlobalState, depth: int):
         if not (s.all_decided() or depth == horizon):
             return None
-        decided = frozenset(d for d in (ls.dec for ls in s.locals_) if d is not None)
+        decided = frozenset(d for d in s.dec if d is not None)
         return (frozenset({decided}), False) if decided else (frozenset(), True)
 
     def join(parts):

@@ -37,9 +37,6 @@ from .model import (
     WOR,
     WRO,
     GlobalState,
-    LocalState,
-    SafeConsensusInstance,
-    SnapshotObject,
     make_initial_state,
 )
 from .protocols import ProtocolAutomaton, validate_coalitions_tuple
@@ -340,13 +337,13 @@ class FixedAdversary(AdversaryPolicy):
 
 def _run_events(state: GlobalState, sched: RoundSchedule, proto: ProtocolAutomaton,
                 adversary: Optional[AdversaryPolicy]):
-    """Walk one round's events; returns per-process components and instances."""
+    """Walk one round's events; returns the sm and val columns, the snapshot
+    cells, the resolved objects and the adversary's choices."""
     n = state.n
     rnd = state.rnd + 1
-    locals_ = state.locals_
-    cur_sm = [ls.sm for ls in locals_]
-    cur_val = [ls.val for ls in locals_]
-    loc = [ls.locals_ for ls in locals_]
+    inp, loc = state.inp, state.loc
+    cur_sm = list(state.sm)
+    cur_val = list(state.val)
     write, select, sc_input = proto.write_payload, proto.select_object, proto.sc_input
     sm_filter, val_filter = proto.sm_filter, proto.val_filter
     cells: list = [None] * n
@@ -359,7 +356,7 @@ def _run_events(state: GlobalState, sched: RoundSchedule, proto: ProtocolAutomat
         if kind == W:
             for pid in group:
                 i = pid - 1
-                cells[i] = write(pid, locals_[i].inp, cur_sm[i], cur_val[i], loc[i])
+                cells[i] = write(pid, inp[i], cur_sm[i], cur_val[i], loc[i])
         elif kind == R:
             snap = tuple(cells)
             for pid in group:
@@ -404,14 +401,13 @@ def _run_events(state: GlobalState, sched: RoundSchedule, proto: ProtocolAutomat
                     v = val_filter(rnd, pid, v, loc[pid - 1])
                 cur_val[pid - 1] = v
 
-    instances = []
+    resolved = []
     for obj, out in outputs.items():
         pairs = invoked[obj]
         if len(pairs) > 1:
             pairs.sort()
-        instances.append(SafeConsensusInstance(obj, frozenset([p for p, _ in pairs]),
-                                               tuple(pairs), out, forced[obj]))
-    return cur_sm, cur_val, loc, cells, tuple(instances), choices
+        resolved.append((obj, tuple(pairs), out, forced[obj]))
+    return cur_sm, cur_val, cells, tuple(resolved), choices
 
 
 def apply_round(state: GlobalState, sched: RoundSchedule,
@@ -432,18 +428,14 @@ def apply_round_recorded(state: GlobalState, sched: RoundSchedule,
     if sched.n != state.n:
         raise InvalidScheduleError(f"schedule for n={sched.n}, state has n={state.n}")
     rnd = state.rnd + 1
-    cur_sm, cur_val, loc, cells, instances, choices = _run_events(
-        state, sched, proto, adversary)
+    cur_sm, cur_val, cells, resolved, choices = _run_events(state, sched, proto, adversary)
     decide, step = proto.decide, proto.step
-    new_locals = []
-    for i, ls in enumerate(state.locals_):
-        sm, val = cur_sm[i], cur_val[i]
-        dec = ls.dec
-        if dec is None:
-            dec = decide(sm, val, loc[i])
-        new_locals.append(LocalState(ls.pid, rnd, ls.inp, sm, val, dec, step(loc[i], sm, val)))
-    new_state = GlobalState(state.n, state.model, rnd, tuple(new_locals),
-                            SnapshotObject(tuple(cells)), instances)
+    decs, locs = [], []
+    for dec, sm, val, loc in zip(state.dec, cur_sm, cur_val, state.loc):
+        decs.append(decide(sm, val, loc) if dec is None else dec)
+        locs.append(step(loc, sm, val))
+    new_state = GlobalState(state.n, state.model, rnd, state.inp, tuple(cur_sm), tuple(cur_val),
+                            tuple(decs), tuple(locs), tuple(cells), resolved)
     return new_state, tuple(choices)
 
 
@@ -496,7 +488,7 @@ def explore(root: GlobalState, scheds, proto: ProtocolAutomaton,
     node's children, in depth-first order, into the node's summary.
 
     Identical subtrees are explored once: the summaries of inner nodes are
-    memoized by ``(depth, locals_)``.  This is sound because a round reads only the
+    memoized by ``(depth, locals_key())``.  This is sound because a round reads only the
     locals, round number and n of its state, the enumerated adversary
     ignores the state, and the summaries of ``leaf`` must read only the locals.  The walk
     stays depth-first, so counts and first counterexamples are exactly
@@ -508,7 +500,7 @@ def explore(root: GlobalState, scheds, proto: ProtocolAutomaton,
         summary = leaf(state, depth)
         if summary is not None:
             return summary
-        key = (depth, state.locals_)
+        key = (depth, state.locals_key())
         summary = memo.get(key)
         if summary is None:
             parts = []
@@ -623,7 +615,7 @@ class Verdict:
 
 
 def _check_decisions(final: GlobalState, horizon: int, valid_outputs) -> Verdict:
-    decs = {ls.pid: ls.dec for ls in final.locals_}
+    decs = dict(enumerate(final.dec, start=1))
     undecided = sorted(p for p, d in decs.items() if d is None)
     termination = not undecided
     decided = {p: d for p, d in decs.items() if d is not None}
@@ -713,7 +705,7 @@ def collect_gamma(proto: ProtocolAutomaton, n: int,
     inputs = list(range(n))  # distinct inputs; the box structure does not depend on values
 
     def leaf(state: GlobalState, depth: int):
-        boxes.update(inst.box for inst in state.instances)
+        boxes.update(box for box, _out in state.box_outputs())
         return 1 if depth == rounds else None
 
     if n <= 4:
@@ -734,7 +726,7 @@ def collect_gamma(proto: ProtocolAutomaton, n: int,
             state = make_initial_state(n, inputs, proto.model, proto)
             for sched in scheds:
                 state = apply_round(state, sched, adv, proto)
-                boxes.update(inst.box for inst in state.instances)
+                boxes.update(box for box, _out in state.box_outputs())
             count += 1
 
     gamma_map: dict[int, set] = {}

@@ -6,6 +6,12 @@ so everything here is immutable.  A state holds only its own round's shared
 objects: every round uses a fresh snapshot and fresh safe-consensus objects,
 and no process reads an earlier round's, so the history of a run lives in
 its ``Execution.steps``.
+
+A state stores what a round computes as columns: one tuple per local-state
+field, indexed pid-1, plus the raw snapshot cells and one ``resolved`` tuple
+per safe-consensus object.  The ``LocalState``, ``SnapshotObject`` and
+``SafeConsensusInstance`` records are views that ``GlobalState`` builds on
+each read, for JSON, traces and other cold readers.
 """
 
 from __future__ import annotations
@@ -119,21 +125,56 @@ class SafeConsensusInstance:
 @frozen_record
 @dataclass(frozen=True, slots=True)
 class GlobalState:
-    """System state at a round boundary: the locals and the shared objects of
-    the round that produced it (none at round 0)."""
+    """System state at a round boundary, as columns.
+
+    ``inp``, ``sm``, ``val``, ``dec`` and ``loc`` (the automaton's locals
+    records) hold one entry per process, indexed pid-1.  ``cells`` is the raw
+    snapshot array of the round that produced the state (None at round 0) and
+    ``resolved`` holds one ``(object, sorted (pid, input) pairs, output,
+    forced)`` tuple per safe-consensus object of that round, in resolution
+    order.  ``locals_``, ``snapshot`` and ``instances`` build the records on
+    each read, without a cache."""
 
     n: int
     model: str
     rnd: int
-    locals_: tuple  # tuple[LocalState, ...] indexed pid-1
-    snapshot: Optional[SnapshotObject] = None  # this round's snapshot array
-    instances: tuple = ()  # this round's SafeConsensusInstance objects
+    inp: tuple
+    sm: tuple
+    val: tuple
+    dec: tuple
+    loc: tuple
+    cells: Optional[tuple] = None
+    resolved: tuple = ()
+
+    @property
+    def locals_(self) -> tuple:
+        rnd = self.rnd
+        return tuple(LocalState(pid, rnd, *fields) for pid, fields in
+                     enumerate(zip(*self.locals_key()), start=1))
+
+    @property
+    def snapshot(self) -> Optional[SnapshotObject]:
+        return None if self.cells is None else SnapshotObject(self.cells)
+
+    @property
+    def instances(self) -> tuple:
+        return tuple(SafeConsensusInstance(obj, frozenset([p for p, _ in pairs]), pairs, out, forced)
+                     for obj, pairs, out, forced in self.resolved)
+
+    def locals_key(self) -> tuple:
+        """Every process's local state but its pid and round, which the
+        position and the round fix: the key of the round memos."""
+        return (self.inp, self.sm, self.val, self.dec, self.loc)
+
+    def box_outputs(self) -> list:
+        """``(box, output)`` of each safe-consensus object of the round, in resolution order."""
+        return [(frozenset([p for p, _ in pairs]), out) for _obj, pairs, out, _f in self.resolved]
 
     def decisions(self) -> dict[int, Any]:
-        return {ls.pid: ls.dec for ls in self.locals_ if ls.dec is not None}
+        return {pid: d for pid, d in enumerate(self.dec, start=1) if d is not None}
 
     def all_decided(self) -> bool:
-        return all(ls.dec is not None for ls in self.locals_)
+        return None not in self.dec
 
     def to_jsonable(self) -> dict:
         return {
@@ -141,7 +182,7 @@ class GlobalState:
             "model": self.model,
             "round": self.rnd,
             "locals": [ls.to_jsonable() for ls in self.locals_],
-            "snapshot": None if self.snapshot is None else self.snapshot.to_jsonable(),
+            "snapshot": None if self.cells is None else self.snapshot.to_jsonable(),
             "instances": [i.to_jsonable() for i in self.instances],
         }
 
@@ -158,12 +199,10 @@ def make_initial_state(n: int, inputs, model: str, proto=None) -> GlobalState:
     inputs = list(inputs)
     if len(inputs) != n:
         raise InvalidConfigurationError(f"expected {n} inputs, got {len(inputs)}")
-    locals_ = []
-    for pid, raw in enumerate(inputs, start=1):
-        inp = freeze(raw)
-        pl = proto.init(pid, inp) if proto is not None else freeze({})
-        locals_.append(LocalState(pid=pid, rnd=0, inp=inp, sm=inp, val=None, dec=None, locals_=pl))
-    return GlobalState(n=n, model=model, rnd=0, locals_=tuple(locals_))
+    inp = tuple(freeze(raw) for raw in inputs)
+    loc = (tuple(proto.init(pid, x) for pid, x in enumerate(inp, start=1)) if proto is not None
+           else (freeze({}),) * n)
+    return GlobalState(n, model, 0, inp, inp, (None,) * n, (None,) * n, loc)
 
 
 def resolve_safe_consensus(invokers, inputs, invoke_groups, adversary_choice=None, n: Optional[int] = None):
@@ -202,26 +241,26 @@ def indistinguishability_set(s: GlobalState, q: GlobalState) -> frozenset:
         raise RoundMismatchError(f"states at rounds {s.rnd} and {q.rnd}")
     if s.n != q.n:
         raise RoundMismatchError("states with different process counts")
-    return frozenset(
-        ls.pid for ls, lq in zip(s.locals_, q.locals_) if ls == lq
-    )
+    cols = zip(range(1, s.n + 1), *s.locals_key(), *q.locals_key())
+    return frozenset(pid for pid, i1, s1, v1, d1, l1, i2, s2, v2, d2, l2 in cols
+                     if i1 == i2 and s1 == s2 and v1 == v2 and d1 == d2 and l1 == l2)
 
 
 def invocation_spec(s: GlobalState) -> InvocationSpec:
     """Boxes of the round that produced ``s``."""
-    if s.rnd < 1 or not s.instances:
+    if s.rnd < 1 or not s.resolved:
         raise NoInvocationsError("round-0 states have no invocation specification")
-    return InvocationSpec(boxes=frozenset(inst.box for inst in s.instances))
+    return InvocationSpec(boxes=frozenset(box for box, _out in s.box_outputs()))
 
 
 def sc_value_of(b, s: GlobalState):
     """Safe-consensus value of box ``b`` in the round that produced ``s``."""
-    if s.rnd < 1 or not s.instances:
+    if s.rnd < 1 or not s.resolved:
         raise NoInvocationsError("round-0 states have no invocations")
     target = frozenset(b)
-    for inst in s.instances:
-        if inst.box == target:
-            return inst.output
+    for box, out in s.box_outputs():
+        if box == target:
+            return out
     raise MissingBoxError(f"box {sorted(target)} not invoked in round {s.rnd}")
 
 

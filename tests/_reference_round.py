@@ -1,8 +1,10 @@
 """The round engine as it stood before its records were built the fast way.
 
-``tests/test_rounds.py`` checks that ``executor.apply_round_recorded``
-returns exactly what this plain version returns: same successor state,
-instance order and inputs included, and same recorded adversary choices.
+It reads the ``locals_`` view of its input state and returns the records
+of the successor state, not a state.  ``tests/test_rounds.py`` checks that
+the ``locals_``, ``snapshot`` and ``instances`` views of the state that
+``executor.apply_round_recorded`` returns are exactly these records,
+instance order and inputs included, with the same recorded adversary choices.
 """
 
 from __future__ import annotations
@@ -113,6 +115,4 @@ def apply_round_recorded(state: GlobalState, sched: RoundSchedule,
         if dec is None:
             dec = decide(sm, val, loc[i])
         new_locals.append(LocalState(ls.pid, rnd, ls.inp, sm, val, dec, step(loc[i], sm, val)))
-    new_state = GlobalState(state.n, state.model, rnd, tuple(new_locals),
-                            SnapshotObject(tuple(cells)), instances)
-    return new_state, tuple(choices)
+    return rnd, tuple(new_locals), SnapshotObject(tuple(cells)), instances, tuple(choices)

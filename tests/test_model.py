@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from _reference_round import apply_round_recorded as reference_round
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +15,14 @@ from itersc.errors import (
     RoundMismatchError,
     UnresolvedInstanceError,
 )
-from itersc.executor import FixedAdversary, apply_round, random_sigma_schedule, run_execution, sigma_schedule
+from itersc.executor import (
+    FixedAdversary,
+    SeededRandomAdversary,
+    apply_round,
+    random_sigma_schedule,
+    run_execution,
+    sigma_schedule,
+)
 from itersc.model import (
     WOR,
     indistinguishability_set,
@@ -23,7 +31,7 @@ from itersc.model import (
     resolve_safe_consensus,
     sc_value_of,
 )
-from itersc.samples import deficient_wor_samples, knowledge_automaton, sel_solo
+from itersc.samples import deficient_wor_samples, knowledge_automaton, resolve_protocol, sel_solo
 from itersc.protocols import protocol_consensus_wor
 from itersc.values import canonical_json
 
@@ -136,10 +144,31 @@ def test_sc_value_of_unreached_round():
         sc_value_of({1}, s)
 
 
+def _reference_json(state, sched, proto, seed) -> str:
+    """The successor's JSON, assembled from the reference round's records."""
+    rnd, locals_, snapshot, instances, _choices = reference_round(
+        state, sched, SeededRandomAdversary(seed, state.n), proto)
+    return canonical_json({"n": state.n, "model": state.model, "round": rnd,
+                           "locals": [ls.to_jsonable() for ls in locals_],
+                           "snapshot": snapshot.to_jsonable(),
+                           "instances": [inst.to_jsonable() for inst in instances]})
+
+
 def test_state_json_is_canonical_and_stable():
-    s = make_initial_state(2, [0, 1], WOR)
-    assert canonical_json(s.to_jsonable()) == canonical_json(s.to_jsonable())
-    assert '"dec":null' in canonical_json(s.to_jsonable())
+    first, second = make_initial_state(2, [0, 1], WOR), make_initial_state(2, [0, 1], WOR)
+    assert first is not second
+    assert canonical_json(first.to_jsonable()) == canonical_json(second.to_jsonable())
+    assert '"dec":null' in canonical_json(first.to_jsonable())
+    # rounds 1 and 2 of the engine against the reference round's records, per model
+    for name in ("consensus", "wro-pair12-d3", "owr-rotating-d3"):
+        proto = resolve_protocol(name, 3)
+        state = make_initial_state(3, [0, 1, 1], proto.model, proto)
+        for groups, seed in (([{2}], 11), ([{1, 3}], 12)):
+            sched = sigma_schedule(groups, 3, proto.model)
+            want = _reference_json(state, sched, proto, seed)
+            state = apply_round(state, sched, SeededRandomAdversary(seed, 3), proto)
+            assert canonical_json(state.to_jsonable()) == want, (name, state.rnd)
+        assert state.rnd == 2 and state.instances, name
 
 
 def test_state_json_golden():
@@ -162,7 +191,6 @@ def _random_execution(seed: int, rounds: int = 3):
     proto = deficient_wor_samples()["wor-altpair12-min"]
     inputs = [rng.randint(0, 1) for _ in range(3)]
     scheds = [random_sigma_schedule(3, WOR, rng) for _ in range(rounds)]
-    from itersc.executor import SeededRandomAdversary
     return proto, inputs, run_execution(
         proto, inputs, scheds, SeededRandomAdversary(rng.randrange(2**31), 3))
 

@@ -55,9 +55,10 @@ SAMPLES = {
     LocalState: _LOCAL_VALUES,
     SnapshotObject: (((0, None), (1, 2)),),
     SafeConsensusInstance: (0, frozenset({1, 2}), ((1, 1), (2, 2)), 2, False),
-    GlobalState: (2, WOR, 1, (_LOCAL, dataclasses.replace(_LOCAL, pid=2)),
-                  SnapshotObject(((0, None), (1, None))),
-                  (SafeConsensusInstance(0, frozenset({1, 2}), ((1, 1), (2, 2)), 2, False),)),
+    # n, model, rnd, then the inp, sm, val, dec and loc columns, cells, resolved
+    GlobalState: (2, WOR, 1, (0, 1), (((0, None), (1, None)), ((0, None), (1, None))), (2, 2),
+                  (None, 2), (_KNOWLEDGE, _KNOWLEDGE), ((0, None), (1, None)),
+                  ((0, ((1, 1), (2, 2)), 2, False),)),
     Consensus: (1, 4, 3, ((4, 0), (8, 1))),  # id, n, r, agreements
     TwoCC: (2, (5, None)),
     Knowledge: (2, 1, (0, 1)),
@@ -200,13 +201,16 @@ def _inputs(proto, n: int, rng: random.Random) -> list:
 
 
 def _assert_rounds_agree(state, sched, proto, seed):
-    """Both engines give the same state (instance order and inputs included)
-    and the same recorded choices; returns the successor."""
+    """The engine's successor shows, through its views, the records the
+    reference builds (instance order and inputs included), and both record
+    the same choices; returns the successor."""
     n = state.n
-    got = executor.apply_round_recorded(state, sched, SeededRandomAdversary(seed, n), proto)
+    got, choices = executor.apply_round_recorded(state, sched, SeededRandomAdversary(seed, n), proto)
     want = reference_round(state, sched, SeededRandomAdversary(seed, n), proto)
-    assert got == want, (proto.name, str(sched))
-    return got[0]
+    assert (got.rnd, got.locals_, got.snapshot, got.instances, choices) == want, \
+        (proto.name, str(sched))
+    assert (got.n, got.model) == (state.n, state.model)
+    return got
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -231,3 +235,92 @@ def test_round_equals_reference_on_ordered_partition_schedules():
             for sched in scheds:
                 _assert_rounds_agree(state, sched, proto, rng.randrange(2**31))
             state = _assert_rounds_agree(state, scheds[0], proto, rng.randrange(2**31))
+
+
+# ---------------------------------------------------------------------------
+# the columns behind the views
+
+
+def _random_runs(n: int, runs: int, seed: int):
+    """``(automaton name, state)`` for every state of ``runs`` random sigma runs
+    of every bundled automaton at ``n``; each run is built twice, so equal
+    states also arrive as distinct objects."""
+    out = []
+    for proto in _automata(n):
+        for k in range(runs):
+            for _twice in range(2):
+                rng = random.Random(f"{seed}:{proto.name}:{k}")
+                state = make_initial_state(n, _inputs(proto, n, rng), proto.model, proto)
+                out.append((proto.name, state))
+                for _ in range(proto.round_budget or 3):
+                    sched = random_sigma_schedule(n, proto.model, rng)
+                    state = executor.apply_round(
+                        state, sched, SeededRandomAdversary(rng.randrange(2**31), n), proto)
+                    out.append((proto.name, state))
+    return out
+
+
+def _same_round_pairs(states):
+    """Every pair of states of one automaton at one round."""
+    buckets: dict = {}
+    for name, state in states:
+        buckets.setdefault((name, state.rnd), []).append(state)
+    for bucket in buckets.values():
+        for i, a in enumerate(bucket):
+            for b in bucket[i + 1:]:
+                yield a, b
+
+
+def _round_two_state():
+    n = 3
+    proto = resolve_protocol("consensus", n)
+    state = make_initial_state(n, [0, 1, 1], proto.model, proto)
+    for groups in ([{1}], [{2, 3}]):
+        state = executor.apply_round(state, executor.sigma_schedule(groups, n, proto.model),
+                                     SeededRandomAdversary(5, n), proto)
+    return state
+
+
+@pytest.mark.parametrize("column", ["inp", "sm", "val", "dec", "loc"])
+def test_memo_key_tells_apart_states_that_differ_in_one_local_column(column):
+    state = _round_two_state()
+    values = getattr(state, column)
+    other = dataclasses.replace(state, **{column: values[:1] + (("other",),) + values[2:]})
+    assert other.locals_key() != state.locals_key()
+    assert other.locals_ != state.locals_
+
+
+@pytest.mark.parametrize("change", [{"cells": (None, None, None)}, {"resolved": ()}],
+                         ids=["cells", "resolved"])
+def test_memo_key_shares_states_that_differ_only_in_shared_objects(change):
+    state = _round_two_state()
+    other = dataclasses.replace(state, **change)
+    assert other != state
+    assert other.locals_key() == state.locals_key()
+    assert other.locals_ == state.locals_
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_memo_key_is_equal_exactly_when_the_locals_views_are(n):
+    seen = {True: 0, False: 0}
+    for a, b in _same_round_pairs(_random_runs(n, 3, 1700)):
+        same = a.locals_key() == b.locals_key()
+        assert same == (a.locals_ == b.locals_)
+        seen[same] += 1
+    assert seen[True] and seen[False]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_states_are_equal_exactly_when_their_views_are(n):
+    states = _random_runs(n, 2, 1701)
+    seen = {True: 0, False: 0}
+    for a, b in _same_round_pairs(states):
+        same = a == b
+        assert same == ((a.n, a.model, a.rnd, a.locals_, a.snapshot, a.instances)
+                        == (b.n, b.model, b.rnd, b.locals_, b.snapshot, b.instances))
+        assert not same or hash(a) == hash(b)
+        seen[same] += 1
+    assert seen[True] and seen[False]
+    for _name, state in states:
+        again = pickle.loads(pickle.dumps(state))
+        assert again == state and hash(again) == hash(state) and again.locals_ == state.locals_
