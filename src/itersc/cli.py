@@ -17,13 +17,12 @@ from typing import Any, Optional
 
 from . import __version__
 from .equivalence import check_transform_correspondence
-from .errors import BudgetExceededError, InvalidArgumentError, IterscError
+from .errors import BudgetExceededError, InvalidArgumentError, InvalidInputError, IterscError
 from .executor import (
-    ScriptedAdversary,
-    SeededRandomAdversary,
     collect_gamma,
     protocol_descriptor,
     random_ordered_partition_schedule,
+    random_outputs,
     random_sigma_schedule,
     run_execution,
     sigma_schedule,
@@ -87,12 +86,24 @@ def _emit(args, command: str, config: dict, result: dict, ok: bool, t0: float) -
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
+def _read_json(path: str, what: str):
+    """The JSON value in a file; an unreadable file is a usage error."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise InvalidInputError(f"cannot read {what} {path!r}: {exc}") from exc
+
+
 def _make_adversary(spec: str, seed: int, n: int):
+    """The adversary outputs: random ids from the seed, or a JSON array."""
     if spec == "random":
-        return SeededRandomAdversary(seed, n)
+        return random_outputs(seed, n)
     if spec.startswith("script:"):
-        with open(spec.split(":", 1)[1]) as fh:
-            return ScriptedAdversary.from_json(fh.read())
+        outputs = _read_json(spec.split(":", 1)[1], "adversary script")
+        if not isinstance(outputs, list):
+            raise InvalidInputError("adversary script must be a JSON array")
+        return outputs
     raise InvalidArgumentError(f"unknown adversary {spec!r}")
 
 
@@ -111,8 +122,7 @@ def cmd_simulate(args) -> int:
     else:
         scheds = [random_sigma_schedule(args.n, proto.model, rng)
                   for _ in range(rounds)]
-    adv = _make_adversary(args.adversary, args.seed, args.n)
-    exe = run_execution(proto, inputs, scheds, adv)
+    exe = run_execution(proto, inputs, scheds, _make_adversary(args.adversary, args.seed, args.n))
     trace = exe.to_jsonl()
     if args.out:
         with open(args.out, "w") as fh:
@@ -320,8 +330,9 @@ def _apply_config_file(parser, argv):
     ns, _ = parser.parse_known_args(argv)
     if not getattr(ns, "config", None):
         return argv
-    with open(ns.config) as fh:
-        cfg = json.load(fh)
+    cfg = _read_json(ns.config, "config file")
+    if not isinstance(cfg, dict):
+        raise InvalidInputError("config file must hold a JSON object")
     extra: list[str] = []
     given = {a.split("=")[0] for a in argv if a.startswith("--")}
     for key, value in cfg.items():
@@ -339,15 +350,13 @@ def main(argv: Optional[list[str]] = None) -> int:
                         stream=sys.stderr)
     parser = build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_apply_config_file(parser, argv))
+        if not getattr(args, "command", None):
+            parser.print_help(file=sys.stderr)
+            return EXIT_USAGE
+        return args.func(args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    if not getattr(args, "command", None):
-        parser.print_help(file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return args.func(args)
     except BudgetExceededError as exc:
         print(f"[itersc] budget exceeded: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -12,10 +12,11 @@ instead of returning a weaker path.
 
 Each public extension call applies its rounds through one private memo,
 which lives for that call only.  A round's child state is keyed by
-``(rnd, locals_key(), groups, script)``, with the sigma groups in a canonical
-spelling of their schedule: a round reads only the locals, the round number
-and n, and the adversaries used here (all ones, or outputs by object index)
-ignore the state.  A state holds only its own round's shared objects, so a
+``(rnd, locals_key(), groups, values)``, with the sigma groups in a canonical
+spelling of their schedule and ``values`` the adversary outputs of the
+round's contended instances in resolution order (None for all ones): a
+round reads only the locals, the round number and n, and an output sequence
+ignores the state.  A state holds only its own round's shared objects, so a
 hit is exactly the child a fresh round would build.  No probe runs: the
 all-ones child shows the boxes, the contention and the forced values of its
 round.
@@ -26,6 +27,7 @@ round's path (``Path.loop_erased``) before the next round extends it.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 from enum import Enum
@@ -40,8 +42,6 @@ from .errors import (
     PreconditionViolationError,
 )
 from .executor import (
-    FixedAdversary,
-    MapAdversary,
     apply_round,
     enumerate_round_schedules,
     explore,
@@ -201,26 +201,26 @@ def _schedule_key(groups, n: int) -> tuple:
 
 
 class _Rounds:
-    """The sigma rounds of one extension call, each applied once (see the
-    module docstring for why the key is sound)."""
+    """The sigma rounds of one extension call, each applied once under one
+    output sequence (see the module docstring for why the key is sound)."""
 
     def __init__(self, proto):
         self.proto = proto
         self.children: dict = {}
         self.schedules: dict = {}  # each RoundSchedule built once, by its groups
 
-    def child(self, state: GlobalState, groups, script: Optional[tuple] = None) -> GlobalState:
+    def child(self, state: GlobalState, groups, values: Optional[tuple] = None) -> GlobalState:
         """The sigma(groups) successor.  Contended instances output 1, or
-        the value ``script`` pairs with their object index."""
+        ``values`` in resolution order."""
         groups = _schedule_key(groups, state.n)
-        key = (state.rnd, state.locals_key(), groups, script)
+        key = (state.rnd, state.locals_key(), groups, values)
         child = self.children.get(key)
         if child is None:
             sched = self.schedules.get(groups)
             if sched is None:
                 sched = self.schedules[groups] = sigma_schedule(groups, state.n, self.proto.model)
-            adv = FixedAdversary(1) if script is None else MapAdversary(dict(script))
-            child = self.children[key] = apply_round(state, sched, adv, self.proto)
+            adversary = itertools.repeat(1) if values is None else values
+            child = self.children[key] = apply_round(state, sched, adversary, self.proto)
         return child
 
     def boxes(self, state: GlobalState) -> frozenset:
@@ -232,19 +232,19 @@ class _Rounds:
         smallest id, and outputs that Safe-Validity forces must match the
         plan.  The all-ones child is the answer when the plan asks for 1."""
         ones = self.child(state, groups)
-        script = {}
-        for obj, pairs, out, forced in ones.resolved:
+        values = []
+        for _obj, pairs, out, forced in ones.resolved:
             b = frozenset([p for p, _ in pairs])
             want = box_values.get(b)
             if not forced:
-                script[obj] = want if want is not None else min(b)
+                values.append(want if want is not None else min(b))
             elif want is not None and out != want:
                 raise ConstructionError(
                     f"box {sorted(b)} is forced to {out} under "
                     f"{sigma_schedule(groups, state.n, self.proto.model)}, plan wants {want}")
-        if all(v == 1 for v in script.values()):
+        if all(v == 1 for v in values):
             return ones
-        return self.child(state, groups, tuple(script.items()))
+        return self.child(state, groups, tuple(values))
 
 
 def box_values_of(state: GlobalState) -> dict:
@@ -393,7 +393,7 @@ def extend_path_no3box(path: Path, proto) -> Path:
             continue
 
         solo = full - pair  # the trivial box, as a singleton set
-        v_tail = sc_value_of(pair, pb.tail) if pair in invocation_spec(pb.tail).boxes \
+        v_tail = sc_value_of(pair, pb.tail) if pair in invocation_spec(pb.tail) \
             else min(pair)
         if cur != full:
             pb.append(rounds.successor(base, (), {pair: v_tail}), full - cur)
@@ -775,22 +775,13 @@ def bounded_valency(state: GlobalState, proto, horizon: int) -> Valency:
 # the write-scan-invoke obstruction
 
 
-WRO_PLAN_VALUE = 1  # contended instances in sigma-wro states all output 1
-
-
-def _wro_successor(rounds: _Rounds, state: GlobalState, groups) -> GlobalState:
-    """The sigma-wro successor: every contended instance outputs
-    WRO_PLAN_VALUE, which is 1, so this is the memo's all-ones child."""
-    return rounds.child(state, groups)
-
-
 def _wro_bridge(rounds: _Rounds, pb: PathBuilder, state: GlobalState, i: int, j: int) -> None:
     """Append the bridge from sigma-wro(all-i) to sigma-wro(all-j) of
     ``state`` to ``pb``, whose tail must be the bridge's start.  Every
     label of the bridge has n-1 members."""
     n = state.n
     full = frozenset(range(1, n + 1))
-    if _wro_successor(rounds, state, (full - {i},)) != pb.tail:
+    if rounds.child(state, (full - {i},)) != pb.tail:
         raise ConstructionError("bridge start does not match the tail")
     if i == j:
         return
@@ -801,18 +792,18 @@ def _wro_bridge(rounds: _Rounds, pb: PathBuilder, state: GlobalState, i: int, j:
         mid = full - {i} - set(ls[:k])
         if mid:
             groups += (frozenset(mid),)
-        pb.append(_wro_successor(rounds, state, groups), full - {ls[k - 1]})
+        pb.append(rounds.child(state, groups), full - {ls[k - 1]})
     # pair the last element with i, then swap their order
     head = tuple(frozenset({x}) for x in ls[:-1])
-    pb.append(_wro_successor(rounds, state, head + (frozenset({ls[-1], i}),)),
+    pb.append(rounds.child(state, head + (frozenset({ls[-1], i}),)),
               full - {ls[-1]})
-    pb.append(_wro_successor(rounds, state, head + (frozenset({i}), frozenset({ls[-1]}))),
+    pb.append(rounds.child(state, head + (frozenset({i}), frozenset({ls[-1]}))),
               full - {i})
     # grow the block around i back to all-j
     for k in range(n - 2, 0, -1):
         groups = tuple(frozenset({x}) for x in ls[:k - 1])
         groups += (frozenset(set(ls[k - 1:-1]) | {i}), frozenset({ls[-1]}))
-        pb.append(_wro_successor(rounds, state, groups), full - {ls[k - 1]})
+        pb.append(rounds.child(state, groups), full - {ls[k - 1]})
 
 
 def wro_extend_round(path: Path, proto) -> Path:
@@ -821,7 +812,8 @@ def wro_extend_round(path: Path, proto) -> Path:
     Every edge of the input path has at least n-1 processes agreeing; the
     extension advances through sigma-wro successors whose leading block
     excludes the lone disagreeing process, bridging within a base whenever
-    the excluded process changes.
+    the excluded process changes.  Every contended instance outputs 1, so
+    each successor is the memo's all-ones child.
     """
     n = path.states[0].n
     full = frozenset(range(1, n + 1))
@@ -832,14 +824,14 @@ def wro_extend_round(path: Path, proto) -> Path:
 
     rounds = _Rounds(proto)
     cur_excl = excluded(path.labels[0], n) if path.labels else n
-    pb = PathBuilder(_wro_successor(rounds, path.states[0], (full - {cur_excl},)))
+    pb = PathBuilder(rounds.child(path.states[0], (full - {cur_excl},)))
     for idx, x in enumerate(path.labels):
         base, nxt = path.states[idx], path.states[idx + 1]
         j = excluded(x, cur_excl)
         if j != cur_excl:
             _wro_bridge(rounds, pb, base, cur_excl, j)
             cur_excl = j
-        pb.append(_wro_successor(rounds, nxt, (full - {j},)), full - {j})
+        pb.append(rounds.child(nxt, (full - {j},)), full - {j})
     out = pb.build()
     if out.degree() is not None and out.degree() < n - 1:
         raise ConstructionError("obstruction path degree fell below n-1")

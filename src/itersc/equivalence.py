@@ -23,14 +23,13 @@ from .executor import (
     R,
     RoundSchedule,
     S,
-    ScriptedAdversary,
-    SeededRandomAdversary,
     W,
     Execution,
     make_schedule,
     make_initial_state,
     probe_round,
     random_ordered_partition_schedule,
+    random_outputs,
     run_execution,
 )
 from .model import OWR, WRO
@@ -114,7 +113,7 @@ def simulate_paired(proto: ProtocolAutomaton, inputs, scheds,
         script = choices + [1] * n
     else:
         raise ModelMismatchError(f"no simulation for model {proto.model}")
-    sim = run_execution(sim_proto, inputs, sim_scheds, ScriptedAdversary(script))
+    sim = run_execution(sim_proto, inputs, sim_scheds, script)
     return src, sim
 
 
@@ -149,8 +148,8 @@ def check_transform_correspondence(proto: ProtocolAutomaton, n: int,
         inputs = [rng.randint(0, 1) for _ in range(n)]
         scheds = [random_ordered_partition_schedule(n, proto.model, rng)
                   for _ in range(rounds)]
-        adv = SeededRandomAdversary(rng.randrange(2**31), n)
-        src, sim = simulate_paired(proto, inputs, scheds, adv)
+        adversary = random_outputs(rng.randrange(2**31), n)
+        src, sim = simulate_paired(proto, inputs, scheds, adversary)
         sim_name = sim.final.model
         bad = decisions_shifted_by_one(src, sim)
         if bad is not None:

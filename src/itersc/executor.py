@@ -7,6 +7,11 @@ safe-consensus instances (Safe-Validity forces a solo strictly-first
 invoker's input; contention defers to the adversary), scans copy the
 array.  Decisions and local-state folding happen at the round boundary.
 
+A contended safe-consensus box may output any process id, so an adversary
+is just the sequence of its outputs: any iterable of ids in 1..n, consumed
+one per contended instance in resolution order, the order in which a round
+records its ``choices``.
+
 Every exhaustive check (sweeps, Gamma census, bounded valency) walks the
 schedule x adversary tree with ``explore``, which explores each distinct
 ``(round, locals)`` subtree once and reuses its summary wherever it recurs.
@@ -15,7 +20,6 @@ schedule x adversary tree with ``explore``, which explores each distinct
 from __future__ import annotations
 
 import itertools
-import json
 import logging
 import os
 import random
@@ -59,9 +63,6 @@ class RoundSchedule:
     model: str
     n: int
     events: tuple  # ((kind, ids in ascending order), ...)
-
-    def key(self) -> tuple:
-        return self.events
 
     def part(self, kinds) -> tuple:
         return tuple((k, g) for k, g in self.events if k in kinds)
@@ -269,66 +270,14 @@ def _sigma_draws(n: int, model: str) -> Callable[[random.Random], RoundSchedule]
 
 
 # ---------------------------------------------------------------------------
-# adversaries
+# adversary outputs
 
 
-class AdversaryPolicy:
-    """Supplies outputs for contended safe-consensus instances."""
-
-    def choose(self, rnd: int, obj, invokers, state: GlobalState) -> int:
-        raise NotImplementedError
-
-
-class ScriptedAdversary(AdversaryPolicy):
-    """Replays a recorded list of choices; must cover every contended instance."""
-
-    def __init__(self, choices: Iterable[int]):
-        self._choices = list(choices)
-        self._pos = 0
-
-    def choose(self, rnd, obj, invokers, state):
-        if self._pos >= len(self._choices):
-            raise UnresolvedInstanceError(
-                f"script exhausted at round {rnd}, object {obj!r}")
-        v = self._choices[self._pos]
-        self._pos += 1
-        return v
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScriptedAdversary":
-        data = json.loads(text)
-        if not isinstance(data, list):
-            raise InvalidInputError("adversary script must be a JSON array")
-        return cls(data)
-
-
-class MapAdversary(AdversaryPolicy):
-    """Answers by object index within a single round (used by path builders)."""
-
-    def __init__(self, by_object: dict):
-        self.by_object = by_object
-
-    def choose(self, rnd, obj, invokers, state):
-        if obj in self.by_object:
-            return self.by_object[obj]
-        raise UnresolvedInstanceError(f"no planned value for object {obj!r}")
-
-
-class SeededRandomAdversary(AdversaryPolicy):
-    def __init__(self, seed: int, n: int):
-        self._rng = random.Random(seed)
-        self._n = n
-
-    def choose(self, rnd, obj, invokers, state):
-        return self._rng.randint(1, self._n)
-
-
-class FixedAdversary(AdversaryPolicy):
-    def __init__(self, value: int = 1):
-        self.value = value
-
-    def choose(self, rnd, obj, invokers, state):
-        return self.value
+def random_outputs(seed: int, n: int) -> Iterator[int]:
+    """Endless adversary outputs, each ``Random(seed).randint(1, n)``."""
+    randint = random.Random(seed).randint
+    while True:
+        yield randint(1, n)
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +285,10 @@ class FixedAdversary(AdversaryPolicy):
 
 
 def _run_events(state: GlobalState, sched: RoundSchedule, proto: ProtocolAutomaton,
-                adversary: Optional[AdversaryPolicy]):
-    """Walk one round's events; returns the sm and val columns, the snapshot
-    cells, the resolved objects and the adversary's choices."""
+                adversary: Iterator[int]):
+    """Walk one round's events, taking the adversary's next output for each
+    contended instance; returns the sm and val columns, the snapshot cells,
+    the resolved objects and the adversary's choices."""
     n = state.n
     rnd = state.rnd + 1
     inp, loc = state.inp, state.loc
@@ -384,12 +334,12 @@ def _run_events(state: GlobalState, sched: RoundSchedule, proto: ProtocolAutomat
                     outputs[obj] = first[0][1]
                     forced[obj] = True
                 else:
-                    pids = [p for p, _ in first]
-                    if adversary is None:
+                    v = next(adversary, None)  # a None output counts as missing
+                    if v is None:
                         raise UnresolvedInstanceError(
-                            f"object {obj!r} contended by {pids} needs an adversary")
-                    v = adversary.choose(rnd, obj, tuple(pids), state)
-                    if not (isinstance(v, int) and 1 <= v <= n):
+                            f"object {obj!r} contended by {[p for p, _ in first]} "
+                            f"needs an adversary output")
+                    if type(v) is not int or not 1 <= v <= n:  # bools are not ids
                         raise InvalidAdversaryError(
                             f"adversary chose {v!r} outside 1..{n}")
                     outputs[obj] = v
@@ -410,17 +360,19 @@ def _run_events(state: GlobalState, sched: RoundSchedule, proto: ProtocolAutomat
     return cur_sm, cur_val, cells, tuple(resolved), choices
 
 
-def apply_round(state: GlobalState, sched: RoundSchedule,
-                adversary: Optional[AdversaryPolicy],
+def apply_round(state: GlobalState, sched: RoundSchedule, adversary: Iterable[int],
                 proto: ProtocolAutomaton) -> GlobalState:
     """Run one round; returns the successor state at the next round boundary."""
     new_state, _ = apply_round_recorded(state, sched, adversary, proto)
     return new_state
 
 
-def apply_round_recorded(state: GlobalState, sched: RoundSchedule,
-                         adversary: Optional[AdversaryPolicy],
+def apply_round_recorded(state: GlobalState, sched: RoundSchedule, adversary: Iterable[int],
                          proto: ProtocolAutomaton):
+    """Run one round; returns the successor state and the round's
+    ``(rnd, object, output)`` choices.  The contended instances take the
+    ``adversary`` outputs in resolution order; an iterator passed in keeps
+    the outputs this round leaves over."""
     if sched.model != proto.model or sched.model != state.model:
         raise InvalidScheduleError(
             f"schedule model {sched.model} does not match protocol/state "
@@ -428,7 +380,8 @@ def apply_round_recorded(state: GlobalState, sched: RoundSchedule,
     if sched.n != state.n:
         raise InvalidScheduleError(f"schedule for n={sched.n}, state has n={state.n}")
     rnd = state.rnd + 1
-    cur_sm, cur_val, cells, resolved, choices = _run_events(state, sched, proto, adversary)
+    cur_sm, cur_val, cells, resolved, choices = _run_events(state, sched, proto,
+                                                             iter(adversary))
     decide, step = proto.decide, proto.step
     decs, locs = [], []
     for dec, sm, val, loc in zip(state.dec, cur_sm, cur_val, state.loc):
@@ -446,7 +399,7 @@ def probe_round(state: GlobalState, sched: RoundSchedule, proto: ProtocolAutomat
     resolution order; the adversary outputs used for contended instances
     are placeholders.
     """
-    probe_state, _ = apply_round_recorded(state, sched, FixedAdversary(1), proto)
+    probe_state, _ = apply_round_recorded(state, sched, itertools.repeat(1), proto)
     out = []
     for inst in probe_state.instances:
         out.append((inst.object_index, inst.box, not inst.forced,
@@ -462,19 +415,20 @@ def successors(state: GlobalState, sched: RoundSchedule, proto: ProtocolAutomato
     """Yield ``(choices, child)`` for every adversary output of one round.
 
     ``choices`` are the outputs of the contended instances in resolution
-    order, in ``itertools.product`` order.  The all-ones run comes first
-    and also reveals which instances are contended, so no probe runs.  The
-    set of contended instances cannot depend on the outputs: no process
-    selects its object after reading an output of the same round, and
-    MapAdversary raises on an instance it has no output for.
+    order, in ``itertools.product`` order, and each child runs on its
+    ``choices`` as they stand.  The all-ones run comes first and also
+    reveals how many instances are contended, so no probe runs.  Which
+    instances are contended, and in which order they resolve, cannot depend
+    on the outputs: no selector reads an output of its own round.  A process
+    selects at its one invoke of the round, while its ``val`` still holds the
+    previous round's output; only WRO scans before invoking, and there every
+    cell was written before its writer invoked.
     """
-    first, recorded = apply_round_recorded(state, sched, FixedAdversary(1), proto)
-    contended = [obj for (_rnd, obj, _v) in recorded]
-    assignments = itertools.product(range(1, state.n + 1), repeat=len(contended))
+    first, recorded = apply_round_recorded(state, sched, itertools.repeat(1), proto)
+    assignments = itertools.product(range(1, state.n + 1), repeat=len(recorded))
     yield next(assignments), first
     for values in assignments:
-        yield values, apply_round(state, sched, MapAdversary(dict(zip(contended, values))),
-                                  proto)
+        yield values, apply_round(state, sched, values, proto)
 
 
 def explore(root: GlobalState, scheds, proto: ProtocolAutomaton,
@@ -569,8 +523,9 @@ class Execution:
 
 
 def run_execution(proto: ProtocolAutomaton, inputs, scheds,
-                  adversary: Optional[AdversaryPolicy]) -> Execution:
-    """Fold apply_round over a nonempty schedule list, recording choices."""
+                  adversary: Iterable[int]) -> Execution:
+    """Fold apply_round over a nonempty schedule list, recording choices.
+    One iterator over the ``adversary`` outputs spans the rounds."""
     scheds = list(scheds)
     if not scheds:
         raise InvalidArgumentError("at least one round schedule is required")
@@ -578,6 +533,7 @@ def run_execution(proto: ProtocolAutomaton, inputs, scheds,
     init = make_initial_state(len(inputs), inputs, proto.model, proto)
     state = init
     steps = []
+    adversary = iter(adversary)
     for sched in scheds:
         state, choices = apply_round_recorded(state, sched, adversary, proto)
         steps.append(ExecutionStep(schedule=sched, choices=choices, state=state))
@@ -586,8 +542,7 @@ def run_execution(proto: ProtocolAutomaton, inputs, scheds,
 
 def replay_execution(proto: ProtocolAutomaton, inputs, execution: Execution) -> Execution:
     """Re-run a recorded execution from its schedules and choices."""
-    return run_execution(proto, inputs, execution.schedules(),
-                         ScriptedAdversary(execution.all_choices()))
+    return run_execution(proto, inputs, execution.schedules(), execution.all_choices())
 
 
 # ---------------------------------------------------------------------------
@@ -722,10 +677,10 @@ def collect_gamma(proto: ProtocolAutomaton, n: int,
         draw = _sigma_draws(n, proto.model)
         for _ in range(budget.max_executions):
             scheds = [draw(rng) for _ in range(rounds)]
-            adv = SeededRandomAdversary(rng.randrange(2**31), n)
+            adversary = random_outputs(rng.randrange(2**31), n)
             state = make_initial_state(n, inputs, proto.model, proto)
             for sched in scheds:
-                state = apply_round(state, sched, adv, proto)
+                state = apply_round(state, sched, adversary, proto)
                 boxes.update(box for box, _out in state.box_outputs())
             count += 1
 
@@ -917,10 +872,10 @@ def _sample_range(proto: ProtocolAutomaton, n: int, seed: int, lo: int, hi: int)
         rng = random.Random(f"{seed}:{k}")
         inputs = [rng.randint(0, 1) for _ in range(n)]
         scheds = [draw(rng) for _ in range(rounds)]
-        adv = SeededRandomAdversary(rng.randrange(2**31), n)
+        adversary = random_outputs(rng.randrange(2**31), n)
         state = make_initial_state(n, inputs, proto.model, proto)
         for sched in scheds:
-            state = apply_round(state, sched, adv, proto)
+            state = apply_round(state, sched, adversary, proto)
         verdict = _check_decisions(state, rounds, set(inputs))
         if not verdict.ok:
             violations += 1
@@ -1037,7 +992,7 @@ def protocol_descriptor(proto: ProtocolAutomaton, n: int) -> dict:
     sched = sigma_schedule((), n, proto.model)
     table = []
     for r in range(1, rounds + 1):
-        state, _ = apply_round_recorded(state, sched, FixedAdversary(1), proto)
+        state, _ = apply_round_recorded(state, sched, itertools.repeat(1), proto)
         table.append({
             "round": r,
             "boxes": [sorted(inst.box) for inst in state.instances],

@@ -77,22 +77,6 @@ class SnapshotObject:
         return {"cells": [jsonable(c) for c in self.cells]}
 
 
-@dataclass(frozen=True, slots=True)
-class InvocationSpec:
-    """The set of boxes of one completed round.  Boxes partition 1..n."""
-
-    boxes: frozenset
-
-    def __iter__(self):
-        return iter(sorted(self.boxes, key=lambda b: sorted(b)))
-
-    def __contains__(self, b) -> bool:
-        return frozenset(b) in self.boxes
-
-    def to_jsonable(self) -> list:
-        return [sorted(b) for b in self]
-
-
 @frozen_record
 @dataclass(frozen=True, slots=True)
 class SafeConsensusInstance:
@@ -230,7 +214,7 @@ def resolve_safe_consensus(invokers, inputs, invoke_groups, adversary_choice=Non
     if adversary_choice is None:
         raise UnresolvedInstanceError(
             f"instance with contending invokers {sorted(first_group)} needs an adversary choice")
-    if n is not None and not (isinstance(adversary_choice, int) and 1 <= adversary_choice <= n):
+    if n is not None and not (type(adversary_choice) is int and 1 <= adversary_choice <= n):
         raise InvalidAdversaryError(f"adversary choice {adversary_choice!r} outside 1..{n}")
     return adversary_choice, False
 
@@ -246,11 +230,11 @@ def indistinguishability_set(s: GlobalState, q: GlobalState) -> frozenset:
                      if i1 == i2 and s1 == s2 and v1 == v2 and d1 == d2 and l1 == l2)
 
 
-def invocation_spec(s: GlobalState) -> InvocationSpec:
-    """Boxes of the round that produced ``s``."""
+def invocation_spec(s: GlobalState) -> frozenset:
+    """Boxes of the round that produced ``s``; they partition 1..n."""
     if s.rnd < 1 or not s.resolved:
         raise NoInvocationsError("round-0 states have no invocation specification")
-    return InvocationSpec(boxes=frozenset(box for box, _out in s.box_outputs()))
+    return frozenset(box for box, _out in s.box_outputs())
 
 
 def sc_value_of(b, s: GlobalState):
@@ -266,10 +250,8 @@ def sc_value_of(b, s: GlobalState):
 
 def diff_box_set(q1: GlobalState, q2: GlobalState) -> frozenset:
     """Boxes present in both states' specs whose safe-consensus values differ."""
-    spec1 = invocation_spec(q1).boxes
-    spec2 = invocation_spec(q2).boxes
     out = set()
-    for b in spec1 & spec2:
+    for b in invocation_spec(q1) & invocation_spec(q2):
         if sc_value_of(b, q1) != sc_value_of(b, q2):
             out.add(b)
     return frozenset(out)

@@ -9,7 +9,7 @@ instance order and inputs included, with the same recorded adversary choices.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Iterable
 
 from itersc.errors import (
     InvalidAdversaryError,
@@ -17,14 +17,15 @@ from itersc.errors import (
     InvalidScheduleError,
     UnresolvedInstanceError,
 )
-from itersc.executor import AdversaryPolicy, R, RoundSchedule, W
+from itersc.executor import R, RoundSchedule, W
 from itersc.model import GlobalState, LocalState, SafeConsensusInstance, SnapshotObject
 from itersc.protocols import ProtocolAutomaton
 
 
 def run_events(state: GlobalState, sched: RoundSchedule, proto: ProtocolAutomaton,
-                adversary: Optional[AdversaryPolicy]):
-    """Walk one round's events; returns per-process components and instances."""
+               adversary: Iterable[int]):
+    """Walk one round's events; returns per-process components and instances.
+    Each contended instance takes the next of the ``adversary`` outputs."""
     n = state.n
     rnd = state.rnd + 1
     locals_ = state.locals_
@@ -38,6 +39,7 @@ def run_events(state: GlobalState, sched: RoundSchedule, proto: ProtocolAutomato
     outputs: dict[Any, Any] = {}  # in resolution order
     forced: dict[Any, bool] = {}
     choices: list = []
+    adversary = iter(adversary)
 
     for kind, group in sched.events:
         if kind == W:
@@ -71,11 +73,11 @@ def run_events(state: GlobalState, sched: RoundSchedule, proto: ProtocolAutomato
                     forced[obj] = True
                 else:
                     pids = [p for p, _ in first]
-                    if adversary is None:
+                    v = next(adversary, None)
+                    if v is None:
                         raise UnresolvedInstanceError(
-                            f"object {obj!r} contended by {pids} needs an adversary")
-                    v = adversary.choose(rnd, obj, tuple(pids), state)
-                    if not (isinstance(v, int) and 1 <= v <= n):
+                            f"object {obj!r} contended by {pids} needs an adversary output")
+                    if not (type(v) is int and 1 <= v <= n):
                         raise InvalidAdversaryError(
                             f"adversary chose {v!r} outside 1..{n}")
                     outputs[obj] = v
@@ -96,7 +98,7 @@ def run_events(state: GlobalState, sched: RoundSchedule, proto: ProtocolAutomato
 
 
 def apply_round_recorded(state: GlobalState, sched: RoundSchedule,
-                         adversary: Optional[AdversaryPolicy],
+                         adversary: Iterable[int],
                          proto: ProtocolAutomaton):
     if sched.model != proto.model or sched.model != state.model:
         raise InvalidScheduleError(

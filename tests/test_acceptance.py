@@ -18,7 +18,7 @@ from itersc.connectivity import (
 )
 from itersc.equivalence import check_transform_correspondence
 from itersc.executor import (
-    SeededRandomAdversary,
+    random_outputs,
     random_sigma_schedule,
     replay_execution,
     run_execution,
@@ -163,7 +163,7 @@ def test_criterion_7_property_suites_and_determinism():
         inputs = [rng.randint(0, 1) for _ in range(n)]
         scheds = [random_sigma_schedule(n, proto.model, rng) for _ in range(rounds)]
         exe = run_execution(proto, inputs, scheds,
-                            SeededRandomAdversary(rng.randrange(2**31), n))
+                            random_outputs(rng.randrange(2**31), n))
         again = replay_execution(proto, inputs, exe)
         assert exe.to_jsonl() == again.to_jsonl()
         assert exe.final == again.final

@@ -181,6 +181,54 @@ def test_enumerate_adversary_is_rejected(capsys):
     assert "unknown adversary 'enumerate'" in err
 
 
+SIMULATE_CONTENDED = ("simulate", "--n", "3", "--inputs", "0,1,1", "--seed", "3")
+
+
+def test_simulate_script_replays_a_random_run_byte_for_byte(capsys, tmp_path):
+    code, trace, _ = run_cli(capsys, *SIMULATE_CONTENDED, "--adversary", "random")
+    assert code == EXIT_OK
+    choices = [v for line in trace.splitlines() for _r, _o, v in json.loads(line)["choices"]]
+    assert choices == [1, 3]  # two contended rounds: the script spans them
+    script = tmp_path / "choices.json"
+    script.write_text(json.dumps(choices))
+    code, replayed, _ = run_cli(capsys, *SIMULATE_CONTENDED, "--adversary", f"script:{script}")
+    assert code == EXIT_OK and replayed == trace
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"not": "a list"}', "adversary script must be a JSON array"),
+    ("[true, true, true]", "adversary chose True outside 1..3"),  # a bool is not an id
+], ids=["not-an-array", "booleans"])
+def test_simulate_refuses_a_malformed_script(capsys, tmp_path, text, message):
+    script = tmp_path / "script.json"
+    script.write_text(text)
+    code, out, err = run_cli(capsys, "simulate", "--n", "3", "--groups", "1,2,3",
+                             "--inputs", "0,1,1", "--horizon", "3",
+                             "--adversary", f"script:{script}")
+    assert code == EXIT_USAGE and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("text", [None, "[1, 2"], ids=["missing", "not-json"])
+@pytest.mark.parametrize("argv", [("simulate", "--adversary", "script:{}"),
+                                  ("verify-2cc", "--config", "{}")], ids=["script", "config"])
+def test_unreadable_file_is_a_usage_error(capsys, tmp_path, argv, text):
+    path = tmp_path / "file.json"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run_cli(capsys, *(arg.format(path) for arg in argv))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("[itersc] error: cannot read") and str(path) in err
+
+
+def test_config_must_be_an_object(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[2]")
+    code, out, err = run_cli(capsys, "verify-2cc", "--config", str(cfg))
+    assert code == EXIT_USAGE and out == ""
+    assert "config file must hold a JSON object" in err
+
+
 def test_unknown_command_exits_2(capsys):
     assert main(["no-such-command"]) == EXIT_USAGE
     assert main([]) == EXIT_USAGE

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from itersc import connectivity
 from itersc.connectivity import (
-    WRO_PLAN_VALUE,
     Path,
     Valency,
     bounded_valency,
@@ -36,8 +35,6 @@ from itersc.errors import (
     PreconditionViolationError,
 )
 from itersc.executor import (
-    FixedAdversary,
-    MapAdversary,
     apply_round,
     enumerate_round_schedules,
     probe_round,
@@ -68,10 +65,10 @@ def _two_pairs_proto():
 
 def test_is_b_regular():
     s = make_initial_state(3, [0, 1, 1], WOR, PAIR)
-    x = apply_round(s, sigma_schedule((), 3, WOR), FixedAdversary(1), PAIR)
-    y = apply_round(s, sigma_schedule(({1},), 3, WOR), FixedAdversary(1), PAIR)
+    x = apply_round(s, sigma_schedule((), 3, WOR), itertools.repeat(1), PAIR)
+    y = apply_round(s, sigma_schedule(({1},), 3, WOR), itertools.repeat(1), PAIR)
     assert is_b_regular(Path(states=(x, y), labels=(frozenset({3}),)))
-    z = apply_round(s, sigma_schedule((), 3, WOR), FixedAdversary(1), SOLO)
+    z = apply_round(s, sigma_schedule((), 3, WOR), itertools.repeat(1), SOLO)
     assert not is_b_regular(Path(states=(x, z), labels=(frozenset({3}),)))
     with pytest.raises(NoInvocationsError):
         is_b_regular(Path(states=(s,), labels=()))
@@ -79,7 +76,7 @@ def test_is_b_regular():
 
 def test_single_state_path_trivially_b_regular():
     s = make_initial_state(3, [0, 1, 1], WOR, PAIR)
-    x = apply_round(s, sigma_schedule((), 3, WOR), FixedAdversary(1), PAIR)
+    x = apply_round(s, sigma_schedule((), 3, WOR), itertools.repeat(1), PAIR)
     assert is_b_regular(Path(states=(x,), labels=()))
 
 
@@ -369,7 +366,7 @@ def test_valency_of_decided_state():
     s = make_initial_state(3, [0, 0, 0], WOR, SOLO)
     sched = sigma_schedule((), 3, WOR)
     for _ in range(2):
-        s = apply_round(s, sched, None, SOLO)
+        s = apply_round(s, sched, (), SOLO)
     assert s.all_decided()
     assert bounded_valency(s, SOLO, 1) is Valency.ZERO
 
@@ -397,10 +394,8 @@ def test_connected_univalent_states_share_valency_instance():
         for sched in enumerate_round_schedules(2, WOR, "sigma"):
             init = make_initial_state(2, inputs, WOR, proto)
             contended = [o for (o, _b, c, _f) in probe_round(init, sched, proto) if c]
-            scripts = [dict(zip(contended, vs))
-                       for vs in itertools.product((1, 2), repeat=len(contended))] or [{}]
-            for script in scripts:
-                states.append(apply_round(init, sched, MapAdversary(script), proto))
+            for values in itertools.product((1, 2), repeat=len(contended)):
+                states.append(apply_round(init, sched, values, proto))
     for a, b in itertools.combinations(states, 2):
         shared = indistinguishability_set(a, b)
         if shared and a.decisions() and b.decisions():
@@ -415,7 +410,7 @@ def _wro_bridged(proto, state, i, j):
     """The sigma-wro bridge from all-i to all-j of ``state``, built on its own."""
     rounds = connectivity._Rounds(proto)
     full = frozenset(range(1, state.n + 1))
-    pb = connectivity.PathBuilder(connectivity._wro_successor(rounds, state, (full - {i},)))
+    pb = connectivity.PathBuilder(rounds.child(state, (full - {i},)))
     connectivity._wro_bridge(rounds, pb, state, i, j)
     return pb.build()
 
@@ -543,7 +538,7 @@ def test_diff_box_set_is_within_both_specs():
     q2 = rounds.successor(s, ({1, 2, 3},), {b: 3})
     d = diff_box_set(q1, q2)
     assert d == {b}
-    assert d <= invocation_spec(q1).boxes & invocation_spec(q2).boxes
+    assert d <= invocation_spec(q1) & invocation_spec(q2)
 
 
 def test_partition_bridge_labels_exactly_a_and_b_everywhere():
@@ -568,22 +563,21 @@ def test_partition_bridge_labels_exactly_a_and_b_everywhere():
 def _probe_then_apply_successor(rounds, state, groups, box_values):
     """Reference ``_Rounds.successor``: probe the round, then apply the plan."""
     sched = sigma_schedule(groups, state.n, rounds.proto.model)
-    script = {}
-    for obj, b, contended, forced_val in probe_round(state, sched, rounds.proto):
+    values = []
+    for _obj, b, contended, forced_val in probe_round(state, sched, rounds.proto):
         want = box_values.get(b)
         if contended:
-            script[obj] = want if want is not None else min(b)
+            values.append(want if want is not None else min(b))
         elif want is not None and forced_val != want:
             raise ConstructionError(f"box {sorted(b)} is forced to {forced_val}")
-    return apply_round(state, sched, MapAdversary(script), rounds.proto)
+    return apply_round(state, sched, values, rounds.proto)
 
 
 def _probe_then_apply_wro(rounds, state, groups):
     """Reference sigma-wro successor: every probed contended instance outputs 1."""
     sched = sigma_schedule(groups, state.n, rounds.proto.model)
-    script = {obj: WRO_PLAN_VALUE
-              for obj, _b, contended, _f in probe_round(state, sched, rounds.proto) if contended}
-    return apply_round(state, sched, MapAdversary(script), rounds.proto)
+    values = [1 for _o, _b, contended, _f in probe_round(state, sched, rounds.proto) if contended]
+    return apply_round(state, sched, values, rounds.proto)
 
 
 def _three_rounds(extend, path):
@@ -616,7 +610,8 @@ def test_memoized_engines_equal_probe_then_apply(monkeypatch):
     monkeypatch.setattr(connectivity._Rounds, "successor", _probe_then_apply_successor)
     monkeypatch.setattr(connectivity._Rounds, "boxes",
                         lambda rounds, state: successor_boxes(state, rounds.proto))
-    monkeypatch.setattr(connectivity, "_wro_successor", _probe_then_apply_wro)
+    # with successor and boxes replaced, only the wro engine calls child itself
+    monkeypatch.setattr(connectivity._Rounds, "child", _probe_then_apply_wro)
     for label, extend, start in cases:
         reference = _three_rounds(extend, start)
         for r, (got, want) in enumerate(zip(memoized[label], reference), start=1):
@@ -642,9 +637,9 @@ def test_memo_hit_is_the_fresh_child():
         for parent in (s1, s2):
             sched = sigma_schedule(groups, 3, WRO)
             child = rounds.child(parent, groups)
-            assert child == apply_round(parent, sched, FixedAdversary(1), proto)
+            assert child == apply_round(parent, sched, itertools.repeat(1), proto)
             planned = rounds.successor(parent, groups, {frozenset({1, 2, 3}): 3})
-            assert planned == apply_round(parent, sched, FixedAdversary(3), proto)
+            assert planned == apply_round(parent, sched, itertools.repeat(3), proto)
             children.add(child.locals_)
     assert len(children) == len(all_groups)  # the groups lead to different rounds
     assert len(rounds.children) == 2 * len(all_groups)  # both parents share every round
@@ -680,7 +675,7 @@ def test_memo_keys_on_the_schedule_not_its_spelling():
         short = rounds.child(s, (full - {j},))
         assert len(rounds.children) == 1
         assert spelled == short == apply_round(s, sigma_schedule((full - {j},), 3, WRO),
-                                               FixedAdversary(1), proto)
+                                               itertools.repeat(1), proto)
     rounds = connectivity._Rounds(proto)
     assert rounds.child(s, ()) == rounds.child(s, (full,)) == rounds.child(s, (set(), full))
     assert len(rounds.children) == 1

@@ -15,8 +15,8 @@ from itersc.equivalence import (
 )
 from itersc.errors import ModelMismatchError
 from itersc.executor import (
-    SeededRandomAdversary,
     random_ordered_partition_schedule,
+    random_outputs,
     sigma_schedule,
 )
 from itersc.model import OWR, WRO
@@ -61,7 +61,7 @@ def test_paired_simulation_shifts_decisions_wro():
     proto = wro_transform_samples()["wro-pair12-d3"]
     rng = random.Random(11)
     scheds = [random_ordered_partition_schedule(3, WRO, rng) for _ in range(4)]
-    src, sim = simulate_paired(proto, [0, 1, 0], scheds, SeededRandomAdversary(5, 3))
+    src, sim = simulate_paired(proto, [0, 1, 0], scheds, random_outputs(5, 3))
     assert decisions_shifted_by_one(src, sim) is None
     assert src.decision_rounds() and sim.decision_rounds()
 
@@ -70,7 +70,7 @@ def test_paired_simulation_shifts_decisions_owr():
     proto = owr_transform_samples()["owr-rotating-d3"]
     rng = random.Random(12)
     scheds = [random_ordered_partition_schedule(3, OWR, rng) for _ in range(4)]
-    src, sim = simulate_paired(proto, [1, 0, 1], scheds, SeededRandomAdversary(6, 3))
+    src, sim = simulate_paired(proto, [1, 0, 1], scheds, random_outputs(6, 3))
     assert decisions_shifted_by_one(src, sim) is None
 
 
@@ -94,8 +94,8 @@ def test_correspondence_detects_a_broken_simulation():
     rng = random.Random(3)
     scheds = [random_ordered_partition_schedule(3, WRO, rng) for _ in range(3)]
     src = __import__("itersc.executor", fromlist=["x"]).run_execution(
-        proto, [0, 0, 0], scheds, SeededRandomAdversary(1, 3))
+        proto, [0, 0, 0], scheds, random_outputs(1, 3))
     bad_exe = __import__("itersc.executor", fromlist=["x"]).run_execution(
         sim, [0, 0, 0], wro_to_owr_schedules(scheds, 3),
-        SeededRandomAdversary(1, 3))
+        random_outputs(1, 3))
     assert decisions_shifted_by_one(src, bad_exe) is not None

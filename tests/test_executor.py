@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from itersc import executor
 from itersc.errors import (
     BudgetExceededError,
+    InvalidAdversaryError,
     InvalidArgumentError,
     InvalidInputError,
     InvalidScheduleError,
@@ -29,14 +30,13 @@ from itersc.errors import (
 from itersc.executor import (
     EVENT_ORDER,
     ExplorationBudget,
-    FixedAdversary,
     GammaReport,
-    MapAdversary,
-    ScriptedAdversary,
-    SeededRandomAdversary,
+    random_outputs,
     SweepReport,
     _check_decisions,
+    all_coalitions_tuples,
     apply_round,
+    apply_round_recorded,
     check_2cc,
     check_consensus,
     collect_gamma,
@@ -65,6 +65,7 @@ from itersc.samples import (
     knowledge_automaton,
     owr_transform_samples,
     resolve_protocol,
+    sample_names,
     sel_solo,
     wro_transform_samples,
 )
@@ -122,8 +123,8 @@ def test_enumerate_sigma_budget_guard():
 def test_enumerate_ordered_partition_family_is_valid_and_duplicate_free():
     seen = set()
     for sched in enumerate_round_schedules(2, WOR, "ordered-partition"):
-        assert sched.key() not in seen
-        seen.add(sched.key())
+        assert sched.events not in seen
+        seen.add(sched.events)
         order = EVENT_ORDER[WOR]
         pos = {}
         for i, (kind, group) in enumerate(sched.events):
@@ -149,8 +150,8 @@ def test_apply_round_determinism():
     proto = protocol_2cc(2)
     init = make_initial_state(2, [(5, None), (None, 7)], WOR, proto)
     sched = sigma_schedule([], 2, WOR)
-    s1 = apply_round(init, sched, FixedAdversary(2), proto)
-    s2 = apply_round(init, sched, FixedAdversary(2), proto)
+    s1 = apply_round(init, sched, itertools.repeat(2), proto)
+    s2 = apply_round(init, sched, itertools.repeat(2), proto)
     assert s1 == s2
     assert [ls.dec for ls in s1.locals_] == [7, 7]
 
@@ -159,26 +160,37 @@ def test_apply_round_model_mismatch():
     proto = protocol_2cc(2)
     init = make_initial_state(2, [(5, None), (None, 7)], WOR, proto)
     with pytest.raises(InvalidScheduleError):
-        apply_round(init, sigma_schedule([], 2, WRO), None, proto)
+        apply_round(init, sigma_schedule([], 2, WRO), (), proto)
 
 
 def test_apply_round_contention_needs_adversary():
     proto = protocol_2cc(2)
     init = make_initial_state(2, [(5, None), (None, 7)], WOR, proto)
     with pytest.raises(UnresolvedInstanceError):
-        apply_round(init, sigma_schedule([], 2, WOR), None, proto)
+        apply_round(init, sigma_schedule([], 2, WOR), (), proto)
 
 
 def test_scripted_adversary_must_cover_the_run():
+    """One iterator spans the rounds: a script with one output per round
+    runs two rounds and runs out in the third."""
+    proto = protocol_consensus_wor(2)
+    scheds = [sigma_schedule([], 2, WOR)] * 3
+    assert run_execution(proto, [0, 1], scheds[:2], [2, 1]).all_choices() == [2, 1]
+    with pytest.raises(UnresolvedInstanceError):
+        run_execution(proto, [0, 1], scheds, [2, 1])
+
+
+@pytest.mark.parametrize("output", [0, 3, True, 1.0, "1"])
+def test_adversary_output_must_be_a_process_id(output):
     proto = protocol_2cc(2)
     init = make_initial_state(2, [(5, None), (None, 7)], WOR, proto)
-    with pytest.raises(UnresolvedInstanceError):
-        apply_round(init, sigma_schedule([], 2, WOR), ScriptedAdversary([]), proto)
+    with pytest.raises(InvalidAdversaryError):
+        apply_round(init, sigma_schedule([], 2, WOR), [output], proto)
 
 
 def test_run_execution_requires_rounds():
     with pytest.raises(InvalidArgumentError):
-        run_execution(protocol_consensus_wor(2), [0, 1], [], None)
+        run_execution(protocol_consensus_wor(2), [0, 1], [], ())
 
 
 def test_run_execution_and_replay_are_identical():
@@ -186,7 +198,7 @@ def test_run_execution_and_replay_are_identical():
     proto = protocol_consensus_wor(3)
     rng = random.Random(3)
     scheds = [random_sigma_schedule(3, WOR, rng) for _ in range(3)]
-    exe = run_execution(proto, [0, 1, 1], scheds, SeededRandomAdversary(9, 3))
+    exe = run_execution(proto, [0, 1, 1], scheds, random_outputs(9, 3))
     again = replay_execution(proto, [0, 1, 1], exe)
     assert exe.final == again.final
     assert exe.to_jsonl() == again.to_jsonl()
@@ -194,7 +206,7 @@ def test_run_execution_and_replay_are_identical():
 
 def test_check_consensus_shapes():
     proto = protocol_consensus_wor(2)
-    exe = run_execution(proto, [1, 0], [sigma_schedule([{1}], 2, WOR)], None)
+    exe = run_execution(proto, [1, 0], [sigma_schedule([{1}], 2, WOR)], ())
     verdict = check_consensus(exe, [1, 0])
     assert verdict.ok and verdict.termination and verdict.agreement and verdict.validity
 
@@ -202,21 +214,21 @@ def test_check_consensus_shapes():
     selfish = knowledge_automaton(WOR, "selfish", sel_solo, decide_round=1)
     import dataclasses
     selfish = dataclasses.replace(selfish, decide=lambda sm, v, lo: lo.known[0])
-    exe = run_execution(selfish, [0, 1], [sigma_schedule([], 2, WOR)], None)
+    exe = run_execution(selfish, [0, 1], [sigma_schedule([], 2, WOR)], ())
     verdict = check_consensus(exe, [0, 1])
     assert not verdict.ok and not verdict.agreement
     assert verdict.first_violation[0] == "agreement"
 
     # validity violation: decide a constant outside the inputs
     invalid = dataclasses.replace(selfish, decide=lambda sm, v, lo: 7)
-    exe = run_execution(invalid, [0, 1], [sigma_schedule([], 2, WOR)], None)
+    exe = run_execution(invalid, [0, 1], [sigma_schedule([], 2, WOR)], ())
     verdict = check_consensus(exe, [0, 1])
     assert not verdict.ok and verdict.agreement and not verdict.validity
     assert verdict.first_violation[0] == "validity"
 
     # termination at the horizon
     silent = knowledge_automaton(WOR, "silent", sel_solo)
-    exe = run_execution(silent, [0, 1], [sigma_schedule([], 2, WOR)], None)
+    exe = run_execution(silent, [0, 1], [sigma_schedule([], 2, WOR)], ())
     verdict = check_consensus(exe, [0, 1])
     assert not verdict.ok and not verdict.termination
     assert verdict.first_violation[0] == "termination"
@@ -225,7 +237,7 @@ def test_check_consensus_shapes():
 def test_check_2cc_rejects_invalid_tuple():
     proto = protocol_2cc(2)
     entries = [(5, None), (6, 7)]
-    exe = run_execution(proto, entries, [sigma_schedule([{1}], 2, WOR)], None)
+    exe = run_execution(proto, entries, [sigma_schedule([{1}], 2, WOR)], ())
     with pytest.raises(InvalidInputError):
         check_2cc(exe, entries)
 
@@ -233,12 +245,12 @@ def test_check_2cc_rejects_invalid_tuple():
 def test_check_2cc_pass_and_violations():
     proto = protocol_2cc(2)
     entries = [(5, None), (None, 7)]
-    exe = run_execution(proto, entries, [sigma_schedule([{1}], 2, WOR)], None)
+    exe = run_execution(proto, entries, [sigma_schedule([{1}], 2, WOR)], ())
     assert check_2cc(exe, entries).ok
 
     import dataclasses
     bad = dataclasses.replace(proto, decide=lambda sm, v, lo: 9)
-    exe = run_execution(bad, entries, [sigma_schedule([{1}], 2, WOR)], None)
+    exe = run_execution(bad, entries, [sigma_schedule([{1}], 2, WOR)], ())
     verdict = check_2cc(exe, entries)
     assert not verdict.ok and not verdict.validity
 
@@ -270,8 +282,7 @@ def test_adversary_enumeration_covers_choice_space():
     assert len(contended) == 1
     outcomes = set()
     for values in itertools.product((1, 2, 3), repeat=len(contended)):
-        from itersc.executor import MapAdversary
-        nxt = apply_round(init, sched, MapAdversary(dict(zip(contended, values))), proto)
+        nxt = apply_round(init, sched, values, proto)
         outcomes.add(nxt.locals_[0].val)
     assert outcomes == {1, 2, 3}
 
@@ -299,19 +310,12 @@ def test_random_sigma_schedules_are_model_valid(seed, model):
 def test_trace_jsonl_one_line_per_round():
     proto = protocol_consensus_wor(2)
     exe = run_execution(proto, [0, 1], [sigma_schedule([], 2, WOR)],
-                        FixedAdversary(1))
+                        itertools.repeat(1))
     lines = exe.to_jsonl().strip().split("\n")
     assert len(lines) == 1
     import json
     row = json.loads(lines[0])
     assert row["round"] == 1 and row["schedule"] and "locals" in row
-
-
-def test_scripted_adversary_from_json():
-    adv = ScriptedAdversary.from_json("[2, 1, 2]")
-    assert adv.choose(1, 0, (1, 2), None) == 2
-    with pytest.raises(InvalidInputError):
-        ScriptedAdversary.from_json('{"not": "a list"}')
 
 
 def test_collect_gamma_scales_to_n5_sampled():
@@ -348,7 +352,7 @@ def _plain_walk(proto, inputs, scheds, on_child=lambda state: None):
         for sched in scheds:
             contended = [o for (o, _b, c, _f) in probe_round(state, sched, proto) if c]
             for values in itertools.product(range(1, n + 1), repeat=len(contended)):
-                child = apply_round(state, sched, MapAdversary(dict(zip(contended, values))),
+                child = apply_round(state, sched, values,
                                     proto)
                 on_child(child)
                 trail.append((sched, values))
@@ -391,6 +395,45 @@ def test_memoized_sweep_equals_plain_tree_walk(name, proto, inputs_list, per_rou
     assert report == _reference_report(proto, 3, inputs_list, per_round_cross)
 
 
+# -- adversary outputs by position ---------------------------------------------
+
+
+def _bundled_automata(n):
+    """Every bundled automaton at n, and the simulation of each WRO and OWR one."""
+    protos = [resolve_protocol(name, n) for name in sample_names()]
+    return protos + [transform_wro_to_owr(p) if p.model == WRO else transform_owr_to_wro(p)
+                     for p in protos if p.model != WOR]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_outputs_never_change_which_instances_contend(n):
+    """``successors`` hands each child its outputs by position, which is sound
+    only if a round's outputs cannot change its instances: no selector reads
+    an output of its own round.  On seeded states and sigma schedules, each
+    sampled child resolves the same objects, with the same invokers, inputs
+    and forced flags, as the all-ones child, and records the outputs given."""
+    rng = random.Random(n)
+    most_contended = 0
+    for proto, _walk in itertools.product(_bundled_automata(n), range(4)):
+        inputs = (rng.choice(all_coalitions_tuples(n)) if proto.name.startswith("2cc")
+                  else [rng.randint(0, 1) for _ in range(n)])
+        state = make_initial_state(n, inputs, proto.model, proto)
+        for _ in range(5):
+            sched = random_sigma_schedule(n, proto.model, rng)
+            ones, recorded = apply_round_recorded(state, sched, itertools.repeat(1), proto)
+            shape = [(obj, pairs, forced) for obj, pairs, _out, forced in ones.resolved]
+            most_contended = max(most_contended, len(recorded))
+            for _ in range(6):
+                values = [rng.randint(1, n) for _ in recorded]
+                child, choices = apply_round_recorded(state, sched, values, proto)
+                assert [(obj, pairs, forced) for obj, pairs, _out, forced
+                        in child.resolved] == shape, (proto.name, str(sched))
+                assert [v for _rnd, _obj, v in choices] == values
+            state = child
+    # at n = 4 some rounds contend two objects, so the position of an output matters
+    assert most_contended >= n - 2
+
+
 # -- sampled sweeps against the plain per-execution loop -----------------------
 
 
@@ -402,8 +445,8 @@ def _sampled_reference(proto, n, executions, seed):
         rng = random.Random(f"{seed}:{k}")
         inputs = [rng.randint(0, 1) for _ in range(n)]
         scheds = [random_sigma_schedule(n, proto.model, rng) for _ in range(rounds)]
-        adv = SeededRandomAdversary(rng.randrange(2**31), n)
-        verdict = check_consensus(run_execution(proto, inputs, scheds, adv), inputs)
+        adversary = random_outputs(rng.randrange(2**31), n)
+        verdict = check_consensus(run_execution(proto, inputs, scheds, adversary), inputs)
         if not verdict.ok:
             violations += 1
             first = first or {"inputs": inputs, "seed": seed, "index": k,
@@ -530,10 +573,10 @@ def _gamma_reference(proto, n, rounds, executions):
     boxes = set()
     for _ in range(executions):
         scheds = [random_sigma_schedule(n, proto.model, rng) for _ in range(rounds)]
-        adv = SeededRandomAdversary(rng.randrange(2**31), n)
+        adversary = random_outputs(rng.randrange(2**31), n)
         state = make_initial_state(n, list(range(n)), proto.model, proto)
         for sched in scheds:
-            state = apply_round(state, sched, adv, proto)
+            state = apply_round(state, sched, adversary, proto)
             boxes.update(inst.box for inst in state.instances)
     gamma = {m: frozenset(b for b in boxes if len(b) == m) for m in {len(b) for b in boxes}}
     nu = {m: len(bs) for m, bs in gamma.items() if m >= 2}
@@ -590,7 +633,7 @@ def test_first_counterexample_replays_as_an_execution():
     cex = verify_consensus_exhaustive(3, proto_factory=lambda n: proto).first_counterexample
     scheds = [make_schedule(proto.model, 3, step["schedule"]) for step in cex["trail"]]
     choices = [v for step in cex["trail"] for v in step["choices"]]
-    exe = run_execution(proto, cex["inputs"], scheds, ScriptedAdversary(choices))
+    exe = run_execution(proto, cex["inputs"], scheds, choices)
     assert exe.all_choices() == choices
     verdict = check_consensus(exe, cex["inputs"])
     assert not verdict.ok
@@ -631,7 +674,7 @@ def _recorded_run(name):
     proto, inputs, groups, seed = _recorded_runs()[name]
     n = len(inputs)
     return run_execution(proto, inputs, [sigma_schedule(g, n, proto.model) for g in groups],
-                         SeededRandomAdversary(seed, n))
+                         random_outputs(seed, n))
 
 
 def test_rounds_freeze_nothing(monkeypatch):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from _reference_round import apply_round_recorded as reference_round
 from hypothesis import given, settings
@@ -16,9 +18,8 @@ from itersc.errors import (
     UnresolvedInstanceError,
 )
 from itersc.executor import (
-    FixedAdversary,
-    SeededRandomAdversary,
     apply_round,
+    random_outputs,
     random_sigma_schedule,
     run_execution,
     sigma_schedule,
@@ -81,6 +82,12 @@ def test_resolve_rejects_out_of_domain_choice():
         resolve_safe_consensus({1, 3}, {1: 1, 3: 3}, [{1, 3}], 9, n=3)
 
 
+def test_resolve_rejects_a_bool_choice():
+    """JSON ``true`` is a bool, and a bool is an int to isinstance."""
+    with pytest.raises(InvalidAdversaryError):
+        resolve_safe_consensus({1, 3}, {1: 1, 3: 3}, [{1, 3}], True, n=3)
+
+
 def test_indistinguishability_identical_states():
     s = make_initial_state(3, [0, 1, 2], WOR)
     assert indistinguishability_set(s, s) == {1, 2, 3}
@@ -95,7 +102,7 @@ def test_indistinguishability_single_input_flip():
 def test_indistinguishability_round_mismatch():
     proto = deficient_wor_samples()["wor-solo-min"]
     s0 = make_initial_state(3, [0, 1, 0], WOR, proto)
-    s1 = apply_round(s0, sigma_schedule((), 3, WOR), None, proto)
+    s1 = apply_round(s0, sigma_schedule((), 3, WOR), (), proto)
     with pytest.raises(RoundMismatchError):
         indistinguishability_set(s0, s1)
 
@@ -103,22 +110,22 @@ def test_indistinguishability_round_mismatch():
 def test_invocation_spec_single_shared_object():
     proto = knowledge_automaton(WOR, "all-share", lambda r, p, sm, v, lo: 7)
     s0 = make_initial_state(3, [0, 1, 2], WOR, proto)
-    s1 = apply_round(s0, sigma_schedule((), 3, WOR), FixedAdversary(2), proto)
-    assert invocation_spec(s1).boxes == {frozenset({1, 2, 3})}
+    s1 = apply_round(s0, sigma_schedule((), 3, WOR), itertools.repeat(2), proto)
+    assert invocation_spec(s1) == {frozenset({1, 2, 3})}
 
 
 def test_invocation_spec_pair_plus_solo():
     proto = deficient_wor_samples()["wor-pair12-min"]
     s0 = make_initial_state(3, [0, 1, 2], WOR, proto)
-    s1 = apply_round(s0, sigma_schedule((), 3, WOR), FixedAdversary(2), proto)
-    assert invocation_spec(s1).boxes == {frozenset({1, 2}), frozenset({3})}
+    s1 = apply_round(s0, sigma_schedule((), 3, WOR), itertools.repeat(2), proto)
+    assert invocation_spec(s1) == {frozenset({1, 2}), frozenset({3})}
 
 
 def test_invocation_spec_consensus_round1_n4():
     proto = protocol_consensus_wor(4)
     s0 = make_initial_state(4, [0, 1, 2, 3], WOR, proto)
-    s1 = apply_round(s0, sigma_schedule((), 4, WOR), FixedAdversary(2), proto)
-    assert invocation_spec(s1).boxes == {
+    s1 = apply_round(s0, sigma_schedule((), 4, WOR), itertools.repeat(2), proto)
+    assert invocation_spec(s1) == {
         frozenset({1, 2}), frozenset({3}), frozenset({4})}
 
 
@@ -131,7 +138,7 @@ def test_invocation_spec_requires_a_completed_round():
 def test_sc_value_of_trivial_and_adversary_boxes():
     proto = deficient_wor_samples()["wor-pair12-min"]
     s0 = make_initial_state(3, [0, 1, 2], WOR, proto)
-    s1 = apply_round(s0, sigma_schedule((), 3, WOR), FixedAdversary(2), proto)
+    s1 = apply_round(s0, sigma_schedule((), 3, WOR), itertools.repeat(2), proto)
     assert sc_value_of({3}, s1) == 3
     assert sc_value_of({1, 2}, s1) == 2
     with pytest.raises(MissingBoxError):
@@ -147,7 +154,7 @@ def test_sc_value_of_unreached_round():
 def _reference_json(state, sched, proto, seed) -> str:
     """The successor's JSON, assembled from the reference round's records."""
     rnd, locals_, snapshot, instances, _choices = reference_round(
-        state, sched, SeededRandomAdversary(seed, state.n), proto)
+        state, sched, random_outputs(seed, state.n), proto)
     return canonical_json({"n": state.n, "model": state.model, "round": rnd,
                            "locals": [ls.to_jsonable() for ls in locals_],
                            "snapshot": snapshot.to_jsonable(),
@@ -166,7 +173,7 @@ def test_state_json_is_canonical_and_stable():
         for groups, seed in (([{2}], 11), ([{1, 3}], 12)):
             sched = sigma_schedule(groups, 3, proto.model)
             want = _reference_json(state, sched, proto, seed)
-            state = apply_round(state, sched, SeededRandomAdversary(seed, 3), proto)
+            state = apply_round(state, sched, random_outputs(seed, 3), proto)
             assert canonical_json(state.to_jsonable()) == want, (name, state.rnd)
         assert state.rnd == 2 and state.instances, name
 
@@ -192,7 +199,7 @@ def _random_execution(seed: int, rounds: int = 3):
     inputs = [rng.randint(0, 1) for _ in range(3)]
     scheds = [random_sigma_schedule(3, WOR, rng) for _ in range(rounds)]
     return proto, inputs, run_execution(
-        proto, inputs, scheds, SeededRandomAdversary(rng.randrange(2**31), 3))
+        proto, inputs, scheds, random_outputs(rng.randrange(2**31), 3))
 
 
 @settings(max_examples=40, deadline=None)
@@ -260,7 +267,7 @@ def test_snapshot_atomicity_scan_equals_prior_writes():
     proto = knowledge_automaton(WOR, "solo", sel_solo)
     s0 = make_initial_state(3, [5, 6, 7], WOR, proto)
     sched = sigma_schedule([{1}, {2}], 3, WOR)
-    s1 = apply_round(s0, sched, None, proto)
+    s1 = apply_round(s0, sched, (), proto)
     # process 1 wrote and scanned before anyone else: sees only itself
     assert s1.locals_[0].sm == ((5,), None, None)
     # process 2 sees 1 and itself; process 3 (the complement) sees everyone
@@ -271,5 +278,5 @@ def test_snapshot_atomicity_scan_equals_prior_writes():
 def test_scans_in_one_group_agree():
     proto = knowledge_automaton(WOR, "solo", sel_solo)
     s0 = make_initial_state(3, [5, 6, 7], WOR, proto)
-    s1 = apply_round(s0, sigma_schedule([{1, 2}], 3, WOR), None, proto)
+    s1 = apply_round(s0, sigma_schedule([{1, 2}], 3, WOR), (), proto)
     assert s1.locals_[0].sm == s1.locals_[1].sm

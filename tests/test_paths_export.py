@@ -7,7 +7,6 @@ from functools import partial
 
 from itersc.connectivity import connect_partition_round
 from itersc.executor import (
-    FixedAdversary,
     run_execution,
     sigma_schedule,
     verify_consensus_sampled,
@@ -35,12 +34,10 @@ def test_path_jsonable_digests_and_labels():
 def test_trace_jsonl_replays_via_script_file(tmp_path):
     proto = protocol_consensus_wor(2)
     sched = sigma_schedule([], 2, WOR)
-    exe = run_execution(proto, [0, 1], [sched], FixedAdversary(2))
+    exe = run_execution(proto, [0, 1], [sched], [2])
     script = tmp_path / "choices.json"
     script.write_text(json.dumps(exe.all_choices()))
-    from itersc.executor import ScriptedAdversary
-    adv = ScriptedAdversary.from_json(script.read_text())
-    again = run_execution(proto, [0, 1], [sched], adv)
+    again = run_execution(proto, [0, 1], [sched], json.loads(script.read_text()))
     assert again.final == exe.final
 
 

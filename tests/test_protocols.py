@@ -13,13 +13,11 @@ from hypothesis import strategies as st
 
 from itersc.errors import DomainError, InvalidConfigurationError, ModelMismatchError
 from itersc.executor import (
-    FixedAdversary,
-    MapAdversary,
-    SeededRandomAdversary,
     apply_round,
     enumerate_round_schedules,
     make_initial_state,
     probe_round,
+    random_outputs,
     random_sigma_schedule,
     run_execution,
     sigma_schedule,
@@ -202,8 +200,7 @@ def _run_2cc(entries, groups, choice=None):
     proto = protocol_2cc(g)
     init = make_initial_state(g, entries, WOR, proto)
     sched = sigma_schedule(groups, g, WOR)
-    adv = FixedAdversary(choice) if choice else None
-    return apply_round(init, sched, adv, proto)
+    return apply_round(init, sched, [choice] if choice else [], proto)
 
 
 def test_2cc_concurrent_adversary_two_picks_right_side():
@@ -238,10 +235,8 @@ def test_consensus_n2_all_adversary_choices():
     for sched in enumerate_round_schedules(2, WOR, "sigma"):
         init = make_initial_state(2, [0, 1], WOR, proto)
         contended = [o for (o, _b, c, _f) in probe_round(init, sched, proto) if c]
-        choices = [dict(zip(contended, vs))
-                   for vs in itertools.product((1, 2), repeat=len(contended))]
-        for script in choices or [{}]:
-            final = apply_round(init, sched, MapAdversary(script), proto)
+        for values in itertools.product((1, 2), repeat=len(contended)):
+            final = apply_round(init, sched, values, proto)
             decs = {ls.dec for ls in final.locals_}
             assert len(decs) == 1 and decs <= {0, 1}
 
@@ -268,7 +263,7 @@ def test_consensus_coalition_ledger_soundness(n):
     state = make_initial_state(n, inputs, WOR, proto)
     sched = sigma_schedule((), n, WOR)
     for r in range(1, comb(n, 2) + 1):
-        state = apply_round(state, sched, FixedAdversary(2), proto)
+        state = apply_round(state, sched, itertools.repeat(2), proto)
         for m in range(1, n):
             if r != gamma(n, m):
                 continue
@@ -311,9 +306,9 @@ def test_consensus_locals_show_the_stored_ledger(n):
     state = make_initial_state(n, inputs, WOR, proto)
     ledgers = [Ledger(agreements=((tup(pid, pid), inp),))
                for pid, inp in enumerate(inputs, start=1)]
-    adv = SeededRandomAdversary(n, n)
+    adversary = random_outputs(n, n)
     for r in range(1, proto.round_budget + 4):
-        state = apply_round(state, random_sigma_schedule(n, WOR, rng), adv, proto)
+        state = apply_round(state, random_sigma_schedule(n, WOR, rng), adversary, proto)
         ledgers = [_ledger_step_reference(led, ls.pid, n, ls.sm, ls.val)
                    for led, ls in zip(ledgers, state.locals_)]
         for led, ls in zip(ledgers, state.locals_):
@@ -336,8 +331,7 @@ def test_consensus_full_run_decides_common_input():
             return
         contended = [o for (o, _b, c, _f) in probe_round(state, sched, proto) if c]
         for values in itertools.product((1, 2, 3), repeat=len(contended)):
-            adv = MapAdversary(dict(zip(contended, values)))
-            explore(apply_round(state, sched, adv, proto), depth + 1)
+            explore(apply_round(state, sched, values, proto), depth + 1)
 
     explore(init, 0)
 
@@ -358,7 +352,7 @@ def test_wro_simulation_discards_round_one_value():
     proto = wro_transform_samples()["wro-share-d2"]
     sim = transform_wro_to_owr(proto)
     init = make_initial_state(3, [0, 1, 1], OWR, sim)
-    s1 = apply_round(init, sigma_schedule((), 3, OWR), FixedAdversary(2), sim)
+    s1 = apply_round(init, sigma_schedule((), 3, OWR), itertools.repeat(2), sim)
     assert all(ls.val is None for ls in s1.locals_)
     assert all(ls.dec is None for ls in s1.locals_)
 
@@ -367,7 +361,7 @@ def test_owr_simulation_resets_round_one_snapshot():
     proto = owr_transform_samples()["owr-solo-d2"]
     sim = transform_owr_to_wro(proto)
     init = make_initial_state(3, [4, 5, 6], WRO, sim)
-    s1 = apply_round(init, sigma_schedule((), 3, WRO), FixedAdversary(2), sim)
+    s1 = apply_round(init, sigma_schedule((), 3, WRO), itertools.repeat(2), sim)
     assert [ls.sm for ls in s1.locals_] == [4, 5, 6]
 
 
@@ -379,12 +373,11 @@ def test_constant_decider_shifts_by_one_round():
         decide=lambda sm, val, loc: loc.known[0])
     sim = transform_wro_to_owr(proto)
     from itersc.equivalence import simulate_paired
-    from itersc.executor import SeededRandomAdversary
     import random
     rng = random.Random(0)
     from itersc.executor import random_ordered_partition_schedule
     scheds = [random_ordered_partition_schedule(3, WRO, rng) for _ in range(2)]
-    src, simexe = simulate_paired(proto, [7, 8, 9], scheds, SeededRandomAdversary(1, 3))
+    src, simexe = simulate_paired(proto, [7, 8, 9], scheds, random_outputs(1, 3))
     src_dec = src.decision_rounds()
     sim_dec = simexe.decision_rounds()
     for pid in (1, 2, 3):
@@ -408,10 +401,10 @@ def test_double_transform_shifts_by_two_rounds():
 def test_never_deciding_protocol_stays_undecided_through_simulation():
     proto = knowledge_automaton(WRO, "never", sel_solo)  # no decide round
     from itersc.equivalence import simulate_paired
-    from itersc.executor import SeededRandomAdversary, random_ordered_partition_schedule
+    from itersc.executor import random_ordered_partition_schedule
     import random
     rng = random.Random(5)
     scheds = [random_ordered_partition_schedule(3, WRO, rng) for _ in range(3)]
-    src, sim = simulate_paired(proto, [0, 1, 0], scheds, SeededRandomAdversary(2, 3))
+    src, sim = simulate_paired(proto, [0, 1, 0], scheds, random_outputs(2, 3))
     assert not src.decision_rounds()
     assert not sim.decision_rounds()

@@ -13,9 +13,9 @@ from _reference_round import apply_round_recorded as reference_round
 
 from itersc import executor
 from itersc.executor import (
-    SeededRandomAdversary,
     all_coalitions_tuples,
     enumerate_round_schedules,
+    random_outputs,
     random_sigma_schedule,
 )
 from itersc.model import (
@@ -205,8 +205,8 @@ def _assert_rounds_agree(state, sched, proto, seed):
     reference builds (instance order and inputs included), and both record
     the same choices; returns the successor."""
     n = state.n
-    got, choices = executor.apply_round_recorded(state, sched, SeededRandomAdversary(seed, n), proto)
-    want = reference_round(state, sched, SeededRandomAdversary(seed, n), proto)
+    got, choices = executor.apply_round_recorded(state, sched, random_outputs(seed, n), proto)
+    want = reference_round(state, sched, random_outputs(seed, n), proto)
     assert (got.rnd, got.locals_, got.snapshot, got.instances, choices) == want, \
         (proto.name, str(sched))
     assert (got.n, got.model) == (state.n, state.model)
@@ -255,7 +255,7 @@ def _random_runs(n: int, runs: int, seed: int):
                 for _ in range(proto.round_budget or 3):
                     sched = random_sigma_schedule(n, proto.model, rng)
                     state = executor.apply_round(
-                        state, sched, SeededRandomAdversary(rng.randrange(2**31), n), proto)
+                        state, sched, random_outputs(rng.randrange(2**31), n), proto)
                     out.append((proto.name, state))
     return out
 
@@ -277,7 +277,7 @@ def _round_two_state():
     state = make_initial_state(n, [0, 1, 1], proto.model, proto)
     for groups in ([{1}], [{2, 3}]):
         state = executor.apply_round(state, executor.sigma_schedule(groups, n, proto.model),
-                                     SeededRandomAdversary(5, n), proto)
+                                     random_outputs(5, n), proto)
     return state
 
 
