@@ -54,7 +54,10 @@ EXIT_USAGE = 2
 
 
 def _parse_ids(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
+    try:
+        return [int(x) for x in text.split(",") if x.strip()]
+    except ValueError as exc:  # int() names the bad item
+        raise InvalidArgumentError(f"ids must be integers in {text!r}: {exc}") from None
 
 
 def _parse_groups(text: str) -> list[list[int]]:
@@ -75,15 +78,22 @@ def _emit(args, command: str, config: dict, result: dict, ok: bool, t0: float) -
         "ok": ok,
         "result": jsonable(result),
     }
-    text = json.dumps(report, sort_keys=True, indent=2)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(getattr(args, "out", None), json.dumps(report, sort_keys=True, indent=2) + "\n")
     print(f"[itersc] {command}: {'pass' if ok else 'FAIL'} "
           f"({report['wall_time_s']}s)", file=sys.stderr)
     return EXIT_OK if ok else EXIT_VIOLATION
+
+
+def _write(path: Optional[str], text: str) -> None:
+    """Write to ``path``, or to stdout without one; an unwritable path is a usage error."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write --out {path!r}: {exc}") from exc
 
 
 def _read_json(path: str, what: str):
@@ -123,12 +133,7 @@ def cmd_simulate(args) -> int:
         scheds = [random_sigma_schedule(args.n, proto.model, rng)
                   for _ in range(rounds)]
     exe = run_execution(proto, inputs, scheds, _make_adversary(args.adversary, args.seed, args.n))
-    trace = exe.to_jsonl()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(trace)
-    else:
-        sys.stdout.write(trace)
+    _write(args.out, exe.to_jsonl())
     decs = {p: v for p, (r, v) in exe.decision_rounds().items()}
     print(f"[itersc] simulate: {rounds} rounds, decisions {decs}", file=sys.stderr)
     return EXIT_OK

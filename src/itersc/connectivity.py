@@ -10,16 +10,19 @@ connection) append to their caller's builder instead of checking a path of
 their own.  A construction that cannot be verified raises ConstructionError
 instead of returning a weaker path.
 
-Each public extension call applies its rounds through one private memo,
-which lives for that call only.  A round's child state is keyed by
-``(rnd, locals_key(), groups, values)``, with the sigma groups in a canonical
-spelling of their schedule and ``values`` the adversary outputs of the
-round's contended instances in resolution order (None for all ones): a
-round reads only the locals, the round number and n, and an output sequence
-ignores the state.  A state holds only its own round's shared objects, so a
-hit is exactly the child a fresh round would build.  No probe runs: the
-all-ones child shows the boxes, the contention and the forced values of its
-round.
+Every round is named by the canonical key of its sigma schedule
+(``_schedule_key``: the groups with empty ones and a trailing complement
+dropped), and each keyed schedule is built and validated once per process.
+The engines build their keys outside their loops; the WRO bridge's steps
+are precomputed per (n, i, j).  Each public extension call applies its
+rounds through one private memo, which lives for that call only.  A round's
+child state is keyed by ``(rnd, locals_key(), key, values)``, with
+``values`` the adversary outputs of the round's contended instances in
+resolution order (None for all ones): a round reads only the locals, the
+round number and n, and an output sequence ignores the state.  A state
+holds only its own round's shared objects, so a hit is exactly the child a
+fresh round would build.  No probe runs: the all-ones child shows the
+boxes, the contention and the forced values of its round.
 
 The engines return the walk they build; the two demos loop-erase each
 round's path (``Path.loop_erased``) before the next round extends it.
@@ -27,6 +30,7 @@ round's path (``Path.loop_erased``) before the next round extends it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 from dataclasses import dataclass
@@ -191,47 +195,49 @@ def successor_boxes(state: GlobalState, proto) -> frozenset:
 
 
 def _schedule_key(groups, n: int) -> tuple:
-    """Sigma groups that spell the same schedule as ``groups`` one way:
-    empty groups dropped, and a trailing group dropped when it is exactly
-    the complement that ``sigma_schedule`` appends anyway."""
+    """The canonical key of the sigma schedule ``groups`` spell: empty
+    groups dropped, and a trailing group dropped when it is exactly the
+    complement that ``sigma_schedule`` appends anyway."""
     groups = tuple(frozenset(g) for g in groups if g)
     if groups and groups[-1] == frozenset(range(1, n + 1)).difference(*groups[:-1]):
         return groups[:-1]
     return groups
 
 
+@functools.lru_cache(maxsize=None)
+def _schedule(n: int, model: str, key: tuple):
+    """The sigma schedule of a canonical key, built and validated once per process."""
+    return sigma_schedule(key, n, model)
+
+
 class _Rounds:
-    """The sigma rounds of one extension call, each applied once under one
-    output sequence (see the module docstring for why the key is sound)."""
+    """The sigma rounds of one extension call, each named by its schedule
+    key and applied once per output sequence (see the module docstring)."""
 
     def __init__(self, proto):
         self.proto = proto
         self.children: dict = {}
-        self.schedules: dict = {}  # each RoundSchedule built once, by its groups
 
-    def child(self, state: GlobalState, groups, values: Optional[tuple] = None) -> GlobalState:
-        """The sigma(groups) successor.  Contended instances output 1, or
-        ``values`` in resolution order."""
-        groups = _schedule_key(groups, state.n)
-        key = (state.rnd, state.locals_key(), groups, values)
-        child = self.children.get(key)
+    def child(self, state: GlobalState, key: tuple, values: Optional[tuple] = None) -> GlobalState:
+        """The successor under the schedule keyed ``key``.  Contended
+        instances output 1, or ``values`` in resolution order."""
+        memo = (state.rnd, state.locals_key(), key, values)
+        child = self.children.get(memo)
         if child is None:
-            sched = self.schedules.get(groups)
-            if sched is None:
-                sched = self.schedules[groups] = sigma_schedule(groups, state.n, self.proto.model)
+            sched = _schedule(state.n, self.proto.model, key)
             adversary = itertools.repeat(1) if values is None else values
-            child = self.children[key] = apply_round(state, sched, adversary, self.proto)
+            child = self.children[memo] = apply_round(state, sched, adversary, self.proto)
         return child
 
     def boxes(self, state: GlobalState) -> frozenset:
         return frozenset(box for box, _out in self.child(state, ()).box_outputs())
 
-    def successor(self, state: GlobalState, groups, box_values: dict) -> GlobalState:
-        """The sigma(groups) successor under the per-box output plan
-        ``box_values``: a contended box the plan leaves out outputs its
-        smallest id, and outputs that Safe-Validity forces must match the
-        plan.  The all-ones child is the answer when the plan asks for 1."""
-        ones = self.child(state, groups)
+    def successor(self, state: GlobalState, key: tuple, box_values: dict) -> GlobalState:
+        """The ``key`` successor under the per-box output plan ``box_values``:
+        a contended box the plan leaves out outputs its smallest id, and
+        outputs that Safe-Validity forces must match the plan.  The all-ones
+        child is the answer when the plan asks for 1."""
+        ones = self.child(state, key)
         values = []
         for _obj, pairs, out, forced in ones.resolved:
             b = frozenset([p for p, _ in pairs])
@@ -241,10 +247,10 @@ class _Rounds:
             elif want is not None and out != want:
                 raise ConstructionError(
                     f"box {sorted(b)} is forced to {out} under "
-                    f"{sigma_schedule(groups, state.n, self.proto.model)}, plan wants {want}")
+                    f"{_schedule(state.n, self.proto.model, key)}, plan wants {want}")
         if all(v == 1 for v in values):
             return ones
-        return self.child(state, groups, tuple(values))
+        return self.child(state, key, tuple(values))
 
 
 def box_values_of(state: GlobalState) -> dict:
@@ -301,9 +307,9 @@ def connect_partition_round(state: GlobalState, a, b_, proto) -> Path:
     a, b_ = _check_partition_args(n, a, b_)
     rounds = _Rounds(proto)
     plan = _partition_plan(rounds.boxes(state), a, b_, n)
-    s_a = rounds.successor(state, (a,), plan)
+    s_a = rounds.successor(state, _schedule_key((a,), n), plan)
     s_all = rounds.successor(state, (), plan)
-    s_b = rounds.successor(state, (b_,), plan)
+    s_b = rounds.successor(state, _schedule_key((b_,), n), plan)
     pb = PathBuilder(s_a)
     pb.append(s_all, b_)
     pb.append(s_b, a)
@@ -323,23 +329,24 @@ def extend_path_partition(path: Path, a, b_, proto) -> Path:
             raise PreconditionViolationError(
                 f"label {sorted(x)} is neither A nor B")
     rounds = _Rounds(proto)
+    key_of = {a: _schedule_key((a,), n), b_: _schedule_key((b_,), n)}  # sigma(all) is ()
 
-    def step(s: GlobalState, groups) -> GlobalState:
-        return rounds.successor(s, groups, _partition_plan(rounds.boxes(s), a, b_, n))
+    def step(s: GlobalState, key: tuple) -> GlobalState:
+        return rounds.successor(s, key, _partition_plan(rounds.boxes(s), a, b_, n))
 
     if not path.labels:
-        return Path(states=(step(path.states[0], (a,)),), labels=())
+        return Path(states=(step(path.states[0], key_of[a]),), labels=())
 
-    cur_groups = path.labels[0]
-    pb = PathBuilder(step(path.states[0], (cur_groups,)))
+    cur = path.labels[0]
+    pb = PathBuilder(step(path.states[0], key_of[cur]))
     for idx, x in enumerate(path.labels):
         base, nxt_base = path.states[idx], path.states[idx + 1]
-        if x != cur_groups:
+        if x != cur:
             # bridge within the current base: sigma(cur) - sigma(all) - sigma(x)
             pb.append(step(base, ()), x)
-            pb.append(step(base, (x,)), cur_groups)
-            cur_groups = x
-        pb.append(step(nxt_base, (x,)), x)
+            pb.append(step(base, key_of[x]), cur)
+            cur = x
+        pb.append(step(nxt_base, key_of[x]), x)
     return pb.build()
 
 
@@ -364,31 +371,32 @@ def extend_path_no3box(path: Path, proto) -> Path:
 
     cur = path.labels[0]
     _require_no_full_box(rounds.boxes(path.states[0]))
-    pb = PathBuilder(rounds.successor(path.states[0], (cur,), {}))
+    pb = PathBuilder(rounds.successor(path.states[0], _schedule_key((cur,), 3), {}))
 
     for idx, x_next in enumerate(path.labels):
         base, nxt_base = path.states[idx], path.states[idx + 1]
         boxes = rounds.boxes(base)
         _require_no_full_box(boxes)
         pair = next((b for b in boxes if len(b) == 2), None)
+        key_next = _schedule_key((x_next,), 3)
 
         if x_next == full:
             # identical bases: reuse the tail's shape on the next base
             plan = dict(box_values_of(pb.tail))
-            pb.append(rounds.successor(nxt_base, (cur,), plan), full)
+            pb.append(rounds.successor(nxt_base, _schedule_key((cur,), 3), plan), full)
             continue
 
         if x_next == cur:
             plan = {b: v for b, v in box_values_of(pb.tail).items() if len(b) > 1}
-            pb.append(rounds.successor(nxt_base, (x_next,), plan), x_next)
+            pb.append(rounds.successor(nxt_base, key_next, plan), x_next)
             continue
 
         if pair is None:
             # three solo objects: memory is the only distinguisher
             if cur != full:
                 pb.append(rounds.successor(base, (), {}), full - cur)
-            pb.append(rounds.successor(base, (x_next,), {}), full - x_next)
-            pb.append(rounds.successor(nxt_base, (x_next,), {}), x_next)
+            pb.append(rounds.successor(base, key_next, {}), full - x_next)
+            pb.append(rounds.successor(nxt_base, key_next, {}), x_next)
             cur = x_next
             continue
 
@@ -400,27 +408,27 @@ def extend_path_no3box(path: Path, proto) -> Path:
         hop_plan: dict
         if len(x_next) == 1:
             if x_next == solo:
-                a2 = rounds.successor(base, (x_next,), {pair: v_tail})
+                a2 = rounds.successor(base, key_next, {pair: v_tail})
                 pb.append(a2, pair)
                 hop_plan = {pair: v_tail}
             else:
                 (j,) = tuple(x_next)
-                a2 = rounds.successor(base, (x_next,), {pair: j})
+                a2 = rounds.successor(base, key_next, {pair: j})
                 pb.append(a2, solo)
                 hop_plan = {pair: j}
         else:  # |x_next| == 2
             if x_next == pair:
-                a2 = rounds.successor(base, (x_next,), {pair: v_tail})
+                a2 = rounds.successor(base, key_next, {pair: v_tail})
                 pb.append(a2, solo)
                 hop_plan = {pair: v_tail}
             else:
                 (j,) = tuple(x_next & pair)
-                pb.append(rounds.successor(base, (frozenset({j}),), {pair: j}), solo)
-                pb.append(rounds.successor(base, (frozenset({j}), solo), {pair: j}), pair)
-                a2 = rounds.successor(base, (x_next,), {pair: j})
+                pb.append(rounds.successor(base, _schedule_key(({j},), 3), {pair: j}), solo)
+                pb.append(rounds.successor(base, _schedule_key(({j}, solo), 3), {pair: j}), pair)
+                a2 = rounds.successor(base, key_next, {pair: j})
                 pb.append(a2, solo)
                 hop_plan = {pair: j}
-        pb.append(rounds.successor(nxt_base, (x_next,), hop_plan), x_next)
+        pb.append(rounds.successor(nxt_base, key_next, hop_plan), x_next)
         cur = x_next
 
     return pb.build()
@@ -468,7 +476,8 @@ def _swap_chain(state: GlobalState, c_groups: tuple, b: frozenset,
     """Exchange the step box's share of the target: L1 -> L2 through the
     merged state.  When the box's output switches (v1 != v2), the crossing
     edge is labelled by the box's complement."""
-    full = frozenset(range(1, state.n + 1))
+    n = state.n
+    full = frozenset(range(1, n + 1))
     plan1 = dict(other_plan)
     plan1[b] = v1
     plan2 = dict(other_plan)
@@ -478,18 +487,18 @@ def _swap_chain(state: GlobalState, c_groups: tuple, b: frozenset,
     # peel the outgoing piece, then sink it into the trailing block
     for j in range(1, len(ks) + 1):
         rem = x_piece - frozenset().union(*ks[:j])
-        groups = c_groups + tuple(ks[:j]) + ((rem,) if rem else ())
-        pb.append(rounds.successor(state, groups, plan1), full - ks[j - 1])
+        groups = c_groups + tuple(ks[:j]) + (rem,)
+        pb.append(rounds.successor(state, _schedule_key(groups, n), plan1), full - ks[j - 1])
     for j in range(len(ks) - 1, -1, -1):
         groups = c_groups + tuple(ks[:j])
-        pb.append(rounds.successor(state, groups, plan1), full - ks[j])
+        pb.append(rounds.successor(state, _schedule_key(groups, n), plan1), full - ks[j])
 
     if not y_piece:
         if v1 != v2:
             if b == full:
                 raise FullBoxConflictError(
                     "cannot switch the full box's output on a path")
-            pb.append(rounds.successor(state, c_groups, plan2), full - b)
+            pb.append(rounds.successor(state, _schedule_key(c_groups, n), plan2), full - b)
         return
 
     kys = _peel_groups(y_piece)
@@ -502,11 +511,11 @@ def _swap_chain(state: GlobalState, c_groups: tuple, b: frozenset,
             label = full - b
         else:
             label = full - kys[j - 1]
-        pb.append(rounds.successor(state, groups, plan2), label)
+        pb.append(rounds.successor(state, _schedule_key(groups, n), plan2), label)
     for t in range(len(kys) - 1, 0, -1):
         merged = frozenset().union(*kys[t - 1:])
         groups = c_groups + tuple(kys[:t - 1]) + (merged,)
-        pb.append(rounds.successor(state, groups, plan2), full - kys[t - 1])
+        pb.append(rounds.successor(state, _schedule_key(groups, n), plan2), full - kys[t - 1])
 
 
 def _connect(rounds: _Rounds, pb: PathBuilder, state: GlobalState, x, y,
@@ -522,8 +531,8 @@ def _connect(rounds: _Rounds, pb: PathBuilder, state: GlobalState, x, y,
     n = state.n
     full = frozenset(range(1, n + 1))
     boxes = rounds.boxes(state)
-    q1 = rounds.successor(state, (x,), values_x or {})
-    q2 = rounds.successor(state, (y,), values_y or {})
+    q1 = rounds.successor(state, _schedule_key((x,), n), values_x or {})
+    q2 = rounds.successor(state, _schedule_key((y,), n), values_y or {})
     if q1 != pb.tail:
         raise ConstructionError("connection start does not match the tail")
     vx = box_values_of(q1)
@@ -547,7 +556,7 @@ def _connect(rounds: _Rounds, pb: PathBuilder, state: GlobalState, x, y,
         other_plan = {bb: v for bb, v in cur_vals.items() if bb != b and len(bb) > 1}
         # into the ladder
         for groups, moved in chain:
-            pb.append(rounds.successor(state, groups, cur_vals), full - moved)
+            pb.append(rounds.successor(state, _schedule_key(groups, n), cur_vals), full - moved)
         # swap the piece and the output
         _swap_chain(state, c_groups, b, x_piece, y_piece,
                     cur_vals[b], vy[b], other_plan, rounds, pb)
@@ -558,9 +567,11 @@ def _connect(rounds: _Rounds, pb: PathBuilder, state: GlobalState, x, y,
         chain_back, _ = _ladder_chain(boxes, new_cur, b)
         for idx in range(len(chain_back) - 2, -1, -1):
             groups, _moved = chain_back[idx]
-            pb.append(rounds.successor(state, groups, new_vals), full - chain_back[idx + 1][1])
+            pb.append(rounds.successor(state, _schedule_key(groups, n), new_vals),
+                      full - chain_back[idx + 1][1])
         if chain_back:
-            pb.append(rounds.successor(state, (new_cur,), new_vals), full - chain_back[0][1])
+            pb.append(rounds.successor(state, _schedule_key((new_cur,), n), new_vals),
+                      full - chain_back[0][1])
         cur = new_cur
         cur_vals = new_vals
 
@@ -642,15 +653,14 @@ def extend_path_general(path: Path, proto, s: Optional[int] = None) -> tuple[Pat
         return {b: value_fn[b](pos) for b in boxes if len(b) > 1 and b in value_fn}
 
     labels = path.labels
-    pb = PathBuilder(rounds.successor(path.states[0], (labels[0],),
-                                      vals_at(1, path.states[0])))
-    pb.append(rounds.successor(path.states[1], (labels[0],),
-                               vals_at(1, path.states[1])), labels[0])
+    key0 = _schedule_key((labels[0],), n)
+    pb = PathBuilder(rounds.successor(path.states[0], key0, vals_at(1, path.states[0])))
+    pb.append(rounds.successor(path.states[1], key0, vals_at(1, path.states[1])), labels[0])
     for w in range(1, len(labels)):
         base = path.states[w]
         _connect(rounds, pb, base, labels[w - 1], labels[w],
                  vals_at(w, base), vals_at(w + 1, base))
-        pb.append(rounds.successor(path.states[w + 1], (labels[w],),
+        pb.append(rounds.successor(path.states[w + 1], _schedule_key((labels[w],), n),
                                    vals_at(w + 1, path.states[w + 1])), labels[w])
     out = pb.build()
 
@@ -775,35 +785,43 @@ def bounded_valency(state: GlobalState, proto, horizon: int) -> Valency:
 # the write-scan-invoke obstruction
 
 
-def _wro_bridge(rounds: _Rounds, pb: PathBuilder, state: GlobalState, i: int, j: int) -> None:
-    """Append the bridge from sigma-wro(all-i) to sigma-wro(all-j) of
-    ``state`` to ``pb``, whose tail must be the bridge's start.  Every
-    label of the bridge has n-1 members."""
-    n = state.n
-    full = frozenset(range(1, n + 1))
-    if rounds.child(state, (full - {i},)) != pb.tail:
-        raise ConstructionError("bridge start does not match the tail")
+@functools.lru_cache(maxsize=None)
+def _wro_lead(n: int, j: int) -> tuple:
+    """The key of sigma-wro(all-j): every process but j in one block, then j."""
+    return (frozenset(range(1, n + 1)) - {j},)
+
+
+@functools.lru_cache(maxsize=None)
+def _wro_bridge_steps(n: int, i: int, j: int) -> tuple:
+    """The (key, label) steps of the bridge from sigma-wro(all-i) to
+    sigma-wro(all-j).  Every label has n-1 members.  The keys do not
+    depend on the model, so one plan serves every automaton."""
     if i == j:
-        return
+        return ()
+    full = frozenset(range(1, n + 1))
     ls = sorted(full - {i, j}) + [j]  # l_1..l_{n-1} with l_{n-1} = j
+    ones = [frozenset({x}) for x in ls]
+    steps = []
     # split the leading block into singletons
     for k in range(1, n - 1):
-        groups = tuple(frozenset({x}) for x in ls[:k])
-        mid = full - {i} - set(ls[:k])
-        if mid:
-            groups += (frozenset(mid),)
-        pb.append(rounds.child(state, groups), full - {ls[k - 1]})
+        steps.append((ones[:k] + [full - {i} - set(ls[:k])], full - ones[k - 1]))
     # pair the last element with i, then swap their order
-    head = tuple(frozenset({x}) for x in ls[:-1])
-    pb.append(rounds.child(state, head + (frozenset({ls[-1], i}),)),
-              full - {ls[-1]})
-    pb.append(rounds.child(state, head + (frozenset({i}), frozenset({ls[-1]}))),
-              full - {i})
+    steps.append((ones[:-1] + [frozenset({ls[-1], i})], full - ones[-1]))
+    steps.append((ones[:-1] + [frozenset({i}), ones[-1]], full - {i}))
     # grow the block around i back to all-j
     for k in range(n - 2, 0, -1):
-        groups = tuple(frozenset({x}) for x in ls[:k - 1])
-        groups += (frozenset(set(ls[k - 1:-1]) | {i}), frozenset({ls[-1]}))
-        pb.append(rounds.child(state, groups), full - {ls[k - 1]})
+        steps.append((ones[:k - 1] + [frozenset(ls[k - 1:-1]) | {i}, ones[-1]],
+                      full - ones[k - 1]))
+    return tuple((_schedule_key(groups, n), label) for groups, label in steps)
+
+
+def _wro_bridge(rounds: _Rounds, pb: PathBuilder, state: GlobalState, i: int, j: int) -> None:
+    """Append the bridge from sigma-wro(all-i) to sigma-wro(all-j) of
+    ``state`` to ``pb``, whose tail must be the bridge's start."""
+    if rounds.child(state, _wro_lead(state.n, i)) != pb.tail:
+        raise ConstructionError("bridge start does not match the tail")
+    for key, label in _wro_bridge_steps(state.n, i, j):
+        pb.append(rounds.child(state, key), label)
 
 
 def wro_extend_round(path: Path, proto) -> Path:
@@ -824,14 +842,15 @@ def wro_extend_round(path: Path, proto) -> Path:
 
     rounds = _Rounds(proto)
     cur_excl = excluded(path.labels[0], n) if path.labels else n
-    pb = PathBuilder(rounds.child(path.states[0], (full - {cur_excl},)))
+    pb = PathBuilder(rounds.child(path.states[0], _wro_lead(n, cur_excl)))
     for idx, x in enumerate(path.labels):
         base, nxt = path.states[idx], path.states[idx + 1]
         j = excluded(x, cur_excl)
         if j != cur_excl:
             _wro_bridge(rounds, pb, base, cur_excl, j)
             cur_excl = j
-        pb.append(rounds.child(nxt, (full - {j},)), full - {j})
+        lead = _wro_lead(n, j)
+        pb.append(rounds.child(nxt, lead), lead[0])
     out = pb.build()
     if out.degree() is not None and out.degree() < n - 1:
         raise ConstructionError("obstruction path degree fell below n-1")

@@ -221,6 +221,27 @@ def test_unreadable_file_is_a_usage_error(capsys, tmp_path, argv, text):
     assert err.startswith("[itersc] error: cannot read") and str(path) in err
 
 
+@pytest.mark.parametrize("argv", [("verify-2cc",), ("simulate", "--horizon", "1")],
+                         ids=["verify-2cc", "simulate"])
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv):
+    out_path = tmp_path / "no-such-dir" / "report.json"
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
+    assert code == EXIT_USAGE and out == "" and not out_path.parent.exists()
+    assert err.startswith("[itersc] error: cannot write --out") and str(out_path) in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, item", [
+    (("simulate", "--n", "3", "--inputs", "a,b,c"), "'a'"),
+    (("simulate", "--n", "3", "--groups", "1,x"), "'x'"),
+    (("johnson", "--op", "zeta", "--n", "4", "--set", "1,2;2,y"), "'y'"),
+], ids=["inputs", "groups", "johnson-set"])
+def test_non_integer_id_is_a_usage_error(capsys, argv, item):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("[itersc] error: ids must be integers") and item in err
+
+
 def test_config_must_be_an_object(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[2]")

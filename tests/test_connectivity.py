@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -38,9 +39,11 @@ from itersc.executor import (
     apply_round,
     enumerate_round_schedules,
     probe_round,
+    random_outputs,
+    random_sigma_schedule,
     sigma_schedule,
 )
-from itersc.model import WOR, WRO, indistinguishability_set, make_initial_state
+from itersc.model import OWR, WOR, WRO, indistinguishability_set, make_initial_state
 from itersc.protocols import protocol_consensus_wor
 from itersc.samples import (
     SOLO_BASE,
@@ -253,7 +256,8 @@ def test_no3box_requires_three_processes():
 def _connected(proto, state, x, y, values_x=None, values_y=None):
     """The sigma(X) to sigma(Y) connection of ``state``, built on its own."""
     rounds = connectivity._Rounds(proto)
-    pb = connectivity.PathBuilder(rounds.successor(state, (x,), values_x or {}))
+    key = connectivity._schedule_key((x,), state.n)
+    pb = connectivity.PathBuilder(rounds.successor(state, key, values_x or {}))
     connectivity._connect(rounds, pb, state, x, y, values_x, values_y)
     return pb.build()
 
@@ -409,10 +413,66 @@ def test_connected_univalent_states_share_valency_instance():
 def _wro_bridged(proto, state, i, j):
     """The sigma-wro bridge from all-i to all-j of ``state``, built on its own."""
     rounds = connectivity._Rounds(proto)
-    full = frozenset(range(1, state.n + 1))
-    pb = connectivity.PathBuilder(rounds.child(state, (full - {i},)))
+    pb = connectivity.PathBuilder(rounds.child(state, connectivity._wro_lead(state.n, i)))
     connectivity._wro_bridge(rounds, pb, state, i, j)
     return pb.build()
+
+
+def _reference_bridge_steps(n, i, j):
+    """Reference for ``_wro_bridge_steps``: the bridge's (groups, label)
+    steps, spelled out one step at a time."""
+    full = frozenset(range(1, n + 1))
+    if i == j:
+        return []
+    steps = []
+    ls = sorted(full - {i, j}) + [j]  # l_1..l_{n-1} with l_{n-1} = j
+    for k in range(1, n - 1):
+        groups = tuple(frozenset({x}) for x in ls[:k])
+        mid = full - {i} - set(ls[:k])
+        if mid:
+            groups += (frozenset(mid),)
+        steps.append((groups, full - {ls[k - 1]}))
+    head = tuple(frozenset({x}) for x in ls[:-1])
+    steps.append((head + (frozenset({ls[-1], i}),), full - {ls[-1]}))
+    steps.append((head + (frozenset({i}), frozenset({ls[-1]})), full - {i}))
+    for k in range(n - 2, 0, -1):
+        groups = tuple(frozenset({x}) for x in ls[:k - 1])
+        groups += (frozenset(set(ls[k - 1:-1]) | {i}), frozenset({ls[-1]}))
+        steps.append((groups, full - {ls[k - 1]}))
+    return steps
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_wro_bridge_steps_match_the_inline_reference(n):
+    for i, j in itertools.product(range(1, n + 1), repeat=2):
+        got = connectivity._wro_bridge_steps(n, i, j)
+        want = _reference_bridge_steps(n, i, j)
+        assert len(got) == len(want) == (0 if i == j else 2 * n - 2), (i, j)
+        assert [label for _key, label in got] == [label for _groups, label in want]
+        assert all(type(label) is frozenset for _key, label in got)
+        for (key, _l), (groups, _m) in zip(got, want):
+            assert key == connectivity._schedule_key(key, n)  # already canonical
+            for model in (WOR, WRO, OWR):
+                assert sigma_schedule(key, n, model) == sigma_schedule(groups, n, model)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_wro_bridge_equals_the_inline_reference_path(seed):
+    rng = random.Random(seed)
+    n = 3 + seed % 2
+    name, proto = rng.choice(sorted(wro_obstruction_samples(n).items()))
+    state = make_initial_state(n, [rng.randint(0, 1) for _ in range(n)], WRO, proto)
+    for _ in range(rng.randint(1, 2)):
+        state = apply_round(state, random_sigma_schedule(n, WRO, rng), random_outputs(seed, n), proto)
+    full = frozenset(range(1, n + 1))
+    for i, j in itertools.product(range(1, n + 1), repeat=2):
+        def ones(groups):
+            return apply_round(state, sigma_schedule(groups, n, WRO), itertools.repeat(1), proto)
+        pb = connectivity.PathBuilder(ones((full - {i},)))
+        for groups, label in _reference_bridge_steps(n, i, j):
+            pb.append(ones(groups), label)
+        got = _wro_bridged(proto, state, i, j)
+        assert (got.states, got.labels) == (tuple(pb.states), tuple(pb.labels)), (name, i, j)
 
 
 def test_wro_bridge_labels_and_regularity():
@@ -534,8 +594,8 @@ def test_diff_box_set_is_within_both_specs():
     rounds = connectivity._Rounds(PAIR)
     s = make_initial_state(3, [0, 1, 0], WOR, PAIR)
     b = frozenset({1, 2})
-    q1 = rounds.successor(s, ({1, 2, 3},), {b: 1})
-    q2 = rounds.successor(s, ({1, 2, 3},), {b: 3})
+    q1 = rounds.successor(s, (), {b: 1})
+    q2 = rounds.successor(s, (), {b: 3})
     d = diff_box_set(q1, q2)
     assert d == {b}
     assert d <= invocation_spec(q1) & invocation_spec(q2)
@@ -560,9 +620,10 @@ def test_partition_bridge_labels_exactly_a_and_b_everywhere():
 # -- the per-extension round memo ---------------------------------------------
 
 
-def _probe_then_apply_successor(rounds, state, groups, box_values):
+def _probe_then_apply_successor(rounds, state, key, box_values):
     """Reference ``_Rounds.successor``: probe the round, then apply the plan."""
-    sched = sigma_schedule(groups, state.n, rounds.proto.model)
+    assert key == connectivity._schedule_key(key, state.n)  # engines pass canonical keys
+    sched = sigma_schedule(key, state.n, rounds.proto.model)
     values = []
     for _obj, b, contended, forced_val in probe_round(state, sched, rounds.proto):
         want = box_values.get(b)
@@ -573,9 +634,10 @@ def _probe_then_apply_successor(rounds, state, groups, box_values):
     return apply_round(state, sched, values, rounds.proto)
 
 
-def _probe_then_apply_wro(rounds, state, groups):
+def _probe_then_apply_wro(rounds, state, key):
     """Reference sigma-wro successor: every probed contended instance outputs 1."""
-    sched = sigma_schedule(groups, state.n, rounds.proto.model)
+    assert key == connectivity._schedule_key(key, state.n)
+    sched = sigma_schedule(key, state.n, rounds.proto.model)
     values = [1 for _o, _b, contended, _f in probe_round(state, sched, rounds.proto) if contended]
     return apply_round(state, sched, values, rounds.proto)
 
@@ -611,11 +673,22 @@ def test_memoized_engines_equal_probe_then_apply(monkeypatch):
     monkeypatch.setattr(connectivity._Rounds, "boxes",
                         lambda rounds, state: successor_boxes(state, rounds.proto))
     # with successor and boxes replaced, only the wro engine calls child itself
-    monkeypatch.setattr(connectivity._Rounds, "child", _probe_then_apply_wro)
+    keys = []
+
+    def reference_child(rounds, state, key):
+        keys.append(key)
+        return _probe_then_apply_wro(rounds, state, key)
+
+    monkeypatch.setattr(connectivity._Rounds, "child", reference_child)
     for label, extend, start in cases:
+        keys.clear()
         reference = _three_rounds(extend, start)
+        # only the wro cases reach the patched child; the n = 3 lead keys
+        # are at most 3, so more distinct keys mean the bridges ran on it too
+        assert len(set(keys)) > 3 if label.startswith("wro") else not keys, label
         for r, (got, want) in enumerate(zip(memoized[label], reference), start=1):
             assert got.states == want.states and got.labels == want.labels, (label, r)
+    assert sum(label.startswith("wro") for label, _e, _s in cases) == 2
 
 
 def test_memo_hit_is_the_fresh_child():
@@ -634,53 +707,74 @@ def test_memo_hit_is_the_fresh_child():
     all_groups = [(), (frozenset({1}),), (frozenset({2, 3}), frozenset({1}))]
     children = set()
     for groups in all_groups:
+        key = connectivity._schedule_key(groups, 3)
         for parent in (s1, s2):
             sched = sigma_schedule(groups, 3, WRO)
-            child = rounds.child(parent, groups)
+            child = rounds.child(parent, key)
             assert child == apply_round(parent, sched, itertools.repeat(1), proto)
-            planned = rounds.successor(parent, groups, {frozenset({1, 2, 3}): 3})
+            planned = rounds.successor(parent, key, {frozenset({1, 2, 3}): 3})
             assert planned == apply_round(parent, sched, itertools.repeat(3), proto)
             children.add(child.locals_)
     assert len(children) == len(all_groups)  # the groups lead to different rounds
     assert len(rounds.children) == 2 * len(all_groups)  # both parents share every round
 
 
-@pytest.mark.parametrize("engine, proto", [
-    (wro_extend_round, wro_obstruction_samples()["wro-solo"]),
-    (extend_path_no3box, PAIR),
-], ids=["wro", "no3box"])
-def test_extension_round_builds_each_sigma_schedule_once(monkeypatch, engine, proto):
-    """n = 3 has 13 sigma schedules per model; a round builds each it uses once."""
+def _four_round_runs(engine):
+    """(extend, start) pairs of one engine at n = 3, over several automata."""
+    a, b = frozenset({1, 2}), frozenset({3})
+    wro = wro_obstruction_samples()
+    if engine == "wro":
+        return [(lambda p, proto=wro[name]: wro_extend_round(p, proto), initial_chain(wro[name], 3))
+                for name in ("wro-solo", "wro-rotating", "wro-share-all")]
+    if engine == "no3box":
+        return [(lambda p, proto=proto: extend_path_no3box(p, proto), initial_chain(proto, 3))
+                for proto in (PAIR, SOLO)]
+    if engine == "partition":
+        o, ou, u = (make_initial_state(3, v, WOR, PAIR) for v in ([0, 0, 0], [0, 0, 1], [1, 1, 1]))
+        return [(lambda p: extend_path_partition(p, a, b, PAIR), Path(states=(o, ou, u), labels=(a, b)))]
+    return [(lambda p: extend_path_general(p, PAIR, s=1)[0], initial_chain(PAIR, 3))]
+
+
+@pytest.mark.parametrize("engine", ["wro", "no3box", "partition", "general"])
+def test_extension_round_builds_each_sigma_schedule_once(monkeypatch, engine):
+    """n = 3 has 13 sigma schedules per model; the process builds each it
+    uses once, however many rounds and automata use it."""
     builds = []
 
     def counting(groups, n, model=WOR):
-        builds.append(groups)
+        builds.append((n, model, groups))
         return sigma_schedule(groups, n, model)
 
+    connectivity._schedule.cache_clear()
     monkeypatch.setattr(connectivity, "sigma_schedule", counting)
-    path = initial_chain(proto, 3)
-    for _ in range(4):
-        builds.clear()
-        path = engine(path, proto).loop_erased()
-        assert len(builds) == len(set(builds)) <= 13
+    for extend, path in _four_round_runs(engine):
+        for _ in range(4):
+            path = extend(path).loop_erased()
+    assert len(builds) == len(set(builds))
+    (model,) = {m for _n, m, _g in builds}
+    assert 1 < len(builds) <= 13, model
 
 
 def test_memo_keys_on_the_schedule_not_its_spelling():
     proto = wro_obstruction_samples()["wro-share-all"]
     s = make_initial_state(3, [0, 1, 0], WRO, proto)
     full = frozenset({1, 2, 3})
-    for j in (1, 2, 3):
+    key = connectivity._schedule_key
+    for j in (1, 2, 3):  # a trailing complement
         rounds = connectivity._Rounds(proto)
-        spelled = rounds.child(s, (full - {j}, frozenset({j})))
-        short = rounds.child(s, (full - {j},))
+        spelled = rounds.child(s, key((full - {j}, frozenset({j})), 3))
+        short = rounds.child(s, key((full - {j},), 3))
         assert len(rounds.children) == 1
         assert spelled == short == apply_round(s, sigma_schedule((full - {j},), 3, WRO),
                                                itertools.repeat(1), proto)
-    rounds = connectivity._Rounds(proto)
-    assert rounds.child(s, ()) == rounds.child(s, (full,)) == rounds.child(s, (set(), full))
+    rounds = connectivity._Rounds(proto)  # an empty group
+    assert key((), 3) == key((full,), 3) == key((set(), full), 3) == ()
+    assert key((set(), {1}, set()), 3) == key(({1},), 3) == (frozenset({1}),)
+    assert rounds.child(s, key((set(), full), 3)) == rounds.child(s, key((full,), 3))
     assert len(rounds.children) == 1
-    with pytest.raises(InvalidScheduleError):  # an overlapping group is never dropped
-        rounds.child(s, ({1, 2}, full))
+    assert key(({1, 2}, full), 3) == (frozenset({1, 2}), full)  # an overlap is never dropped
+    with pytest.raises(InvalidScheduleError):
+        rounds.child(s, key(({1, 2}, full), 3))
 
 
 # -- edge checks ----------------------------------------------------------------
