@@ -120,6 +120,8 @@ def _make_adversary(spec: str, seed: int, n: int):
 def cmd_simulate(args) -> int:
     proto = resolve_protocol(args.protocol, args.n)
     inputs = _parse_ids(args.inputs) if args.inputs else list(range(args.n))
+    if len(inputs) != args.n:
+        raise InvalidArgumentError(f"--inputs has {len(inputs)} values, but --n is {args.n}")
     rounds = args.horizon if args.horizon is not None else proto.round_budget or 3
     import random as _random
     rng = _random.Random(args.seed)
@@ -144,12 +146,13 @@ def cmd_verify_consensus(args) -> int:
     mode = args.mode
     if mode == "auto":
         mode = "exhaustive" if args.n <= 4 else "sampled"
-    config = {"n": args.n, "mode": mode, "jobs": args.jobs}
+    config = {"n": args.n, "mode": mode}
     if mode == "exhaustive":
         report = verify_consensus_exhaustive(args.n, jobs=args.jobs)
     else:
         config.update(executions=args.executions, seed=args.seed)
         report = verify_consensus_sampled(args.n, args.executions, args.seed, jobs=args.jobs)
+    config["jobs"] = report.jobs
     return _emit(args, "verify-consensus", config, report.to_jsonable(), report.ok, t0)
 
 

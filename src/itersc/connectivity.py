@@ -10,19 +10,19 @@ connection) append to their caller's builder instead of checking a path of
 their own.  A construction that cannot be verified raises ConstructionError
 instead of returning a weaker path.
 
-Every round is named by the canonical key of its sigma schedule
-(``_schedule_key``: the groups with empty ones and a trailing complement
-dropped), and each keyed schedule is built and validated once per process.
-The engines build their keys outside their loops; the WRO bridge's steps
-are precomputed per (n, i, j).  Each public extension call applies its
-rounds through one private memo, which lives for that call only.  A round's
-child state is keyed by ``(rnd, locals_key(), key, values)``, with
-``values`` the adversary outputs of the round's contended instances in
-resolution order (None for all ones): a round reads only the locals, the
-round number and n, and an output sequence ignores the state.  A state
-holds only its own round's shared objects, so a hit is exactly the child a
-fresh round would build.  No probe runs: the all-ones child shows the
-boxes, the contention and the forced values of its round.
+Every round is named by the key of its sigma schedule in the executor's
+process-wide table (``sigma_key``: the ordered blocks as ascending id
+tuples, the complement spelled out).  The engines build their keys outside
+their loops; the WRO bridge's steps are precomputed per (n, i, j).  Each
+public extension call applies its rounds through one private memo, which
+lives for that call only.  A round's child state is keyed by ``(rnd,
+locals_key(), key, values)``, with ``values`` the adversary outputs of the
+round's contended instances in resolution order (None for all ones): a
+round reads only the locals, the round number and n, and an output
+sequence ignores the state.  A state holds only its own round's shared
+objects, so a hit is exactly the child a fresh round would build.  No probe
+runs: the all-ones child shows the boxes, the contention and the forced
+values of its round.
 
 The engines return the walk they build; the two demos loop-erase each
 round's path (``Path.loop_erased``) before the next round extends it.
@@ -50,6 +50,8 @@ from .executor import (
     enumerate_round_schedules,
     explore,
     probe_round,
+    sigma_by_key,
+    sigma_key,
     sigma_schedule,
 )
 from .johnson import vertex_set, zeta
@@ -194,20 +196,10 @@ def successor_boxes(state: GlobalState, proto) -> frozenset:
     return frozenset(b for (_o, b, _c, _f) in probe_round(state, sched, proto))
 
 
-def _schedule_key(groups, n: int) -> tuple:
-    """The canonical key of the sigma schedule ``groups`` spell: empty
-    groups dropped, and a trailing group dropped when it is exactly the
-    complement that ``sigma_schedule`` appends anyway."""
-    groups = tuple(frozenset(g) for g in groups if g)
-    if groups and groups[-1] == frozenset(range(1, n + 1)).difference(*groups[:-1]):
-        return groups[:-1]
-    return groups
-
-
 @functools.lru_cache(maxsize=None)
-def _schedule(n: int, model: str, key: tuple):
-    """The sigma schedule of a canonical key, built and validated once per process."""
-    return sigma_schedule(key, n, model)
+def _concurrent(n: int) -> tuple:
+    """The key of sigma(all): every process in one block."""
+    return sigma_key((), n)
 
 
 class _Rounds:
@@ -224,13 +216,13 @@ class _Rounds:
         memo = (state.rnd, state.locals_key(), key, values)
         child = self.children.get(memo)
         if child is None:
-            sched = _schedule(state.n, self.proto.model, key)
+            sched = sigma_by_key(state.n, self.proto.model, key)
             adversary = itertools.repeat(1) if values is None else values
             child = self.children[memo] = apply_round(state, sched, adversary, self.proto)
         return child
 
     def boxes(self, state: GlobalState) -> frozenset:
-        return frozenset(box for box, _out in self.child(state, ()).box_outputs())
+        return frozenset(box for box, _out in self.child(state, _concurrent(state.n)).box_outputs())
 
     def successor(self, state: GlobalState, key: tuple, box_values: dict) -> GlobalState:
         """The ``key`` successor under the per-box output plan ``box_values``:
@@ -247,7 +239,7 @@ class _Rounds:
             elif want is not None and out != want:
                 raise ConstructionError(
                     f"box {sorted(b)} is forced to {out} under "
-                    f"{_schedule(state.n, self.proto.model, key)}, plan wants {want}")
+                    f"{sigma_by_key(state.n, self.proto.model, key)}, plan wants {want}")
         if all(v == 1 for v in values):
             return ones
         return self.child(state, key, tuple(values))
@@ -307,9 +299,9 @@ def connect_partition_round(state: GlobalState, a, b_, proto) -> Path:
     a, b_ = _check_partition_args(n, a, b_)
     rounds = _Rounds(proto)
     plan = _partition_plan(rounds.boxes(state), a, b_, n)
-    s_a = rounds.successor(state, _schedule_key((a,), n), plan)
-    s_all = rounds.successor(state, (), plan)
-    s_b = rounds.successor(state, _schedule_key((b_,), n), plan)
+    s_a = rounds.successor(state, sigma_key((a,), n), plan)
+    s_all = rounds.successor(state, _concurrent(n), plan)
+    s_b = rounds.successor(state, sigma_key((b_,), n), plan)
     pb = PathBuilder(s_a)
     pb.append(s_all, b_)
     pb.append(s_b, a)
@@ -329,7 +321,8 @@ def extend_path_partition(path: Path, a, b_, proto) -> Path:
             raise PreconditionViolationError(
                 f"label {sorted(x)} is neither A nor B")
     rounds = _Rounds(proto)
-    key_of = {a: _schedule_key((a,), n), b_: _schedule_key((b_,), n)}  # sigma(all) is ()
+    key_of = {a: sigma_key((a,), n), b_: sigma_key((b_,), n)}
+    everyone = _concurrent(n)
 
     def step(s: GlobalState, key: tuple) -> GlobalState:
         return rounds.successor(s, key, _partition_plan(rounds.boxes(s), a, b_, n))
@@ -343,7 +336,7 @@ def extend_path_partition(path: Path, a, b_, proto) -> Path:
         base, nxt_base = path.states[idx], path.states[idx + 1]
         if x != cur:
             # bridge within the current base: sigma(cur) - sigma(all) - sigma(x)
-            pb.append(step(base, ()), x)
+            pb.append(step(base, everyone), x)
             pb.append(step(base, key_of[x]), cur)
             cur = x
         pb.append(step(nxt_base, key_of[x]), x)
@@ -367,23 +360,23 @@ def extend_path_no3box(path: Path, proto) -> Path:
     full = frozenset({1, 2, 3})
     rounds = _Rounds(proto)
     if not path.labels:
-        return Path(states=(rounds.successor(path.states[0], (), {}),), labels=())
+        return Path(states=(rounds.successor(path.states[0], _concurrent(3), {}),), labels=())
 
     cur = path.labels[0]
     _require_no_full_box(rounds.boxes(path.states[0]))
-    pb = PathBuilder(rounds.successor(path.states[0], _schedule_key((cur,), 3), {}))
+    pb = PathBuilder(rounds.successor(path.states[0], sigma_key((cur,), 3), {}))
 
     for idx, x_next in enumerate(path.labels):
         base, nxt_base = path.states[idx], path.states[idx + 1]
         boxes = rounds.boxes(base)
         _require_no_full_box(boxes)
         pair = next((b for b in boxes if len(b) == 2), None)
-        key_next = _schedule_key((x_next,), 3)
+        key_next = sigma_key((x_next,), 3)
 
         if x_next == full:
             # identical bases: reuse the tail's shape on the next base
             plan = dict(box_values_of(pb.tail))
-            pb.append(rounds.successor(nxt_base, _schedule_key((cur,), 3), plan), full)
+            pb.append(rounds.successor(nxt_base, sigma_key((cur,), 3), plan), full)
             continue
 
         if x_next == cur:
@@ -394,7 +387,7 @@ def extend_path_no3box(path: Path, proto) -> Path:
         if pair is None:
             # three solo objects: memory is the only distinguisher
             if cur != full:
-                pb.append(rounds.successor(base, (), {}), full - cur)
+                pb.append(rounds.successor(base, _concurrent(3), {}), full - cur)
             pb.append(rounds.successor(base, key_next, {}), full - x_next)
             pb.append(rounds.successor(nxt_base, key_next, {}), x_next)
             cur = x_next
@@ -404,7 +397,7 @@ def extend_path_no3box(path: Path, proto) -> Path:
         v_tail = sc_value_of(pair, pb.tail) if pair in invocation_spec(pb.tail) \
             else min(pair)
         if cur != full:
-            pb.append(rounds.successor(base, (), {pair: v_tail}), full - cur)
+            pb.append(rounds.successor(base, _concurrent(3), {pair: v_tail}), full - cur)
         hop_plan: dict
         if len(x_next) == 1:
             if x_next == solo:
@@ -423,8 +416,8 @@ def extend_path_no3box(path: Path, proto) -> Path:
                 hop_plan = {pair: v_tail}
             else:
                 (j,) = tuple(x_next & pair)
-                pb.append(rounds.successor(base, _schedule_key(({j},), 3), {pair: j}), solo)
-                pb.append(rounds.successor(base, _schedule_key(({j}, solo), 3), {pair: j}), pair)
+                pb.append(rounds.successor(base, sigma_key(({j},), 3), {pair: j}), solo)
+                pb.append(rounds.successor(base, sigma_key(({j}, solo), 3), {pair: j}), pair)
                 a2 = rounds.successor(base, key_next, {pair: j})
                 pb.append(a2, solo)
                 hop_plan = {pair: j}
@@ -488,17 +481,17 @@ def _swap_chain(state: GlobalState, c_groups: tuple, b: frozenset,
     for j in range(1, len(ks) + 1):
         rem = x_piece - frozenset().union(*ks[:j])
         groups = c_groups + tuple(ks[:j]) + (rem,)
-        pb.append(rounds.successor(state, _schedule_key(groups, n), plan1), full - ks[j - 1])
+        pb.append(rounds.successor(state, sigma_key(groups, n), plan1), full - ks[j - 1])
     for j in range(len(ks) - 1, -1, -1):
         groups = c_groups + tuple(ks[:j])
-        pb.append(rounds.successor(state, _schedule_key(groups, n), plan1), full - ks[j])
+        pb.append(rounds.successor(state, sigma_key(groups, n), plan1), full - ks[j])
 
     if not y_piece:
         if v1 != v2:
             if b == full:
                 raise FullBoxConflictError(
                     "cannot switch the full box's output on a path")
-            pb.append(rounds.successor(state, _schedule_key(c_groups, n), plan2), full - b)
+            pb.append(rounds.successor(state, sigma_key(c_groups, n), plan2), full - b)
         return
 
     kys = _peel_groups(y_piece)
@@ -511,11 +504,11 @@ def _swap_chain(state: GlobalState, c_groups: tuple, b: frozenset,
             label = full - b
         else:
             label = full - kys[j - 1]
-        pb.append(rounds.successor(state, _schedule_key(groups, n), plan2), label)
+        pb.append(rounds.successor(state, sigma_key(groups, n), plan2), label)
     for t in range(len(kys) - 1, 0, -1):
         merged = frozenset().union(*kys[t - 1:])
         groups = c_groups + tuple(kys[:t - 1]) + (merged,)
-        pb.append(rounds.successor(state, _schedule_key(groups, n), plan2), full - kys[t - 1])
+        pb.append(rounds.successor(state, sigma_key(groups, n), plan2), full - kys[t - 1])
 
 
 def _connect(rounds: _Rounds, pb: PathBuilder, state: GlobalState, x, y,
@@ -531,8 +524,8 @@ def _connect(rounds: _Rounds, pb: PathBuilder, state: GlobalState, x, y,
     n = state.n
     full = frozenset(range(1, n + 1))
     boxes = rounds.boxes(state)
-    q1 = rounds.successor(state, _schedule_key((x,), n), values_x or {})
-    q2 = rounds.successor(state, _schedule_key((y,), n), values_y or {})
+    q1 = rounds.successor(state, sigma_key((x,), n), values_x or {})
+    q2 = rounds.successor(state, sigma_key((y,), n), values_y or {})
     if q1 != pb.tail:
         raise ConstructionError("connection start does not match the tail")
     vx = box_values_of(q1)
@@ -556,7 +549,7 @@ def _connect(rounds: _Rounds, pb: PathBuilder, state: GlobalState, x, y,
         other_plan = {bb: v for bb, v in cur_vals.items() if bb != b and len(bb) > 1}
         # into the ladder
         for groups, moved in chain:
-            pb.append(rounds.successor(state, _schedule_key(groups, n), cur_vals), full - moved)
+            pb.append(rounds.successor(state, sigma_key(groups, n), cur_vals), full - moved)
         # swap the piece and the output
         _swap_chain(state, c_groups, b, x_piece, y_piece,
                     cur_vals[b], vy[b], other_plan, rounds, pb)
@@ -567,10 +560,10 @@ def _connect(rounds: _Rounds, pb: PathBuilder, state: GlobalState, x, y,
         chain_back, _ = _ladder_chain(boxes, new_cur, b)
         for idx in range(len(chain_back) - 2, -1, -1):
             groups, _moved = chain_back[idx]
-            pb.append(rounds.successor(state, _schedule_key(groups, n), new_vals),
+            pb.append(rounds.successor(state, sigma_key(groups, n), new_vals),
                       full - chain_back[idx + 1][1])
         if chain_back:
-            pb.append(rounds.successor(state, _schedule_key((new_cur,), n), new_vals),
+            pb.append(rounds.successor(state, sigma_key((new_cur,), n), new_vals),
                       full - chain_back[0][1])
         cur = new_cur
         cur_vals = new_vals
@@ -635,7 +628,7 @@ def extend_path_general(path: Path, proto, s: Optional[int] = None) -> tuple[Pat
         raise BudgetExceededError("general extension is implemented for n <= 5 only")
     rounds = _Rounds(proto)
     if not path.labels:
-        return (Path(states=(rounds.successor(path.states[0], (), {}),),
+        return (Path(states=(rounds.successor(path.states[0], _concurrent(n), {}),),
                      labels=()), {"trivial": True})
     if s is None:
         s = path.degree()
@@ -653,14 +646,14 @@ def extend_path_general(path: Path, proto, s: Optional[int] = None) -> tuple[Pat
         return {b: value_fn[b](pos) for b in boxes if len(b) > 1 and b in value_fn}
 
     labels = path.labels
-    key0 = _schedule_key((labels[0],), n)
+    key0 = sigma_key((labels[0],), n)
     pb = PathBuilder(rounds.successor(path.states[0], key0, vals_at(1, path.states[0])))
     pb.append(rounds.successor(path.states[1], key0, vals_at(1, path.states[1])), labels[0])
     for w in range(1, len(labels)):
         base = path.states[w]
         _connect(rounds, pb, base, labels[w - 1], labels[w],
                  vals_at(w, base), vals_at(w + 1, base))
-        pb.append(rounds.successor(path.states[w + 1], _schedule_key((labels[w],), n),
+        pb.append(rounds.successor(path.states[w + 1], sigma_key((labels[w],), n),
                                    vals_at(w + 1, path.states[w + 1])), labels[w])
     out = pb.build()
 
@@ -788,7 +781,7 @@ def bounded_valency(state: GlobalState, proto, horizon: int) -> Valency:
 @functools.lru_cache(maxsize=None)
 def _wro_lead(n: int, j: int) -> tuple:
     """The key of sigma-wro(all-j): every process but j in one block, then j."""
-    return (frozenset(range(1, n + 1)) - {j},)
+    return sigma_key((frozenset(range(1, n + 1)) - {j},), n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -812,7 +805,7 @@ def _wro_bridge_steps(n: int, i: int, j: int) -> tuple:
     for k in range(n - 2, 0, -1):
         steps.append((ones[:k - 1] + [frozenset(ls[k - 1:-1]) | {i}, ones[-1]],
                       full - ones[k - 1]))
-    return tuple((_schedule_key(groups, n), label) for groups, label in steps)
+    return tuple((sigma_key(groups, n), label) for groups, label in steps)
 
 
 def _wro_bridge(rounds: _Rounds, pb: PathBuilder, state: GlobalState, i: int, j: int) -> None:
@@ -841,6 +834,7 @@ def wro_extend_round(path: Path, proto) -> Path:
         return min(missing) if missing else fallback
 
     rounds = _Rounds(proto)
+    lead_label = {j: full - {j} for j in full}
     cur_excl = excluded(path.labels[0], n) if path.labels else n
     pb = PathBuilder(rounds.child(path.states[0], _wro_lead(n, cur_excl)))
     for idx, x in enumerate(path.labels):
@@ -849,8 +843,7 @@ def wro_extend_round(path: Path, proto) -> Path:
         if j != cur_excl:
             _wro_bridge(rounds, pb, base, cur_excl, j)
             cur_excl = j
-        lead = _wro_lead(n, j)
-        pb.append(rounds.child(nxt, lead), lead[0])
+        pb.append(rounds.child(nxt, _wro_lead(n, j)), lead_label[j])
     out = pb.build()
     if out.degree() is not None and out.degree() < n - 1:
         raise ConstructionError("obstruction path degree fell below n-1")

@@ -14,20 +14,21 @@ source decides, one round later.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ModelMismatchError
+from .errors import InvalidArgumentError, ModelMismatchError
 from .executor import (
     R,
     RoundSchedule,
     S,
     W,
     Execution,
+    apply_round_recorded,
     make_schedule,
     make_initial_state,
-    probe_round,
     random_ordered_partition_schedule,
     random_outputs,
     run_execution,
@@ -101,11 +102,11 @@ def simulate_paired(proto: ProtocolAutomaton, inputs, scheds,
     if proto.model == WRO:
         sim_proto = transform_wro_to_owr(proto)
         sim_scheds = wro_to_owr_schedules(list(scheds), n)
-        # the simulation's first round invokes fresh (discarded) objects
+        # the simulation's first round invokes fresh (discarded) objects: one
+        # choice per contended one, counted on an all-ones run of that round
         init = make_initial_state(n, inputs, sim_proto.model, sim_proto)
-        extra = sum(1 for (_o, _b, contended, _f) in
-                    probe_round(init, sim_scheds[0], sim_proto) if contended)
-        script = [1] * extra + choices
+        _, padding = apply_round_recorded(init, sim_scheds[0], itertools.repeat(1), sim_proto)
+        script = [1] * len(padding) + choices
     elif proto.model == OWR:
         sim_proto = transform_owr_to_wro(proto)
         sim_scheds = owr_to_wro_schedules(list(scheds), n)
@@ -139,6 +140,8 @@ def check_transform_correspondence(proto: ProtocolAutomaton, n: int,
                                    executions: int = 1000, seed: int = 0,
                                    rounds: Optional[int] = None) -> CorrespondenceReport:
     """Randomized schedules/adversaries; count decision-shift mismatches."""
+    if executions < 0:
+        raise InvalidArgumentError(f"executions must be at least 0, got {executions}")
     rng = random.Random(seed)
     rounds = rounds or (proto.round_budget or 3) + 1
     mismatches = 0

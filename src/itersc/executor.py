@@ -105,48 +105,64 @@ def make_schedule(model: str, n: int, events) -> RoundSchedule:
     return RoundSchedule(model=model, n=n, events=tuple(evs))
 
 
-def sigma_schedule(groups, n: int, model: str = WOR) -> RoundSchedule:
-    """The schedule running disjoint groups in sequence, then the complement.
+# The process-wide sigma table: (n, model, blocks) -> the schedule, where
+# ``blocks`` is the ordered partition the schedule runs, as ascending id
+# tuples with the complement spelled out (see ``sigma_key``).  Each entry is
+# built and validated once per process; the keys' blocks and the schedules'
+# events are interned, so the table holds each distinct event once.
+_SIGMA: dict[tuple, RoundSchedule] = {}
+_INTERNED: dict = {}
 
-    WOR interleaves write/invoke/scan per group; WRO runs write/scan per
-    group and a single concurrent invoke at the end; OWR is the mirror
-    image with the concurrent invoke first.
-    """
-    blocks: list[frozenset] = []
-    seen: set[int] = set()
+
+def sigma_key(groups, n: int) -> tuple:
+    """The canonical blocks of the sigma schedule that runs the disjoint
+    ``groups`` in sequence, then the complement: each nonempty group as an
+    ascending id tuple, and the complement last when it is not empty."""
+    everyone = frozenset(range(1, n + 1))
+    blocks = []
+    seen: frozenset = frozenset()
     for g in groups:
         g = frozenset(g)
         if not g:
             continue
         if g & seen:
             raise InvalidScheduleError(f"overlapping sigma groups at {sorted(g & seen)}")
-        if not g <= set(range(1, n + 1)):
+        if not g <= everyone:
             raise InvalidScheduleError(f"group {sorted(g)} outside 1..{n}")
         seen |= g
-        blocks.append(g)
-    rest = frozenset(range(1, n + 1)) - seen
-    if rest:
-        blocks.append(rest)
-    full = frozenset(range(1, n + 1))
-    events: list[tuple[str, frozenset]] = []
-    if model == WOR:
-        for b in blocks:
-            events += [(W, b), (S, b), (R, b)]
-    elif model == WRO:
-        for b in blocks:
-            events += [(W, b), (R, b)]
-        events.append((S, full))
-    elif model == OWR:
-        events.append((S, full))
-        for b in blocks:
-            events += [(W, b), (R, b)]
-    else:
-        raise InvalidScheduleError(f"unknown model {model!r}")
-    return make_schedule(model, n, events)
+        blocks.append(tuple(sorted(g)))
+    if seen != everyone:
+        blocks.append(tuple(sorted(everyone - seen)))
+    return tuple(blocks)
+
+
+def sigma_by_key(n: int, model: str, key: tuple) -> RoundSchedule:
+    """The table's schedule for a canonical ``key``, built on its first use."""
+    sched = _SIGMA.get((n, model, key))
+    if sched is None:
+        order = EVENT_ORDER.get(model)
+        if order is None:
+            raise InvalidScheduleError(f"unknown model {model!r}")
+        if order[1] == S:  # WOR: each block writes, invokes and scans in turn
+            events = [(kind, block) for block in key for kind in order]
+        else:  # each block writes and scans; everyone invokes at once, first or last
+            events = [(kind, block) for block in key for kind in order if kind != S]
+            events.insert(0 if order[0] == S else len(events), (S, tuple(range(1, n + 1))))
+        intern = _INTERNED.setdefault
+        built = make_schedule(model, n, events)
+        sched = RoundSchedule(model, n, tuple(intern(e, e) for e in built.events))
+        _SIGMA[(n, model, tuple(intern(b, b) for b in key))] = sched
+    return sched
+
+
+def sigma_schedule(groups, n: int, model: str = WOR) -> RoundSchedule:
+    """The schedule running disjoint groups in sequence, then the complement:
+    the table's one object for every spelling of the same blocks."""
+    return sigma_by_key(n, model, sigma_key(groups, n))
 
 
 def ordered_set_partitions(items: tuple) -> Iterator[tuple]:
-    """Ordered partitions where any block may come first (not anchored)."""
+    """Ordered partitions, any block first, each block an ascending id tuple."""
     items = tuple(items)
     if not items:
         yield ()
@@ -154,13 +170,12 @@ def ordered_set_partitions(items: tuple) -> Iterator[tuple]:
     pool = set(items)
     for k in range(1, len(items) + 1):
         for block in itertools.combinations(sorted(pool), k):
-            blk = frozenset(block)
-            rest = tuple(sorted(pool - blk))
+            rest = tuple(sorted(pool.difference(block)))
             if not rest:
-                yield (blk,)
+                yield (block,)
                 continue
             for tail in ordered_set_partitions(rest):
-                yield (blk,) + tail
+                yield (block,) + tail
 
 
 def enumerate_round_schedules(n: int, model: str, family: str = "sigma") -> Iterator[RoundSchedule]:
@@ -168,8 +183,8 @@ def enumerate_round_schedules(n: int, model: str, family: str = "sigma") -> Iter
     if family == "sigma":
         if n > 6:
             raise BudgetExceededError(f"exhaustive sigma family capped at n=6, got {n}")
-        for parts in ordered_set_partitions(tuple(range(1, n + 1))):
-            yield sigma_schedule(parts, n, model)
+        for blocks in ordered_set_partitions(tuple(range(1, n + 1))):
+            yield sigma_by_key(n, model, blocks)
     elif family == "ordered-partition":
         if n > 3:
             raise BudgetExceededError(f"exhaustive ordered-partition family capped at n=3, got {n}")
@@ -225,8 +240,8 @@ def random_ordered_partition_schedule(n: int, model: str, rng: random.Random) ->
 
 
 def random_sigma_schedule(n: int, model: str, rng: random.Random) -> RoundSchedule:
-    """Uniform-ish random member of the sigma family."""
-    return sigma_schedule(_sigma_blocks(n, rng), n, model)
+    """Uniform-ish random member of the sigma family, from the table."""
+    return sigma_by_key(n, model, _sigma_blocks(n, rng))
 
 
 def _sigma_blocks(n: int, rng: random.Random) -> tuple:
@@ -248,25 +263,6 @@ def _sigma_blocks(n: int, rng: random.Random) -> tuple:
         blocks.append(tuple(sorted(ids[i:i + size])))
         i += size
     return tuple(blocks)
-
-
-def _sigma_draws(n: int, model: str) -> Callable[[random.Random], RoundSchedule]:
-    """``random_sigma_schedule`` for one sweep: the same RNG calls, but each distinct
-    schedule is built and validated once, then shared.  Interning the blocks and the
-    at most ``3 * (2**n - 1)`` distinct events keeps the table small."""
-    table: dict[tuple, RoundSchedule] = {}
-    interned: dict = {}
-
-    def draw(rng: random.Random) -> RoundSchedule:
-        blocks = _sigma_blocks(n, rng)
-        sched = table.get(blocks)
-        if sched is None:
-            events = sigma_schedule(blocks, n, model).events
-            sched = RoundSchedule(model, n, tuple(interned.setdefault(e, e) for e in events))
-            table[tuple(interned.setdefault(b, b) for b in blocks)] = sched
-        return sched
-
-    return draw
 
 
 # ---------------------------------------------------------------------------
@@ -674,9 +670,8 @@ def collect_gamma(proto: ProtocolAutomaton, n: int,
                 break
     else:
         rng = random.Random(0)
-        draw = _sigma_draws(n, proto.model)
         for _ in range(budget.max_executions):
-            scheds = [draw(rng) for _ in range(rounds)]
+            scheds = [random_sigma_schedule(n, proto.model, rng) for _ in range(rounds)]
             adversary = random_outputs(rng.randrange(2**31), n)
             state = make_initial_state(n, inputs, proto.model, proto)
             for sched in scheds:
@@ -710,6 +705,7 @@ class SweepReport:
     violations: int
     first_counterexample: Optional[dict]
     gamma: Optional[GammaReport] = None
+    jobs: Optional[int] = field(default=None, compare=False)  # as resolved; not a result
 
     @property
     def ok(self) -> bool:
@@ -822,7 +818,7 @@ def verify_consensus_exhaustive(n: int, proto_factory=None,
     gamma_report = collect_gamma(proto, n)
     return SweepReport(n=n, mode="exhaustive", executions=total,
                        violations=violations, first_counterexample=first,
-                       gamma=gamma_report)
+                       gamma=gamma_report, jobs=jobs)
 
 
 def verify_consensus_sampled(n: int, executions: int = 10000, seed: int = 0,
@@ -860,18 +856,17 @@ def verify_consensus_sampled(n: int, executions: int = 10000, seed: int = 0,
         if first is None:
             first = found
     return SweepReport(n=n, mode="sampled", executions=executions,
-                       violations=violations, first_counterexample=first)
+                       violations=violations, first_counterexample=first, jobs=jobs)
 
 
 def _sample_range(proto: ProtocolAutomaton, n: int, seed: int, lo: int, hi: int):
     """Violation count and first counterexample of sampled executions lo..hi-1."""
     rounds = proto.round_budget
-    draw = _sigma_draws(n, proto.model)
     violations, first = 0, None
     for k in range(lo, hi):
         rng = random.Random(f"{seed}:{k}")
         inputs = [rng.randint(0, 1) for _ in range(n)]
-        scheds = [draw(rng) for _ in range(rounds)]
+        scheds = [random_sigma_schedule(n, proto.model, rng) for _ in range(rounds)]
         adversary = random_outputs(rng.randrange(2**31), n)
         state = make_initial_state(n, inputs, proto.model, proto)
         for sched in scheds:

@@ -242,6 +242,24 @@ def test_non_integer_id_is_a_usage_error(capsys, argv, item):
     assert err.startswith("[itersc] error: ids must be integers") and item in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("transform", "--direction", "wro2owr", "--source", "wro-solo-d2", "--check", "-1"),
+     "executions must be at least 0, got -1"),
+    (("simulate", "--n", "3", "--inputs", "0,1"), "--inputs has 2 values, but --n is 3"),
+    (("simulate", "--n", "2", "--inputs", "0,1,1"), "--inputs has 3 values, but --n is 2"),
+], ids=["negative-check", "too-few-inputs", "too-many-inputs"])
+def test_count_mismatch_is_a_usage_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"[itersc] error: {message}\n"
+
+
+def test_transform_check_zero_runs_no_check(capsys):
+    code, out, _ = run_cli(capsys, "transform", "--direction", "wro2owr",
+                           "--source", "wro-solo-d2", "--check", "0")
+    assert code == EXIT_OK and "correspondence" not in json.loads(out)["result"]
+
+
 def test_config_must_be_an_object(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[2]")
@@ -386,12 +404,14 @@ def test_verify_consensus_refuses_fewer_than_one_sampled_execution(capsys, execu
     assert f"executions must be at least 1, got {executions}" in err
 
 
-def test_verify_consensus_config_holds_only_read_settings(capsys):
+def test_verify_consensus_config_holds_only_read_settings(capsys, monkeypatch):
+    monkeypatch.setattr(executor, "_usable_cpus", lambda: 3)
     code, out, _ = run_cli(capsys, "verify-consensus", "--n", "2", "--executions", "-5",
                            "--seed", "9")
     assert code == EXIT_OK
     report = json.loads(out)
-    assert report["config"] == {"n": 2, "mode": "exhaustive", "jobs": None}
+    # without --jobs, the job count the sweep resolved: 15 schedule sequences make one range
+    assert report["config"] == {"n": 2, "mode": "exhaustive", "jobs": 1}
     assert report["seed"] is None
     code, out, _ = run_cli(capsys, "verify-consensus", "--n", "2", "--mode", "sampled",
                            "--executions", "5", "--seed", "9", "--jobs", "1")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from itersc import connectivity
+from itersc import connectivity, executor
 from itersc.connectivity import (
     Path,
     Valency,
@@ -38,9 +38,11 @@ from itersc.errors import (
 from itersc.executor import (
     apply_round,
     enumerate_round_schedules,
+    make_schedule,
     probe_round,
     random_outputs,
     random_sigma_schedule,
+    sigma_key,
     sigma_schedule,
 )
 from itersc.model import OWR, WOR, WRO, indistinguishability_set, make_initial_state
@@ -256,7 +258,7 @@ def test_no3box_requires_three_processes():
 def _connected(proto, state, x, y, values_x=None, values_y=None):
     """The sigma(X) to sigma(Y) connection of ``state``, built on its own."""
     rounds = connectivity._Rounds(proto)
-    key = connectivity._schedule_key((x,), state.n)
+    key = sigma_key((x,), state.n)
     pb = connectivity.PathBuilder(rounds.successor(state, key, values_x or {}))
     connectivity._connect(rounds, pb, state, x, y, values_x, values_y)
     return pb.build()
@@ -451,7 +453,7 @@ def test_wro_bridge_steps_match_the_inline_reference(n):
         assert [label for _key, label in got] == [label for _groups, label in want]
         assert all(type(label) is frozenset for _key, label in got)
         for (key, _l), (groups, _m) in zip(got, want):
-            assert key == connectivity._schedule_key(key, n)  # already canonical
+            assert key == sigma_key(key, n)  # already canonical
             for model in (WOR, WRO, OWR):
                 assert sigma_schedule(key, n, model) == sigma_schedule(groups, n, model)
 
@@ -594,8 +596,8 @@ def test_diff_box_set_is_within_both_specs():
     rounds = connectivity._Rounds(PAIR)
     s = make_initial_state(3, [0, 1, 0], WOR, PAIR)
     b = frozenset({1, 2})
-    q1 = rounds.successor(s, (), {b: 1})
-    q2 = rounds.successor(s, (), {b: 3})
+    q1 = rounds.successor(s, sigma_key((), 3), {b: 1})
+    q2 = rounds.successor(s, sigma_key((), 3), {b: 3})
     d = diff_box_set(q1, q2)
     assert d == {b}
     assert d <= invocation_spec(q1) & invocation_spec(q2)
@@ -622,7 +624,7 @@ def test_partition_bridge_labels_exactly_a_and_b_everywhere():
 
 def _probe_then_apply_successor(rounds, state, key, box_values):
     """Reference ``_Rounds.successor``: probe the round, then apply the plan."""
-    assert key == connectivity._schedule_key(key, state.n)  # engines pass canonical keys
+    assert key == sigma_key(key, state.n)  # engines pass canonical keys
     sched = sigma_schedule(key, state.n, rounds.proto.model)
     values = []
     for _obj, b, contended, forced_val in probe_round(state, sched, rounds.proto):
@@ -636,7 +638,7 @@ def _probe_then_apply_successor(rounds, state, key, box_values):
 
 def _probe_then_apply_wro(rounds, state, key):
     """Reference sigma-wro successor: every probed contended instance outputs 1."""
-    assert key == connectivity._schedule_key(key, state.n)
+    assert key == sigma_key(key, state.n)
     sched = sigma_schedule(key, state.n, rounds.proto.model)
     values = [1 for _o, _b, contended, _f in probe_round(state, sched, rounds.proto) if contended]
     return apply_round(state, sched, values, rounds.proto)
@@ -707,7 +709,7 @@ def test_memo_hit_is_the_fresh_child():
     all_groups = [(), (frozenset({1}),), (frozenset({2, 3}), frozenset({1}))]
     children = set()
     for groups in all_groups:
-        key = connectivity._schedule_key(groups, 3)
+        key = sigma_key(groups, 3)
         for parent in (s1, s2):
             sched = sigma_schedule(groups, 3, WRO)
             child = rounds.child(parent, key)
@@ -741,16 +743,16 @@ def test_extension_round_builds_each_sigma_schedule_once(monkeypatch, engine):
     uses once, however many rounds and automata use it."""
     builds = []
 
-    def counting(groups, n, model=WOR):
-        builds.append((n, model, groups))
-        return sigma_schedule(groups, n, model)
+    def counting(model, n, events):
+        builds.append((n, model, tuple((k, tuple(sorted(g))) for k, g in events)))
+        return make_schedule(model, n, events)
 
-    connectivity._schedule.cache_clear()
-    monkeypatch.setattr(connectivity, "sigma_schedule", counting)
+    monkeypatch.setattr(executor, "_SIGMA", {})
+    monkeypatch.setattr(executor, "make_schedule", counting)
     for extend, path in _four_round_runs(engine):
         for _ in range(4):
             path = extend(path).loop_erased()
-    assert len(builds) == len(set(builds))
+    assert len(builds) == len(set(builds)) == len(executor._SIGMA)
     (model,) = {m for _n, m, _g in builds}
     assert 1 < len(builds) <= 13, model
 
@@ -759,7 +761,7 @@ def test_memo_keys_on_the_schedule_not_its_spelling():
     proto = wro_obstruction_samples()["wro-share-all"]
     s = make_initial_state(3, [0, 1, 0], WRO, proto)
     full = frozenset({1, 2, 3})
-    key = connectivity._schedule_key
+    key = sigma_key
     for j in (1, 2, 3):  # a trailing complement
         rounds = connectivity._Rounds(proto)
         spelled = rounds.child(s, key((full - {j}, frozenset({j})), 3))
@@ -768,13 +770,14 @@ def test_memo_keys_on_the_schedule_not_its_spelling():
         assert spelled == short == apply_round(s, sigma_schedule((full - {j},), 3, WRO),
                                                itertools.repeat(1), proto)
     rounds = connectivity._Rounds(proto)  # an empty group
-    assert key((), 3) == key((full,), 3) == key((set(), full), 3) == ()
-    assert key((set(), {1}, set()), 3) == key(({1},), 3) == (frozenset({1}),)
+    assert key((), 3) == key((full,), 3) == key((set(), full), 3) == ((1, 2, 3),)
+    assert key((set(), {1}, set()), 3) == key(({1},), 3) == ((1,), (2, 3))
     assert rounds.child(s, key((set(), full), 3)) == rounds.child(s, key((full,), 3))
     assert len(rounds.children) == 1
-    assert key(({1, 2}, full), 3) == (frozenset({1, 2}), full)  # an overlap is never dropped
-    with pytest.raises(InvalidScheduleError):
-        rounds.child(s, key(({1, 2}, full), 3))
+    with pytest.raises(InvalidScheduleError):  # an overlap is never dropped
+        key(({1, 2}, full), 3)
+    with pytest.raises(InvalidScheduleError):  # a key must hold no empty block
+        rounds.child(s, ((), (1, 2, 3)))
 
 
 # -- edge checks ----------------------------------------------------------------

@@ -13,7 +13,7 @@ from itersc.equivalence import (
     simulate_paired,
     wro_to_owr_schedules,
 )
-from itersc.errors import ModelMismatchError
+from itersc.errors import InvalidArgumentError, ModelMismatchError
 from itersc.executor import (
     random_ordered_partition_schedule,
     random_outputs,
@@ -74,11 +74,34 @@ def test_paired_simulation_shifts_decisions_owr():
     assert decisions_shifted_by_one(src, sim) is None
 
 
+@pytest.mark.parametrize("name", sorted(wro_transform_samples()))
+def test_wro_simulation_replays_the_source_choices_after_its_padding_round(name):
+    """The padding round takes a 1 for each of its contended objects, and
+    the later rounds take the source's choices, instance for instance."""
+    proto = wro_transform_samples()[name]
+    rng = random.Random(name)
+    for k in range(30):
+        scheds = [random_ordered_partition_schedule(3, WRO, rng) for _ in range(3)]
+        src, sim = simulate_paired(proto, [rng.randint(0, 1) for _ in range(3)], scheds,
+                                   random_outputs(k, 3))
+        padding = sim.steps[0]
+        assert [v for _r, _o, v in padding.choices] == [1] * sum(
+            not inst.forced for inst in padding.state.instances)
+        assert [v for step in sim.steps[1:] for _r, _o, v in step.choices] == src.all_choices()
+
+
 def test_correspondence_sweep_small():
     for proto in wro_transform_samples().values():
         assert check_transform_correspondence(proto, 3, executions=40, seed=1).ok
     for proto in owr_transform_samples().values():
         assert check_transform_correspondence(proto, 3, executions=40, seed=2).ok
+
+
+def test_correspondence_refuses_a_negative_count():
+    proto = wro_transform_samples()["wro-solo-d2"]
+    with pytest.raises(InvalidArgumentError, match="at least 0, got -1"):
+        check_transform_correspondence(proto, 3, executions=-1)
+    assert check_transform_correspondence(proto, 3, executions=0).executions == 0
 
 
 def test_correspondence_detects_a_broken_simulation():

@@ -524,23 +524,77 @@ def test_worker_error_reraises_with_its_type_and_leaves_no_process(sweep):
     assert multiprocessing.active_children() == []
 
 
+def _sigma_reference(model, n, blocks):
+    """The sigma schedule of ``blocks``, its model's layout spelled by hand
+    and built through ``make_schedule`` outside the table."""
+    full = set(range(1, n + 1))
+    if model == WOR:
+        return make_schedule(WOR, n, [(k, b) for b in blocks for k in "WSR"])
+    layout = [(k, b) for b in blocks for k in "WR"]
+    return make_schedule(model, n, layout + [("S", full)] if model == WRO
+                         else [("S", full)] + layout)
+
+
 @pytest.mark.parametrize("model", [WOR, WRO, OWR])
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_sigma_table_draws_like_random_sigma_schedule(n, model):
-    draw = executor._sigma_draws(n, model)
     plain, tabled = random.Random(n), random.Random(n)
     drawn = []
     for _ in range(500):
-        want = random_sigma_schedule(n, model, plain)
+        want = _sigma_reference(model, n, _sigma_blocks_reference(n, plain))
         before = tabled.getstate()
-        got = draw(tabled)
+        got = random_sigma_schedule(n, model, tabled)
         assert got == want and str(got) == str(want) and got.to_jsonable() == want.to_jsonable()
         assert tabled.getstate() == plain.getstate()
         tabled.setstate(before)
-        assert draw(tabled) is got
+        assert random_sigma_schedule(n, model, tabled) is got
         drawn.append(got)
     # interned: one object per distinct (kind, ids) event across the table
     assert len({id(event) for sched in drawn for event in sched.events}) <= 3 * (2**n - 1)
+
+
+def test_each_sigma_schedule_is_built_once_per_process(monkeypatch):
+    """Every sigma walk shares the executor's table: each distinct
+    ``(n, model, blocks)`` reaches ``make_schedule`` once, whichever verdict
+    asks first, and every spelling of one schedule is the same object."""
+    from itersc.connectivity import bounded_valency, lower_bound_demo, wro_obstruction_demo
+    from itersc.samples import wro_obstruction_samples
+
+    builds = []
+
+    def counting(model, n, events):
+        builds.append((model, n, tuple((k, tuple(sorted(g))) for k, g in events)))
+        return make_schedule(model, n, events)
+
+    monkeypatch.setattr(executor, "_SIGMA", {})
+    monkeypatch.setattr(executor, "make_schedule", counting)
+    solo = deficient_wor_samples()["wor-solo-min"]
+    for _ in range(2):
+        verify_consensus_sampled(4, 40, seed=3, jobs=1)
+        collect_gamma(protocol_consensus_wor(3), 3)
+        collect_gamma(protocol_consensus_wor(5), 5, ExplorationBudget(max_executions=200))
+        bounded_valency(make_initial_state(3, [0, 1, 1], WOR, solo), solo, 2)
+        lower_bound_demo(solo, rounds=2)
+        wro_obstruction_demo(wro_obstruction_samples()["wro-solo"], rounds=2)
+    assert len(builds) == len(set(builds)) == len(executor._SIGMA)
+    assert {(n, model) for model, n, _e in builds} >= {(3, WOR), (3, WRO), (4, WOR), (5, WOR)}
+
+    full = frozenset({1, 2, 3})
+    spellings = [[{2}], [frozenset({2})], ({2}, {1, 3}), [[2], [3, 1]], [set(), {2}, set()],
+                 [(2,), (1, 3)]]
+    for model in (WOR, WRO, OWR):
+        one = sigma_schedule([{2}], 3, model)
+        assert all(sigma_schedule(g, 3, model) is one for g in spellings)
+        assert executor.sigma_key([{2}], 3) == ((2,), (1, 3))
+        assert sigma_schedule([], 3, model) is sigma_schedule([full], 3, model) \
+            is sigma_schedule([set(), full], 3, model)
+    table = dict(executor._SIGMA)
+    for groups in ([{1}, {1, 2}], [{0}], [{2, 4}]):  # overlapping, out of range
+        with pytest.raises(InvalidScheduleError):
+            sigma_schedule(groups, 3, WOR)
+    with pytest.raises(InvalidScheduleError, match="empty concurrency group"):
+        executor.sigma_by_key(3, WOR, ((), (1, 2, 3)))
+    assert executor._SIGMA == table  # a refused key leaves no entry
 
 
 def _sigma_blocks_reference(n, rng):
