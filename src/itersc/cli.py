@@ -220,19 +220,17 @@ def cmd_connectivity(args) -> int:
             reports.append(wro_obstruction_demo(proto, args.n, **rounds))
         ok = all(r["ok"] for r in reports)
         return _emit(args, "connectivity", config, {"samples": reports}, ok, t0)
-    if args.demo == "partition-round":
-        if args.horizon is not None:
-            raise InvalidArgumentError("the partition-round demo builds one round; "
-                                       "it takes no --horizon")
-        proto = resolve_protocol(args.automaton or "wor-pair12-min", args.n)
-        a = _parse_ids(args.block_a or "1,2")
-        b = _parse_ids(args.block_b or "3")
-        state = make_initial_state(args.n, list(range(args.n)), proto.model, proto)
-        path = connect_partition_round(state, a, b, proto)
-        result = {"path": path.to_jsonable(), "verified": path.verify()}
-        return _emit(args, "connectivity", config, result, True, t0)
-    print(f"[itersc] unknown connectivity demo {args.demo!r}", file=sys.stderr)
-    return EXIT_USAGE
+    # partition-round: argparse's choices admit no other demo
+    if args.horizon is not None:
+        raise InvalidArgumentError("the partition-round demo builds one round; "
+                                   "it takes no --horizon")
+    proto = resolve_protocol(args.automaton or "wor-pair12-min", args.n)
+    a = _parse_ids(args.block_a or "1,2")
+    b = _parse_ids(args.block_b or "3")
+    state = make_initial_state(args.n, list(range(args.n)), proto.model, proto)
+    path = connect_partition_round(state, a, b, proto)
+    result = {"path": path.to_jsonable(), "verified": path.verify()}
+    return _emit(args, "connectivity", config, result, True, t0)
 
 
 def cmd_johnson(args) -> int:
@@ -251,14 +249,12 @@ def cmd_johnson(args) -> int:
         u = vertex_set(args.n, args.m, _parse_vertices(args.set or ""))
         comps = [c.to_jsonable() for c in components(u)]
         return _emit(args, "johnson", config, {"components": comps}, True, t0)
-    if args.op == "partition":
-        u = vertex_set(args.n, 2, _parse_vertices(args.set or ""))
-        a, b = partition_two_blocks(u)
-        ok = check_partition(u, a, b)
-        result = {"A": sorted(a), "B": sorted(b), "checked": ok}
-        return _emit(args, "johnson", config, result, ok, t0)
-    print(f"[itersc] unknown johnson op {args.op!r}", file=sys.stderr)
-    return EXIT_USAGE
+    # partition: argparse's choices admit no other op
+    u = vertex_set(args.n, 2, _parse_vertices(args.set or ""))
+    a, b = partition_two_blocks(u)
+    ok = check_partition(u, a, b)
+    result = {"A": sorted(a), "B": sorted(b), "checked": ok}
+    return _emit(args, "johnson", config, result, ok, t0)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -24,8 +24,9 @@ objects, so a hit is exactly the child a fresh round would build.  No probe
 runs: the all-ones child shows the boxes, the contention and the forced
 values of its round.
 
-The engines return the walk they build; the two demos loop-erase each
-round's path (``Path.loop_erased``) before the next round extends it.
+The engines return the walk they build; the two demos share one round loop
+(``_erased_rounds``), which loop-erases each round's path
+(``Path.loop_erased``) before the next round extends it.
 """
 
 from __future__ import annotations
@@ -42,11 +43,15 @@ from .errors import (
     ConstructionError,
     FullBoxConflictError,
     InvalidArgumentError,
+    InvalidConfigurationError,
+    ModelMismatchError,
     NoInvocationsError,
     PreconditionViolationError,
 )
 from .executor import (
+    ExplorationBudget,
     apply_round,
+    collect_gamma,
     enumerate_round_schedules,
     explore,
     probe_round,
@@ -54,14 +59,14 @@ from .executor import (
     sigma_key,
     sigma_schedule,
 )
-from .johnson import vertex_set, zeta
+from .johnson import partition_two_blocks, vertex_set, zeta
 from .model import (
+    WOR,
     GlobalState,
     diff_box_set,
     indistinguishability_set,
     invocation_spec,
     make_initial_state,
-    sc_value_of,
 )
 from .values import jsonable
 
@@ -245,11 +250,6 @@ class _Rounds:
         return self.child(state, key, tuple(values))
 
 
-def box_values_of(state: GlobalState) -> dict:
-    """Actual safe-consensus outputs per box in the round that produced the state."""
-    return dict(state.box_outputs())
-
-
 # ---------------------------------------------------------------------------
 # the two-block engine (partition arguments)
 
@@ -289,30 +289,23 @@ def _check_partition_args(n: int, a, b_) -> tuple[frozenset, frozenset]:
 
 
 def connect_partition_round(state: GlobalState, a, b_, proto) -> Path:
-    """The three-state bridge  S.sigma(A) -B- S.sigma(all) -A- S.sigma(B).
+    """The three-state bridge  S.sigma(A) -B- S.sigma(all) -A- S.sigma(B):
+    the one-round extension of the constant path  S -A- S -B- S.
 
     Requires every shared box of the coming round to respect the partition
     (the full box is exempt: its output is pinned to the singleton side's
     id when one side is a singleton, and is free otherwise).
     """
-    n = state.n
-    a, b_ = _check_partition_args(n, a, b_)
-    rounds = _Rounds(proto)
-    plan = _partition_plan(rounds.boxes(state), a, b_, n)
-    s_a = rounds.successor(state, sigma_key((a,), n), plan)
-    s_all = rounds.successor(state, _concurrent(n), plan)
-    s_b = rounds.successor(state, sigma_key((b_,), n), plan)
-    pb = PathBuilder(s_a)
-    pb.append(s_all, b_)
-    pb.append(s_b, a)
-    return pb.build()
+    a, b_ = frozenset(a), frozenset(b_)
+    return extend_path_partition(Path(states=(state,) * 3, labels=(a, b_)), a, b_, proto)
 
 
 def extend_path_partition(path: Path, a, b_, proto) -> Path:
     """One-round extension of a path whose labels all equal A or B.
 
     Same-label edges advance directly; label flips insert the three-state
-    bridge.  The output labels again lie in {A, B}.
+    bridge  sigma(cur) -x- sigma(all) -cur- sigma(x)  within the base.  The
+    output labels again lie in {A, B}.
     """
     n = path.states[0].n
     a, b_ = _check_partition_args(n, a, b_)
@@ -335,7 +328,6 @@ def extend_path_partition(path: Path, a, b_, proto) -> Path:
     for idx, x in enumerate(path.labels):
         base, nxt_base = path.states[idx], path.states[idx + 1]
         if x != cur:
-            # bridge within the current base: sigma(cur) - sigma(all) - sigma(x)
             pb.append(step(base, everyone), x)
             pb.append(step(base, key_of[x]), cur)
             cur = x
@@ -350,9 +342,10 @@ def extend_path_partition(path: Path, a, b_, proto) -> Path:
 def extend_path_no3box(path: Path, proto) -> Path:
     """One-round extension for three processes that never share one object.
 
-    Implements the two-case bridge: all-solo rounds connect through the
-    fully concurrent successor; rounds with one shared pair connect through
-    the case split on the next label's size.
+    A label change bridges within the base through the fully concurrent
+    successor, then hops to sigma(x_next) in one edge labelled by its
+    complement; the shared pair, if any, keeps the tail's output.  Only an
+    x_next that takes one id j of the pair needs the pair to output j.
     """
     n = path.states[0].n
     if n != 3:
@@ -375,53 +368,29 @@ def extend_path_no3box(path: Path, proto) -> Path:
 
         if x_next == full:
             # identical bases: reuse the tail's shape on the next base
-            plan = dict(box_values_of(pb.tail))
+            plan = dict(pb.tail.box_outputs())
             pb.append(rounds.successor(nxt_base, sigma_key((cur,), 3), plan), full)
             continue
 
         if x_next == cur:
-            plan = {b: v for b, v in box_values_of(pb.tail).items() if len(b) > 1}
+            plan = {b: v for b, v in pb.tail.box_outputs() if len(b) > 1}
             pb.append(rounds.successor(nxt_base, key_next, plan), x_next)
             continue
 
-        if pair is None:
-            # three solo objects: memory is the only distinguisher
-            if cur != full:
-                pb.append(rounds.successor(base, _concurrent(3), {}), full - cur)
-            pb.append(rounds.successor(base, key_next, {}), full - x_next)
-            pb.append(rounds.successor(nxt_base, key_next, {}), x_next)
-            cur = x_next
-            continue
-
-        solo = full - pair  # the trivial box, as a singleton set
-        v_tail = sc_value_of(pair, pb.tail) if pair in invocation_spec(pb.tail) \
-            else min(pair)
+        plan = {} if pair is None else {pair: dict(pb.tail.box_outputs()).get(pair, min(pair))}
         if cur != full:
-            pb.append(rounds.successor(base, _concurrent(3), {pair: v_tail}), full - cur)
-        hop_plan: dict
-        if len(x_next) == 1:
-            if x_next == solo:
-                a2 = rounds.successor(base, key_next, {pair: v_tail})
-                pb.append(a2, pair)
-                hop_plan = {pair: v_tail}
-            else:
-                (j,) = tuple(x_next)
-                a2 = rounds.successor(base, key_next, {pair: j})
-                pb.append(a2, solo)
-                hop_plan = {pair: j}
-        else:  # |x_next| == 2
-            if x_next == pair:
-                a2 = rounds.successor(base, key_next, {pair: v_tail})
-                pb.append(a2, solo)
-                hop_plan = {pair: v_tail}
-            else:
-                (j,) = tuple(x_next & pair)
-                pb.append(rounds.successor(base, sigma_key(({j},), 3), {pair: j}), solo)
-                pb.append(rounds.successor(base, sigma_key(({j}, solo), 3), {pair: j}), pair)
-                a2 = rounds.successor(base, key_next, {pair: j})
-                pb.append(a2, solo)
-                hop_plan = {pair: j}
-        pb.append(rounds.successor(nxt_base, key_next, hop_plan), x_next)
+            pb.append(rounds.successor(base, _concurrent(3), plan), full - cur)
+        if pair is not None and len(x_next & pair) == 1:
+            (j,) = x_next & pair
+            solo = full - pair  # the trivial box, as a singleton set
+            plan = {pair: j}
+            if len(x_next) == 2:
+                pb.append(rounds.successor(base, sigma_key(({j},), 3), plan), solo)
+                pb.append(rounds.successor(base, sigma_key(({j}, solo), 3), plan), pair)
+            pb.append(rounds.successor(base, key_next, plan), solo)
+        else:
+            pb.append(rounds.successor(base, key_next, plan), full - x_next)
+        pb.append(rounds.successor(nxt_base, key_next, plan), x_next)
         cur = x_next
 
     return pb.build()
@@ -486,24 +455,17 @@ def _swap_chain(state: GlobalState, c_groups: tuple, b: frozenset,
         groups = c_groups + tuple(ks[:j])
         pb.append(rounds.successor(state, sigma_key(groups, n), plan1), full - ks[j])
 
+    if v1 != v2 and b == full:
+        raise FullBoxConflictError("cannot switch the full box's output on a path")
     if not y_piece:
         if v1 != v2:
-            if b == full:
-                raise FullBoxConflictError(
-                    "cannot switch the full box's output on a path")
             pb.append(rounds.successor(state, sigma_key(c_groups, n), plan2), full - b)
         return
 
     kys = _peel_groups(y_piece)
     for j in range(1, len(kys) + 1):
         groups = c_groups + tuple(kys[:j])
-        if j == 1 and v1 != v2:
-            if b == full:
-                raise FullBoxConflictError(
-                    "cannot switch the full box's output on a path")
-            label = full - b
-        else:
-            label = full - kys[j - 1]
+        label = full - b if j == 1 and v1 != v2 else full - kys[j - 1]
         pb.append(rounds.successor(state, sigma_key(groups, n), plan2), label)
     for t in range(len(kys) - 1, 0, -1):
         merged = frozenset().union(*kys[t - 1:])
@@ -528,8 +490,7 @@ def _connect(rounds: _Rounds, pb: PathBuilder, state: GlobalState, x, y,
     q2 = rounds.successor(state, sigma_key((y,), n), values_y or {})
     if q1 != pb.tail:
         raise ConstructionError("connection start does not match the tail")
-    vx = box_values_of(q1)
-    vy = box_values_of(q2)
+    vy = dict(q2.box_outputs())
     diff = diff_box_set(q1, q2)
     if full in diff:
         raise FullBoxConflictError(
@@ -539,7 +500,7 @@ def _connect(rounds: _Rounds, pb: PathBuilder, state: GlobalState, x, y,
 
     start = len(pb.labels)
     cur = x
-    cur_vals = dict(vx)
+    cur_vals = dict(q1.box_outputs())
     for b in sorted(boxes, key=sorted):
         x_piece = cur & b
         y_piece = y & b
@@ -597,21 +558,17 @@ def _assert_connect_postconditions(labels, diff: frozenset, n: int) -> None:
 # general one-round extension (the desk-scale version of the iterated engine)
 
 
-def _beta(rounds: _Rounds, path: Path, size: Optional[int] = None) -> frozenset:
-    """Boxes whose intersection with two different labels is a singleton."""
-    universe: set = set()
-    for s in path.states:
-        universe |= rounds.boxes(s)
-    out = set()
-    for b in universe:
-        if len(b) < 2:
-            continue
-        hits = {x for x in path.isets() if len(x & b) == 1}
-        if len(hits) >= 2:
-            out.add(b)
-    if size is not None:
-        out = {b for b in out if len(b) == size}
-    return frozenset(out)
+def _box_universe(rounds: _Rounds, path: Path) -> frozenset:
+    """Every box that the next round of some state of ``path`` invokes."""
+    return frozenset().union(*(rounds.boxes(st) for st in path.states))
+
+
+def _beta(universe, path: Path, size: Optional[int] = None) -> frozenset:
+    """Boxes of ``universe`` whose intersection with two different labels is
+    a singleton, all of them or those with ``size`` members."""
+    isets = path.isets()
+    return frozenset(b for b in universe if len(b) >= 2 and size in (None, len(b))
+                     and sum(len(x & b) == 1 for x in isets) >= 2)
 
 
 def extend_path_general(path: Path, proto, s: Optional[int] = None) -> tuple[Path, dict]:
@@ -632,18 +589,14 @@ def extend_path_general(path: Path, proto, s: Optional[int] = None) -> tuple[Pat
                      labels=()), {"trivial": True})
     if s is None:
         s = path.degree()
-    full = frozenset(range(1, n + 1))
-    if full in _beta(rounds, path):
+    universe = _box_universe(rounds, path)
+    beta = _beta(universe, path)
+    if frozenset(range(1, n + 1)) in beta:
         raise PreconditionViolationError("the full box is doubly hit by the labels")
-
-    universe: set = set()
-    for st in path.states:
-        universe |= rounds.boxes(st)
-    value_fn = _phi_value_functions(path.labels, universe)
+    hits = _phi_hits(path.labels, universe)
 
     def vals_at(pos: int, base: GlobalState) -> dict:
-        boxes = rounds.boxes(base)
-        return {b: value_fn[b](pos) for b in boxes if len(b) > 1 and b in value_fn}
+        return {b: _planned_output(b, hits[b], pos) for b in rounds.boxes(base) if len(b) > 1}
 
     labels = path.labels
     key0 = sigma_key((labels[0],), n)
@@ -657,42 +610,34 @@ def extend_path_general(path: Path, proto, s: Optional[int] = None) -> tuple[Pat
                                    vals_at(w + 1, path.states[w + 1])), labels[w])
     out = pb.build()
 
-    report = _psi_report(path, out, rounds, s, n)
+    report = _psi_report(path, beta, out, rounds, s, n)
     if not report["ok"]:
         raise ConstructionError(f"extension postconditions failed: {report}")
     return out, report
 
 
-def _phi_value_functions(labels, universe) -> dict:
-    """Per-box output plans indexed by label position (1-based)."""
-    out: dict = {}
-    ordered = list(labels)
-    for b in universe:
-        if len(b) < 2:
-            continue
-        hits = [(i + 1, min(x & b)) for i, x in enumerate(ordered)
-                if len(x & b) == 1]
-        if not hits:
-            out[b] = (lambda v: (lambda pos: v))(min(b))
-        elif len({x for _i, x in hits}) == 1 or len(hits) == 1:
-            out[b] = (lambda v: (lambda pos: v))(hits[0][1])
-        else:
-            def make(hs):
-                def f(pos):
-                    val = hs[0][1]
-                    for p, xval in hs:
-                        if p <= pos:
-                            val = xval
-                        else:
-                            break
-                    return val
-                return f
-            out[b] = make(hits)
-    return out
+def _phi_hits(labels, universe) -> dict:
+    """Per shared box, the (1-based position, id) of each label that meets
+    the box in a single id."""
+    return {b: [(i, min(x & b)) for i, x in enumerate(labels, start=1) if len(x & b) == 1]
+            for b in universe if len(b) > 1}
 
 
-def _psi_report(old: Path, new: Path, rounds: _Rounds, s: int, n: int) -> dict:
-    beta_old = _beta(rounds, old, size=n - s + 1)
+def _planned_output(b: frozenset, hits: list, pos: int):
+    """The output planned for box ``b`` at label position ``pos``: the id of
+    its last hit at or before ``pos``, else of its first hit, else min(b)."""
+    val = hits[0][1] if hits else min(b)
+    for p, hit in hits:
+        if p > pos:
+            break
+        val = hit
+    return val
+
+
+def _psi_report(old: Path, beta: frozenset, new: Path, rounds: _Rounds, s: int, n: int) -> dict:
+    """The postconditions of one general extension; ``beta`` is the old
+    path's doubly-hit boxes of every size."""
+    beta_old = frozenset(b for b in beta if len(b) == n - s + 1)
     deg = new.degree()
     ok = True
     if not beta_old:
@@ -708,7 +653,7 @@ def _psi_report(old: Path, new: Path, rounds: _Rounds, s: int, n: int) -> dict:
                      if x != y and x & y == z]
             if b not in beta_old or not pairs:
                 small_ok = False
-    beta_new = _beta(rounds, new, size=n - s + 2)
+    beta_new = _beta(_box_universe(rounds, new), new, size=n - s + 2)
     zeta_ok = True
     if beta_new:
         zeta_in = vertex_set(n, n - s + 1,
@@ -852,16 +797,22 @@ def wro_extend_round(path: Path, proto) -> Path:
     return out
 
 
-def _erased_round(proto, engine: str, rnd: int, raw: Path) -> Path:
-    """One demo round's path with its loops erased, logged at DEBUG."""
-    path = raw.loop_erased()
-    log.debug("%s %s round %d: raw_states=%d states=%d degree=%s", engine,
-              proto.name, rnd, len(raw.states), len(path.states), path.degree())
-    return path
+def _erased_rounds(proto, engine: str, extend, path: Path, rounds: int):
+    """Each demo round's loop-erased path with its report row, logged at
+    DEBUG; ``extend`` builds a round's walk from the previous erased path."""
+    for r in range(1, rounds + 1):
+        raw = extend(path)
+        path = raw.loop_erased()
+        log.debug("%s %s round %d: raw_states=%d states=%d degree=%s", engine,
+                  proto.name, r, len(raw.states), len(path.states), path.degree())
+        yield path, {"round": r, "states": len(path.states), "raw_states": len(raw.states),
+                     "degree": path.degree()}
 
 
 def initial_chain(proto, n: int) -> Path:
     """Initial states from all-0 to all-1, flipping one input per edge."""
+    if n < 2:
+        raise InvalidConfigurationError(f"need at least 2 processes, got {n}")
     full = frozenset(range(1, n + 1))
     states = []
     for k in range(n + 1):
@@ -875,22 +826,17 @@ def initial_chain(proto, n: int) -> Path:
 
 def wro_obstruction_demo(proto, n: int = 3, rounds: int = 5) -> dict:
     """Sustain B-regular degree-(n-1) paths between successors of the all-0
-    and all-1 initial states for the requested number of rounds."""
+    and all-1 initial states for the requested number of rounds.  The
+    obstruction is the WRO one, which OWR shares; a WOR automaton is refused."""
     if rounds < 1:
         raise InvalidArgumentError(f"the demo needs at least one round, got {rounds}")
-    path = initial_chain(proto, n)
-    per_round = []
-    for r in range(1, rounds + 1):
-        raw = wro_extend_round(path, proto)
-        path = _erased_round(proto, "wro-obstruction", r, raw)
-        per_round.append({
-            "round": r,
-            "states": len(path.states),
-            "raw_states": len(raw.states),
-            "degree": path.degree(),
-            "b_regular": is_b_regular(path),
-            "labels_verified": path.verify(),
-        })
+    if proto.model == WOR:
+        raise ModelMismatchError(f"the WRO obstruction needs a WRO or OWR automaton, "
+                                 f"not the {proto.model} automaton {proto.name}")
+    per_round = [dict(row, b_regular=is_b_regular(path), labels_verified=path.verify())
+                 for path, row in _erased_rounds(proto, "wro-obstruction",
+                                                 lambda p: wro_extend_round(p, proto),
+                                                 initial_chain(proto, n), rounds)]
     return {
         "protocol": proto.name,
         "rounds": rounds,
@@ -910,8 +856,6 @@ def lower_bound_demo(proto, rounds: int = 5) -> dict:
     round (5 by default, C(3,2) + 2), with the endpoints certified univalent
     for opposite values within the automaton's round budget (2 rounds
     without one), and decided by every process at both ends of the path."""
-    from .johnson import partition_two_blocks, vertex_set as jvs
-
     if rounds < 1:
         raise InvalidArgumentError(f"the demo needs at least one round, got {rounds}")
     n = 3
@@ -920,40 +864,28 @@ def lower_bound_demo(proto, rounds: int = 5) -> dict:
 
     # engine 1: the two-block partition argument
     boxes2 = sorted(b for b in _observed_boxes(proto, n) if len(b) == 2)
-    u = jvs(n, 2, [tuple(sorted(b)) for b in boxes2])
-    a, b_ = partition_two_blocks(u)
+    a, b_ = partition_two_blocks(vertex_set(n, 2, [tuple(sorted(b)) for b in boxes2]))
     ou_inputs = [0 if pid in a else 1 for pid in range(1, n + 1)]
     ou_state = make_initial_state(n, ou_inputs, proto.model, proto)
     part_path = Path(states=(o_state, ou_state, u_state), labels=(frozenset(a), frozenset(b_)))
     part_path.verify()
     partition_rounds = []
-    p = part_path
-    for r in range(1, rounds + 1):
-        raw = extend_path_partition(p, a, b_, proto)
-        p = _erased_round(proto, "partition", r, raw)
-        partition_rounds.append({
-            "round": r, "states": len(p.states), "raw_states": len(raw.states),
-            "degree": p.degree(), "verified": p.verify(),
-        })
-    part_endpoints = (p.first, p.last)
+    for p, row in _erased_rounds(proto, "partition",
+                                 lambda p: extend_path_partition(p, a, b_, proto),
+                                 part_path, rounds):
+        partition_rounds.append(dict(row, verified=p.verify()))
 
     # engine 2: the no-full-box extension over the initial chain
-    chain = initial_chain(proto, n)
-    q = chain
-    no3_rounds = []
-    for r in range(1, rounds + 1):
-        raw = extend_path_no3box(q, proto)
-        q = _erased_round(proto, "no3box", r, raw)
-        no3_rounds.append({
-            "round": r, "states": len(q.states), "raw_states": len(raw.states),
-            "degree": q.degree(), "verified": q.verify(),
-        })
+    no3_rounds = [dict(row, verified=q.verify())
+                  for q, row in _erased_rounds(proto, "no3box",
+                                               lambda p: extend_path_no3box(p, proto),
+                                               initial_chain(proto, n), rounds)]
 
     horizon = proto.round_budget or 2
     v0 = bounded_valency(o_state, proto, horizon)
     v1 = bounded_valency(u_state, proto, horizon)
-    end_dec_0 = part_endpoints[0].decisions()
-    end_dec_1 = part_endpoints[1].decisions()
+    end_dec_0 = p.first.decisions()
+    end_dec_1 = p.last.decisions()
     ok = (
         v0 == Valency.ZERO and v1 == Valency.ONE
         and sorted(end_dec_0.values()) == [0] * n
@@ -973,7 +905,6 @@ def lower_bound_demo(proto, rounds: int = 5) -> dict:
 
 
 def _observed_boxes(proto, n: int) -> frozenset:
-    from .executor import ExplorationBudget, collect_gamma
     report = collect_gamma(proto, n, ExplorationBudget(rounds=proto.round_budget or 4))
     out: set = set()
     for boxes in report.gamma.values():

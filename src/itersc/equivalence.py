@@ -142,18 +142,19 @@ def check_transform_correspondence(proto: ProtocolAutomaton, n: int,
     """Randomized schedules/adversaries; count decision-shift mismatches."""
     if executions < 0:
         raise InvalidArgumentError(f"executions must be at least 0, got {executions}")
+    simulated_in = {WRO: OWR, OWR: WRO}.get(proto.model)
+    if simulated_in is None:
+        raise ModelMismatchError(f"no simulation for model {proto.model}")
     rng = random.Random(seed)
     rounds = rounds or (proto.round_budget or 3) + 1
     mismatches = 0
     first = None
-    sim_name = None
     for k in range(executions):
         inputs = [rng.randint(0, 1) for _ in range(n)]
         scheds = [random_ordered_partition_schedule(n, proto.model, rng)
                   for _ in range(rounds)]
         adversary = random_outputs(rng.randrange(2**31), n)
         src, sim = simulate_paired(proto, inputs, scheds, adversary)
-        sim_name = sim.final.model
         bad = decisions_shifted_by_one(src, sim)
         if bad is not None:
             mismatches += 1
@@ -161,7 +162,7 @@ def check_transform_correspondence(proto: ProtocolAutomaton, n: int,
                 first = {"index": k, "inputs": inputs, "detail": bad}
     return CorrespondenceReport(
         source=proto.name,
-        simulation=f"{sim_name or '?'} simulation",
+        simulation=f"{simulated_in} simulation",
         executions=executions,
         mismatches=mismatches,
         first_mismatch=first,

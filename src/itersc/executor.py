@@ -554,16 +554,6 @@ class Verdict:
     horizon: int
     first_violation: Optional[tuple] = None
 
-    def to_jsonable(self) -> dict:
-        return {
-            "ok": self.ok,
-            "termination": self.termination,
-            "agreement": self.agreement,
-            "validity": self.validity,
-            "horizon": self.horizon,
-            "first_violation": jsonable(self.first_violation),
-        }
-
 
 def _check_decisions(final: GlobalState, horizon: int, valid_outputs) -> Verdict:
     decs = dict(enumerate(final.dec, start=1))

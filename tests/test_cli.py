@@ -137,6 +137,33 @@ def test_connectivity_demo_refuses_fewer_than_one_round(capsys, demo, horizon):
     assert "at least one round" in err
 
 
+@pytest.mark.parametrize("n", ["-1", "0", "1"])
+@pytest.mark.parametrize("automaton", [(), ("--automaton", "wro-solo")], ids=["samples", "one"])
+def test_connectivity_wro_obstruction_needs_two_processes(capsys, n, automaton):
+    code, out, err = run_cli(capsys, "connectivity", "--demo", "wro-obstruction",
+                             "--n", n, *automaton)
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"[itersc] error: need at least 2 processes, got {n}\n"
+
+
+@pytest.mark.parametrize("automaton", ["wor-solo-min", "consensus"])
+def test_connectivity_wro_obstruction_refuses_a_wor_automaton(capsys, automaton):
+    code, out, err = run_cli(capsys, "connectivity", "--demo", "wro-obstruction",
+                             "--automaton", automaton)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("[itersc] error: the WRO obstruction needs a WRO or OWR automaton, "
+                          "not the WOR automaton ") and len(err.splitlines()) == 1
+
+
+def test_connectivity_wro_obstruction_runs_an_owr_automaton(capsys):
+    # the WRO obstruction carries over to OWR, the model WRO is equivalent to
+    code, out, _ = run_cli(capsys, "connectivity", "--demo", "wro-obstruction",
+                           "--automaton", "owr-solo-d2")
+    assert code == EXIT_OK
+    (report,) = json.loads(out)["result"]["samples"]
+    assert [(r["degree"], r["b_regular"]) for r in report["per_round"]] == [(2, True)] * 5
+
+
 @pytest.mark.parametrize("horizon", ["-3", "2"])
 def test_connectivity_partition_round_refuses_horizon(capsys, horizon):
     code, out, err = run_cli(capsys, "connectivity", "--demo", "partition-round",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import logging
 import random
@@ -15,7 +16,6 @@ from itersc.connectivity import (
     Path,
     Valency,
     bounded_valency,
-    box_values_of,
     connect_partition_round,
     extend_path_general,
     extend_path_no3box,
@@ -54,6 +54,7 @@ from itersc.samples import (
     sel_solo,
     wro_obstruction_samples,
 )
+from itersc.values import canonical_json
 
 PAIR = deficient_wor_samples()["wor-pair12-min"]
 SOLO = deficient_wor_samples()["wor-solo-min"]
@@ -151,7 +152,7 @@ def test_partition_bridge_pair_case():
     assert p.verify()
     assert [sorted(x) for x in p.labels] == [[3], [1, 2]]
     # the shared pair resolves identically in all three states
-    vals = {box_values_of(st)[frozenset({1, 2})] for st in p.states}
+    vals = {dict(st.box_outputs())[frozenset({1, 2})] for st in p.states}
     assert len(vals) == 1
 
 
@@ -161,7 +162,7 @@ def test_partition_bridge_full_box_case():
     p = connect_partition_round(s, {1, 2}, {3}, proto)
     assert p.verify()
     # Safe-Validity pins the box to the singleton side's id everywhere
-    assert {box_values_of(st)[frozenset({1, 2, 3})] for st in p.states} == {3}
+    assert {dict(st.box_outputs())[frozenset({1, 2, 3})] for st in p.states} == {3}
 
 
 def test_partition_bridge_solo_case():
@@ -305,8 +306,8 @@ def test_connect_endpoints_match_requested_values():
     s = make_initial_state(4, [0, 1, 0, 1], WOR, proto)
     b = frozenset({1, 2})
     p = _connected(proto, s, {1, 2}, {1, 2, 3}, values_x={b: 4}, values_y={b: 2})
-    assert box_values_of(p.first)[b] == 4
-    assert box_values_of(p.last)[b] == 2
+    assert dict(p.first.box_outputs())[b] == 4
+    assert dict(p.last.box_outputs())[b] == 2
 
 
 def test_connect_appends_only_onto_its_start():
@@ -350,7 +351,41 @@ def test_general_extension_budget_guard():
 def test_beta_set_counts_doubly_hit_boxes():
     q = initial_chain(PAIR, 3)
     # labels {2,3},{1,3},{1,2}; box {1,2} meets {1,3} and {2,3} in singletons
-    assert frozenset({1, 2}) in connectivity._beta(connectivity._Rounds(PAIR), q)
+    universe = connectivity._box_universe(connectivity._Rounds(PAIR), q)
+    assert frozenset({1, 2}) in connectivity._beta(universe, q)
+
+
+GENERAL_PINNED = "6454cff580ffcdf713f1c035757e01d57aa362f5bd33ae67795edd828f4ab89d"
+
+
+def _general_rounds(proto, n: int, rounds: int):
+    """Loop-erased general-engine rounds from the initial chain: each round's
+    (path, report), and the round whose precondition failed (None if none)."""
+    path, out = initial_chain(proto, n), []
+    for r in range(1, rounds + 1):
+        try:
+            path, report = extend_path_general(path, proto)
+        except PreconditionViolationError:
+            return out, r
+        path = path.loop_erased()
+        out.append((path.to_jsonable(), report))
+    return out, None
+
+
+def test_general_engine_degrees_and_bytes_are_pinned():
+    """Consensus holds degree n-m while it invokes boxes of fan-in m and is
+    refused in round C(n,2), where the full box is doubly hit; the
+    box-deficient automata keep their degree.  The bytes of every erased
+    path and report are pinned too."""
+    walks = [_general_rounds(protocol_consensus_wor(3), 3, 4),
+             _general_rounds(protocol_consensus_wor(4), 4, 7)]
+    walks += [_general_rounds(proto, 3, 5)
+              for _name, proto in sorted(deficient_wor_samples().items())]
+    degrees = [([p["degree"] for p, _report in rows], stop) for rows, stop in walks]
+    assert degrees == [([1, 1], 3), ([2, 2, 2, 1, 1], 6),
+                       ([1] * 5, None), ([1] * 5, None), ([2] * 5, None)]  # altpair, pair, solo
+    text = canonical_json([row for rows, _stop in walks for row in rows])
+    assert hashlib.sha256(text.encode()).hexdigest() == GENERAL_PINNED
 
 
 # -- valency ----------------------------------------------------------------

@@ -20,7 +20,7 @@ from itersc.executor import (
     sigma_schedule,
 )
 from itersc.model import OWR, WRO
-from itersc.samples import owr_transform_samples, wro_transform_samples
+from itersc.samples import deficient_wor_samples, owr_transform_samples, wro_transform_samples
 
 
 def test_wro_to_owr_schedule_shapes():
@@ -102,6 +102,21 @@ def test_correspondence_refuses_a_negative_count():
     with pytest.raises(InvalidArgumentError, match="at least 0, got -1"):
         check_transform_correspondence(proto, 3, executions=-1)
     assert check_transform_correspondence(proto, 3, executions=0).executions == 0
+
+
+@pytest.mark.parametrize("source, simulation", [
+    (wro_transform_samples()["wro-solo-d2"], "OWR simulation"),
+    (owr_transform_samples()["owr-solo-d2"], "WRO simulation"),
+], ids=["wro", "owr"])
+def test_correspondence_names_the_simulation_without_runs(source, simulation):
+    # the source's model fixes the simulation's, so no run is needed to name it
+    report = check_transform_correspondence(source, 3, executions=0)
+    assert report.simulation == simulation and report.ok
+
+
+def test_correspondence_refuses_a_wor_source_without_runs():
+    with pytest.raises(ModelMismatchError, match="no simulation for model WOR"):
+        check_transform_correspondence(deficient_wor_samples()["wor-solo-min"], 3, executions=0)
 
 
 def test_correspondence_detects_a_broken_simulation():
