@@ -203,6 +203,11 @@ def cmd_connectivity(args) -> int:
     config = {"demo": args.demo, "automaton": args.automaton, "n": args.n,
               "rounds": args.horizon}
     rounds = {} if args.horizon is None else {"rounds": args.horizon}
+    if args.demo != "partition-round":
+        for flag, value in (("--block-a", args.block_a), ("--block-b", args.block_b)):
+            if value is not None:
+                raise InvalidArgumentError(f"the {args.demo} demo builds no partition "
+                                           f"round; it takes no {flag}")
     if args.demo == "lower-bound":
         if args.n != 3:
             raise InvalidArgumentError(f"the lower-bound demo runs 3 processes, not --n {args.n}")

@@ -108,8 +108,11 @@ def make_schedule(model: str, n: int, events) -> RoundSchedule:
 # The process-wide sigma table: (n, model, blocks) -> the schedule, where
 # ``blocks`` is the ordered partition the schedule runs, as ascending id
 # tuples with the complement spelled out (see ``sigma_key``).  Each entry is
-# built and validated once per process; the keys' blocks and the schedules'
-# events are interned, so the table holds each distinct event once.
+# built once per process by ``_build_sigma``, straight from its key once the
+# key is checked: the events of a valid key need no second validation, and
+# ``make_schedule`` stays the oracle the tests hold every entry to.  The
+# keys' blocks and the schedules' events are interned, so the table holds
+# each distinct event once.
 _SIGMA: dict[tuple, RoundSchedule] = {}
 _INTERNED: dict = {}
 
@@ -140,19 +143,46 @@ def sigma_by_key(n: int, model: str, key: tuple) -> RoundSchedule:
     """The table's schedule for a canonical ``key``, built on its first use."""
     sched = _SIGMA.get((n, model, key))
     if sched is None:
-        order = EVENT_ORDER.get(model)
-        if order is None:
-            raise InvalidScheduleError(f"unknown model {model!r}")
-        if order[1] == S:  # WOR: each block writes, invokes and scans in turn
-            events = [(kind, block) for block in key for kind in order]
-        else:  # each block writes and scans; everyone invokes at once, first or last
-            events = [(kind, block) for block in key for kind in order if kind != S]
-            events.insert(0 if order[0] == S else len(events), (S, tuple(range(1, n + 1))))
+        sched = _build_sigma(n, model, key)
         intern = _INTERNED.setdefault
-        built = make_schedule(model, n, events)
-        sched = RoundSchedule(model, n, tuple(intern(e, e) for e in built.events))
         _SIGMA[(n, model, tuple(intern(b, b) for b in key))] = sched
     return sched
+
+
+def _build_sigma(n: int, model: str, key: tuple) -> RoundSchedule:
+    """The sigma schedule of ``key``, once ``key`` is checked to be an ordered
+    partition of 1..n into nonempty ascending blocks: on WOR each block
+    writes, invokes and scans in turn; on WRO and OWR each block writes and
+    scans, and everyone invokes at once, last or first."""
+    order = EVENT_ORDER.get(model)
+    if order is None:
+        raise InvalidScheduleError(f"unknown model {model!r}")
+    seen = [False] * (n + 1)
+    for block in key:
+        if not isinstance(block, tuple):
+            raise InvalidScheduleError(f"block {block!r} is not an id tuple")
+        if not block:
+            raise InvalidScheduleError("empty concurrency group")
+        prev = 0
+        for pid in block:
+            if not 1 <= pid <= n:
+                raise InvalidScheduleError(f"process id {pid} outside 1..{n}")
+            if pid <= prev:
+                raise InvalidScheduleError(f"block {block} is not ascending")
+            if seen[pid]:
+                raise InvalidScheduleError(f"process {pid} is in two blocks")
+            seen[pid] = True
+            prev = pid
+    if not all(seen[1:]):
+        raise InvalidScheduleError(f"process {seen.index(False, 1)} is in no block")
+    intern = _INTERNED.setdefault
+    if order[1] == S:
+        events = [intern((kind, block), (kind, block)) for block in key for kind in order]
+    else:
+        events = [intern((kind, block), (kind, block)) for block in key for kind in order if kind != S]
+        everyone = (S, tuple(range(1, n + 1)))
+        events.insert(0 if order[0] == S else len(events), intern(everyone, everyone))
+    return RoundSchedule(model, n, tuple(events))
 
 
 def sigma_schedule(groups, n: int, model: str = WOR) -> RoundSchedule:
@@ -497,9 +527,9 @@ class Execution:
         """pid -> (first round with a non-bottom dec, the decided value)."""
         out: dict[int, tuple[int, Any]] = {}
         for idx, step in enumerate(self.steps, start=1):
-            for ls in step.state.locals_:
-                if ls.dec is not None and ls.pid not in out:
-                    out[ls.pid] = (idx, ls.dec)
+            for pid, dec in enumerate(step.state.dec, start=1):
+                if dec is not None and pid not in out:
+                    out[pid] = (idx, dec)
         return out
 
     def to_jsonl(self) -> str:

@@ -16,7 +16,7 @@ Component conventions:
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import functools
 from dataclasses import dataclass
 from math import comb
 from typing import Any, Callable, Optional
@@ -127,11 +127,8 @@ class ProtocolAutomaton:
 
 def _choose_side(sm, lo: int, hi: int, side: int):
     """Lowest-index non-bottom left (side 0) or right (side 1) among slots lo..hi."""
-    for j in range(lo, hi + 1):
-        cell = sm[j - 1]
-        if not isinstance(cell, tuple) or len(cell) != 2:
-            continue
-        if cell[side] is not None:
+    for cell in sm[lo - 1:hi]:
+        if isinstance(cell, tuple) and len(cell) == 2 and cell[side] is not None:
             return cell[side]
     return None
 
@@ -195,25 +192,46 @@ def protocol_2cc(g: int) -> ProtocolAutomaton:
 GROUP_OBJECT = 0  # per-round index of the group's shared object
 
 
-def _agreement(agreements: tuple, key: int):
-    """The value stored under ``key`` in ``(key, value)`` pairs, or None."""
-    for k, v in agreements:
-        if k == key:
-            return v
-    return None
+class _Unset:
+    """The value of a coalition slot with no agreement yet: ``None`` is a
+    valid input, so it cannot mark one."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "_UNSET"
+
+    def __reduce__(self):  # a copy or an unpickled state keeps the one instance
+        return "_UNSET"
+
+
+_UNSET = _Unset()
+
+
+@functools.lru_cache(maxsize=None)
+def _coalition_keys(n: int) -> tuple:
+    """The ``tup(i, j)`` of every coalition 1 <= i <= j <= n, ascending: the
+    ledger's slot order."""
+    return tuple(sorted(tup(i, j) for i in range(1, n + 1) for j in range(i, n + 1)))
 
 
 @frozen_record
 @dataclass(frozen=True, slots=True)
 class Consensus:
-    """Locals of ``protocol_consensus_wor``: rounds done and the agreements; the
-    rest of the ledger (``step``, ``firstid``, ``lastid``) is a function of ``n``
-    and ``r``, written out only in the JSON form."""
+    """Locals of ``protocol_consensus_wor``: rounds done and the agreements,
+    one slot per coalition in ``_coalition_keys(n)`` order; the rest of the
+    ledger (``step``, ``firstid``, ``lastid``) is a function of ``n`` and
+    ``r``, written out only in the JSON form."""
 
     id: int
     n: int
     r: int
-    agreements: tuple  # sorted ((tup-index, value), ...)
+    slots: tuple  # the agreement of each coalition key, or _UNSET
+
+    @property
+    def agreements(self) -> tuple:
+        """The stored agreements as sorted ``(tup-index, value)`` pairs."""
+        return tuple((k, v) for k, v in zip(_coalition_keys(self.n), self.slots) if v is not _UNSET)
 
     def to_jsonable(self) -> dict:
         last = comb(self.n, 2)
@@ -238,22 +256,27 @@ def protocol_consensus_wor(n: int) -> ProtocolAutomaton:
         raise InvalidConfigurationError(f"need at least 2 processes, got n={n}")
     budget = comb(n, 2)
     last = budget - 1
-    # rounds done -> the next round's (fid, lid, left key, right key, agreement key),
-    # clamped at the last round: past the budget the window stays (1, n)
-    plan = tuple((fid, lid, tup(fid, lid - 1), tup(fid + 1, lid), tup(fid, lid))
+    slot = {k: s for s, k in enumerate(_coalition_keys(n))}
+    # rounds done -> the next round's (membership by pid, left slot, right slot,
+    # agreement slot, fid, lid), clamped at the last round: past the budget
+    # the window stays (1, n)
+    plan = tuple((tuple(fid <= pid <= lid for pid in range(n + 1)),
+                  slot[tup(fid, lid - 1)], slot[tup(fid + 1, lid)], slot[tup(fid, lid)], fid, lid)
                  for fid, lid, _step in (coalition_group(n, r) for r in range(1, budget + 1)))
+    empty = (_UNSET,) * len(slot)
 
     def init(pid, inp):
-        return Consensus(pid, n, 0, ((tup(pid, pid), inp),))
+        own = slot[tup(pid, pid)]
+        return Consensus(pid, n, 0, empty[:own] + (inp,) + empty[own + 1:])
 
     def select_object(rnd, pid, sm, val, loc):
-        fid, lid, _left, _right, _key = plan[loc.r if loc.r < last else last]
-        return GROUP_OBJECT if fid <= pid <= lid else pid
+        return GROUP_OBJECT if plan[loc.r if loc.r < last else last][0][pid] else pid
 
     def write_payload(pid, inp, sm, val, loc):
-        fid, lid, left, right, _key = plan[loc.r if loc.r < last else last]
-        if fid <= pid <= lid:
-            return (_agreement(loc.agreements, left), _agreement(loc.agreements, right))
+        member, left, right, _key, _fid, _lid = plan[loc.r if loc.r < last else last]
+        if member[pid]:
+            a, b = loc.slots[left], loc.slots[right]
+            return (None if a is _UNSET else a, None if b is _UNSET else b)
         return (None, None)
 
     def group_choice(sm, val, fid, lid):
@@ -268,13 +291,11 @@ def protocol_consensus_wor(n: int) -> ProtocolAutomaton:
         return None if loc.r < last else group_choice(sm, val, 1, n)  # the last group is everyone
 
     def step(loc, sm, val):
-        fid, lid, _left, _right, key = plan[loc.r if loc.r < last else last]
-        agreements = loc.agreements
-        if fid <= loc.id <= lid:
-            i = bisect_left(agreements, (key,))  # (key,) sorts before every (key, value)
-            j = i + 1 if i < len(agreements) and agreements[i][0] == key else i  # the new pair wins
-            agreements = agreements[:i] + ((key, group_choice(sm, val, fid, lid)),) + agreements[j:]
-        return Consensus(loc.id, n, loc.r + 1, agreements)
+        member, _left, _right, key, fid, lid = plan[loc.r if loc.r < last else last]
+        slots = loc.slots
+        if member[loc.id]:  # the new agreement wins
+            slots = slots[:key] + (group_choice(sm, val, fid, lid),) + slots[key + 1:]
+        return Consensus(loc.id, n, loc.r + 1, slots)
 
     return ProtocolAutomaton(
         model=WOR,

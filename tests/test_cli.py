@@ -176,6 +176,18 @@ def test_connectivity_partition_round_refuses_horizon(capsys, horizon):
     assert report["config"]["rounds"] is None and report["result"]["verified"]
 
 
+@pytest.mark.parametrize("flag", ["--block-a", "--block-b"])
+@pytest.mark.parametrize("demo", ["lower-bound", "wro-obstruction"])
+def test_connectivity_path_demos_refuse_blocks(capsys, demo, flag):
+    # only partition-round reads the blocks, so a malformed value cannot pass unseen
+    for value in ("a,b", "9", "1,2"):
+        code, out, err = run_cli(capsys, "connectivity", "--demo", demo, flag, value,
+                                 "--horizon", "2")
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"[itersc] error: the {demo} demo builds no partition round; " \
+                      f"it takes no {flag}\n"
+
+
 @pytest.mark.parametrize("n", ["2", "4"])
 def test_connectivity_lower_bound_is_three_process(capsys, n):
     code, out, err = run_cli(capsys, "connectivity", "--demo", "lower-bound",

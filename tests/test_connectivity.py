@@ -38,7 +38,6 @@ from itersc.errors import (
 from itersc.executor import (
     apply_round,
     enumerate_round_schedules,
-    make_schedule,
     probe_round,
     random_outputs,
     random_sigma_schedule,
@@ -777,13 +776,14 @@ def test_extension_round_builds_each_sigma_schedule_once(monkeypatch, engine):
     """n = 3 has 13 sigma schedules per model; the process builds each it
     uses once, however many rounds and automata use it."""
     builds = []
+    build = executor._build_sigma
 
-    def counting(model, n, events):
-        builds.append((n, model, tuple((k, tuple(sorted(g))) for k, g in events)))
-        return make_schedule(model, n, events)
+    def counting(n, model, key):
+        builds.append((n, model, key))
+        return build(n, model, key)
 
     monkeypatch.setattr(executor, "_SIGMA", {})
-    monkeypatch.setattr(executor, "make_schedule", counting)
+    monkeypatch.setattr(executor, "_build_sigma", counting)
     for extend, path in _four_round_runs(engine):
         for _ in range(4):
             path = extend(path).loop_erased()

@@ -555,19 +555,20 @@ def test_sigma_table_draws_like_random_sigma_schedule(n, model):
 
 def test_each_sigma_schedule_is_built_once_per_process(monkeypatch):
     """Every sigma walk shares the executor's table: each distinct
-    ``(n, model, blocks)`` reaches ``make_schedule`` once, whichever verdict
+    ``(n, model, blocks)`` reaches the table's builder once, whichever verdict
     asks first, and every spelling of one schedule is the same object."""
     from itersc.connectivity import bounded_valency, lower_bound_demo, wro_obstruction_demo
     from itersc.samples import wro_obstruction_samples
 
     builds = []
+    build = executor._build_sigma
 
-    def counting(model, n, events):
-        builds.append((model, n, tuple((k, tuple(sorted(g))) for k, g in events)))
-        return make_schedule(model, n, events)
+    def counting(n, model, key):
+        builds.append((model, n, key))
+        return build(n, model, key)
 
     monkeypatch.setattr(executor, "_SIGMA", {})
-    monkeypatch.setattr(executor, "make_schedule", counting)
+    monkeypatch.setattr(executor, "_build_sigma", counting)
     solo = deficient_wor_samples()["wor-solo-min"]
     for _ in range(2):
         verify_consensus_sampled(4, 40, seed=3, jobs=1)
@@ -595,6 +596,41 @@ def test_each_sigma_schedule_is_built_once_per_process(monkeypatch):
     with pytest.raises(InvalidScheduleError, match="empty concurrency group"):
         executor.sigma_by_key(3, WOR, ((), (1, 2, 3)))
     assert executor._SIGMA == table  # a refused key leaves no entry
+
+
+@pytest.mark.parametrize("model", [WOR, WRO, OWR])
+def test_sigma_table_entries_are_what_make_schedule_builds(monkeypatch, model):
+    """``make_schedule`` is the table's oracle: every entry at n <= 4, and every
+    key the sampled draws reach at n = 5 and 6, equals the schedule that
+    ``make_schedule`` validates and builds from the entry's events."""
+    monkeypatch.setattr(executor, "_SIGMA", {})
+    keys = [(n, blocks) for n in (2, 3, 4)
+            for blocks in ordered_set_partitions(tuple(range(1, n + 1)))]
+    for n, seed in itertools.product((5, 6), (0, 1, 2)):
+        rng = random.Random(seed)
+        keys += [(n, executor._sigma_blocks(n, rng)) for _ in range(300)]
+    for n, key in keys:
+        entry = executor.sigma_by_key(n, model, key)
+        assert entry == make_schedule(model, n, entry.events), (n, key)
+        assert entry == _sigma_reference(model, n, key), (n, key)
+    assert sum(1 for n, _m, _k in executor._SIGMA if n <= 4) == 3 + 13 + 75  # Fubini numbers
+
+
+@pytest.mark.parametrize("key, message", [
+    (((), (1, 2, 3)), "empty concurrency group"),
+    (((1, 2), (2, 3)), "process 2 is in two blocks"),  # overlapping
+    (((1, 2), (3, 4)), "process id 4 outside 1..3"),
+    (((0, 1), (2, 3)), "process id 0 outside 1..3"),
+    (((1,), (3,)), "process 2 is in no block"),  # missing
+    (((2, 1), (3,)), r"block \(2, 1\) is not ascending"),
+    ((frozenset({1, 2}), (3,)), "is not an id tuple"),
+])
+def test_sigma_table_refuses_keys_that_are_not_ordered_partitions(monkeypatch, key, message):
+    monkeypatch.setattr(executor, "_SIGMA", {})
+    for model in (WOR, WRO, OWR):
+        with pytest.raises(InvalidScheduleError, match=message):
+            executor.sigma_by_key(3, model, key)
+    assert executor._SIGMA == {}  # a refused key leaves no entry
 
 
 def _sigma_blocks_reference(n, rng):

@@ -41,7 +41,7 @@ from itersc.samples import (
     sel_solo,
     wro_transform_samples,
 )
-from itersc.values import canonical_json, jsonable
+from itersc.values import canonical_json, digest, jsonable
 
 
 def test_tup_values():
@@ -316,6 +316,34 @@ def test_consensus_locals_show_the_stored_ledger(n):
             want = {"id": ls.pid, "r": r, "ledger": jsonable(led)}
             assert jsonable(ls.locals_) == want
             assert canonical_json(ls.locals_) == canonical_json(want)
+
+
+def test_consensus_locals_keep_a_none_input_apart_from_an_unset_slot():
+    """A ``None`` input is stored like any other value: the JSON form and the
+    digest of each consensus locals equal the sparse ledger's, which holds
+    ``None`` under the input's key and nothing under an unset one, in every
+    round and past the budget.  The group's object outputs its last id every
+    round, so no member is left with only the ``None`` field to adopt."""
+    n, inputs = 3, [None, 0, 1]
+    proto = protocol_consensus_wor(n)
+    state = make_initial_state(n, inputs, WOR, proto)
+    ledgers = [Ledger(agreements=((tup(pid, pid), inp),))
+               for pid, inp in enumerate(inputs, start=1)]
+    sched = sigma_schedule((), n, WOR)
+    for r in range(proto.round_budget + 4):
+        if r:
+            lastid = coalition_group(n, min(r, proto.round_budget))[1]
+            state = apply_round(state, sched, itertools.repeat(lastid), proto)
+            ledgers = [_ledger_step_reference(led, ls.pid, n, ls.sm, ls.val)
+                       for led, ls in zip(ledgers, state.locals_)]
+        for led, ls in zip(ledgers, state.locals_):
+            want = {"id": ls.pid, "r": r, "ledger": jsonable(led)}
+            assert canonical_json(ls.locals_) == canonical_json(want), (r, ls.pid)
+            assert digest(ls.locals_) == digest(want), (r, ls.pid)
+            assert ls.locals_.agreements == led.agreements
+        first = jsonable(state.locals_[0].locals_)["ledger"]["agreements"]
+        assert first[str(tup(1, 1))] is None  # stored, not dropped as unset
+        assert str(tup(1, 1)) not in jsonable(state.locals_[1].locals_)["ledger"]["agreements"]
 
 
 def test_consensus_full_run_decides_common_input():

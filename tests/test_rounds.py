@@ -27,6 +27,7 @@ from itersc.model import (
     make_initial_state,
 )
 from itersc.protocols import (
+    _UNSET,
     Consensus,
     OwrSim,
     TwoCC,
@@ -59,7 +60,7 @@ SAMPLES = {
     GlobalState: (2, WOR, 1, (0, 1), (((0, None), (1, None)), ((0, None), (1, None))), (2, 2),
                   (None, 2), (_KNOWLEDGE, _KNOWLEDGE), ((0, None), (1, None)),
                   ((0, ((1, 1), (2, 2)), 2, False),)),
-    Consensus: (1, 4, 3, ((4, 0), (8, 1))),  # id, n, r, agreements
+    Consensus: (1, 4, 3, (0,) + (_UNSET,) * 8 + (1,)),  # id, n, r, slots
     TwoCC: (2, (5, None)),
     Knowledge: (2, 1, (0, 1)),
     OwrSim: (1, 2, None, ((0,), (1,)), _KNOWLEDGE),
