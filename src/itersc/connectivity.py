@@ -16,11 +16,11 @@ tuples, the complement spelled out).  The engines build their keys outside
 their loops; the WRO bridge's steps are precomputed per (n, i, j).  Each
 public extension call applies its rounds through one private memo, which
 lives for that call only.  A round's child state is keyed by ``(rnd,
-locals_key(), key, values)``, with ``values`` the adversary outputs of the
+round_key(), key, values)``, with ``values`` the adversary outputs of the
 round's contended instances in resolution order (None for all ones): a
-round reads only the locals, the round number and n, and an output
-sequence ignores the state.  A state holds only its own round's shared
-objects, so a hit is exactly the child a fresh round would build.  No probe
+round reads only the ``round_key()`` columns (the locals but the previous
+snapshot), the round number and n, and an output sequence ignores the
+state, so a hit is exactly the child a fresh round would build.  No probe
 runs: the all-ones child shows the boxes, the contention and the forced
 values of its round.
 
@@ -193,7 +193,7 @@ def is_b_regular(path: Path) -> bool:
 
 def successor_boxes(state: GlobalState, proto) -> frozenset:
     """Boxes the protocol will use in the next round (schedule-independent
-    for write-invoke-scan protocols, whose selector sees the old snapshot).
+    for write-invoke-scan protocols, whose selector sees no snapshot).
 
     No engine calls it: it probes the round, so it is the independent
     reference that ``_Rounds.boxes`` is checked against."""
@@ -218,7 +218,7 @@ class _Rounds:
     def child(self, state: GlobalState, key: tuple, values: Optional[tuple] = None) -> GlobalState:
         """The successor under the schedule keyed ``key``.  Contended
         instances output 1, or ``values`` in resolution order."""
-        memo = (state.rnd, state.locals_key(), key, values)
+        memo = (state.rnd, state.round_key(), key, values)
         child = self.children.get(memo)
         if child is None:
             sched = sigma_by_key(state.n, self.proto.model, key)
@@ -455,8 +455,6 @@ def _swap_chain(state: GlobalState, c_groups: tuple, b: frozenset,
         groups = c_groups + tuple(ks[:j])
         pb.append(rounds.successor(state, sigma_key(groups, n), plan1), full - ks[j])
 
-    if v1 != v2 and b == full:
-        raise FullBoxConflictError("cannot switch the full box's output on a path")
     if not y_piece:
         if v1 != v2:
             pb.append(rounds.successor(state, sigma_key(c_groups, n), plan2), full - b)
@@ -686,7 +684,7 @@ def bounded_valency(state: GlobalState, proto, horizon: int) -> Valency:
     """Classify a state by extending it to the horizon under every sigma
     schedule and every adversary output.
 
-    A subtree's summary, computed once per distinct ``(depth, locals_key())``, is
+    A subtree's summary, computed once per distinct ``(depth, round_key())``, is
     its set of decided-value sets and whether some leaf decides nothing.
     """
     if horizon <= 0:

@@ -14,7 +14,7 @@ records its ``choices``.
 
 Every exhaustive check (sweeps, Gamma census, bounded valency) walks the
 schedule x adversary tree with ``explore``, which explores each distinct
-``(round, locals)`` subtree once and reuses its summary wherever it recurs.
+``(round, round_key())`` subtree once and reuses its summary wherever it recurs.
 """
 
 from __future__ import annotations
@@ -314,11 +314,13 @@ def _run_events(state: GlobalState, sched: RoundSchedule, proto: ProtocolAutomat
                 adversary: Iterator[int]):
     """Walk one round's events, taking the adversary's next output for each
     contended instance; returns the sm and val columns, the snapshot cells,
-    the resolved objects and the adversary's choices."""
+    the resolved objects and the adversary's choices.  A process's ``sm`` is
+    None until its own scan: ``write_payload`` and ``select_object`` never
+    see the previous round's snapshot, which the locals carry if needed."""
     n = state.n
     rnd = state.rnd + 1
     inp, loc = state.inp, state.loc
-    cur_sm = list(state.sm)
+    cur_sm: list = [None] * n
     cur_val = list(state.val)
     write, select, sc_input = proto.write_payload, proto.select_object, proto.sc_input
     sm_filter, val_filter = proto.sm_filter, proto.val_filter
@@ -468,11 +470,11 @@ def explore(root: GlobalState, scheds, proto: ProtocolAutomaton,
     node's children, in depth-first order, into the node's summary.
 
     Identical subtrees are explored once: the summaries of inner nodes are
-    memoized by ``(depth, locals_key())``.  This is sound because a round reads only the
-    locals, round number and n of its state, the enumerated adversary
-    ignores the state, and the summaries of ``leaf`` must read only the locals.  The walk
-    stays depth-first, so counts and first counterexamples are exactly
-    those of the plain tree walk.
+    memoized by ``(depth, round_key())``.  This is sound because a round
+    reads only the ``round_key()`` columns, round number and n of its state
+    and the enumerated adversary ignores the state, so states that share the
+    key have equal children.  The walk stays depth-first, so counts and
+    first counterexamples are exactly those of the plain tree walk.
     """
     memo: dict = {}
 
@@ -480,7 +482,7 @@ def explore(root: GlobalState, scheds, proto: ProtocolAutomaton,
         summary = leaf(state, depth)
         if summary is not None:
             return summary
-        key = (depth, state.locals_key())
+        key = (depth, state.round_key())
         summary = memo.get(key)
         if summary is None:
             parts = []

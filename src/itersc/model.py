@@ -147,8 +147,14 @@ class GlobalState:
 
     def locals_key(self) -> tuple:
         """Every process's local state but its pid and round, which the
-        position and the round fix: the key of the round memos."""
+        position and the round fix: what indistinguishability compares."""
         return (self.inp, self.sm, self.val, self.dec, self.loc)
+
+    def round_key(self) -> tuple:
+        """The columns the next round reads: ``locals_key()`` without ``sm``,
+        which the engine withholds until a process's own scan.  States that
+        share it, n and the round have equal children: the round memos' key."""
+        return (self.inp, self.val, self.dec, self.loc)
 
     def box_outputs(self) -> list:
         """``(box, output)`` of each safe-consensus object of the round, in resolution order."""

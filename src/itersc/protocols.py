@@ -102,6 +102,8 @@ class ProtocolAutomaton:
     ``init(pid, inp)`` returns the locals record (see the module docstring);
     ``select_object(rnd, pid, sm, val, locals)`` picks this round's object;
     ``write_payload(pid, inp, sm, val, locals)`` produces the written value;
+    there ``sm`` is the process's scan of this round, None before it, and
+    ``val`` its last output: the previous snapshot is never handed back.
     ``decide(sm, val, locals)`` may output; ``step(locals, sm, val)`` folds the
     finished round into a new record.  ``sm_filter``/``val_filter`` run right
     after the scan/invoke events; they exist for the model simulations,
@@ -357,17 +359,18 @@ def transform_wro_to_owr(proto: ProtocolAutomaton) -> ProtocolAutomaton:
         return OwrSim(id=pid, r=0, decp=None, prev_sm=inp, inner=proto.init(pid, inp))
 
     def select_object(rnd, pid, sm, val, loc):
-        return proto.select_object(rnd - 1, pid, sm, val, loc.inner)
+        return proto.select_object(rnd - 1, pid, loc.prev_sm, val, loc.inner)
 
     def val_filter(rnd, pid, val, loc):
         return None if rnd == 1 else val
 
     def write_payload(pid, inp, sm, val, loc):
         # round r writes what the source writes in its round r: the fold of
-        # the source's round r-1 happens on the fly (the stored locals lag).
+        # the source's round r-1, with its scan from prev_sm, happens on the
+        # fly (the stored locals lag).
         inner = loc.inner
         if loc.r >= 1:
-            inner = proto.step(inner, sm, val)
+            inner = proto.step(inner, loc.prev_sm, val)
         return proto.write_payload(pid, inp, sm, val, inner)
 
     def decide(sm, val, loc):
@@ -415,14 +418,15 @@ def transform_owr_to_wro(proto: ProtocolAutomaton) -> ProtocolAutomaton:
     def select_object(rnd, pid, sm, val, loc):
         # the source folds its round rnd-1 before selecting in round rnd;
         # replay that fold on the fly (the stored inner lags one round).
+        # The source selects before its own scan, so it sees no snapshot.
         inner = loc.inner
         if rnd >= 2:
             inner = proto.step(inner, sm, val)
-        return proto.select_object(rnd, pid, sm, val, inner)
+        return proto.select_object(rnd, pid, None, val, inner)
 
     def write_payload(pid, inp, sm, val, loc):
         if loc.r == 0:
-            return (sm, val)  # scans of round 1 are reset, content irrelevant
+            return (loc.inp, val)  # scans of round 1 are reset, content irrelevant
         return proto.write_payload(pid, inp, sm, val, loc.inner)
 
     def decide(sm, val, loc):

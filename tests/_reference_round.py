@@ -5,6 +5,8 @@ of the successor state, not a state.  ``tests/test_rounds.py`` checks that
 the ``locals_``, ``snapshot`` and ``instances`` views of the state that
 ``executor.apply_round_recorded`` returns are exactly these records,
 instance order and inputs included, with the same recorded adversary choices.
+Like the engine, it hands ``write_payload`` and ``select_object`` a process's
+``sm`` only once the process has scanned in this round, and None before.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ def run_events(state: GlobalState, sched: RoundSchedule, proto: ProtocolAutomato
     n = state.n
     rnd = state.rnd + 1
     locals_ = state.locals_
-    cur_sm = [ls.sm for ls in locals_]
+    cur_sm: list = [None] * n  # the previous snapshot stays hidden
     cur_val = [ls.val for ls in locals_]
     loc = [ls.locals_ for ls in locals_]
     write, select, sc_input = proto.write_payload, proto.select_object, proto.sc_input

@@ -395,6 +395,16 @@ def test_memoized_sweep_equals_plain_tree_walk(name, proto, inputs_list, per_rou
     assert report == _reference_report(proto, 3, inputs_list, per_round_cross)
 
 
+def test_exhaustive_n4_per_round_cross_on_one_input_vector():
+    """Every sigma schedule in each of the C(4,2) rounds, with every adversary
+    output: the round memo shares the subtrees of states that differ only in
+    the snapshot they carry, so this runs in about a third of a second."""
+    report = verify_consensus_exhaustive(4, per_round_cross=True, inputs_list=[[0, 1, 1, 0]],
+                                         jobs=1)
+    assert (report.executions, report.violations, report.first_counterexample) == \
+        (3_550_229_813_376, 0, None)
+
+
 # -- adversary outputs by position ---------------------------------------------
 
 

@@ -12,14 +12,30 @@ import pytest
 from _reference_round import apply_round_recorded as reference_round
 
 from itersc import executor
+from itersc.connectivity import (
+    Path,
+    bounded_valency,
+    extend_path_no3box,
+    extend_path_partition,
+    initial_chain,
+    wro_extend_round,
+)
+from itersc.equivalence import check_transform_correspondence
 from itersc.executor import (
+    R,
+    S,
+    W,
     all_coalitions_tuples,
+    collect_gamma,
     enumerate_round_schedules,
     random_outputs,
     random_sigma_schedule,
+    verify_consensus_exhaustive,
 )
 from itersc.model import (
+    OWR,
     WOR,
+    WRO,
     GlobalState,
     LocalState,
     SafeConsensusInstance,
@@ -30,16 +46,20 @@ from itersc.protocols import (
     _UNSET,
     Consensus,
     OwrSim,
+    ProtocolAutomaton,
     TwoCC,
     WroSim,
     transform_owr_to_wro,
     transform_wro_to_owr,
 )
 from itersc.samples import (
+    SOLO_BASE,
     Knowledge,
+    deficient_wor_samples,
     owr_transform_samples,
     resolve_protocol,
     sample_names,
+    wro_obstruction_samples,
     wro_transform_samples,
 )
 from itersc.values import canonical_json, frozen_record, jsonable
@@ -325,3 +345,181 @@ def test_states_are_equal_exactly_when_their_views_are(n):
     for _name, state in states:
         again = pickle.loads(pickle.dumps(state))
         assert again == state and hash(again) == hash(state) and again.locals_ == state.locals_
+
+
+# ---------------------------------------------------------------------------
+# what a round reads: its own snapshot, never the previous one
+
+
+def _sm_reader(model: str, log: list) -> ProtocolAutomaton:
+    """Writes the ``sm`` it is given and shares object 0 only with a snapshot
+    in hand; ``log`` gets ``(callback, round, pid, sm)`` of every write and
+    select.  It decides its last scan and output from round 2 on."""
+
+    def write_payload(pid, inp, sm, val, loc):
+        log.append(("write", loc.r + 1, pid, sm))
+        return (loc.known, sm)
+
+    def select_object(rnd, pid, sm, val, loc):
+        log.append(("select", rnd, pid, sm))
+        return SOLO_BASE + pid if sm is None else 0
+
+    return ProtocolAutomaton(
+        model=model, name=f"sm-reader-{model}",
+        init=lambda pid, inp: Knowledge(pid, 0, (inp,)),
+        select_object=select_object,
+        decide=lambda sm, val, loc: (sm, val) if loc.r >= 1 else None,
+        step=lambda loc, sm, val: Knowledge(loc.id, loc.r + 1, (loc.known, sm, val)),
+        write_payload=write_payload, round_budget=3)
+
+
+@pytest.mark.parametrize("model", [WOR, WRO, OWR])
+def test_write_and_select_see_this_rounds_snapshot_or_none(model):
+    """Engine and reference agree on an automaton that reads the ``sm`` it is
+    handed, which is None before the process's own scan in the round and
+    that scan after it: only WRO's select comes after the scan."""
+    n, rng, log = 3, random.Random(2300), []
+    proto = _sm_reader(model, log)
+    family = list(enumerate_round_schedules(n, model, "ordered-partition"))
+    seen = set()
+    for k in range(30):
+        state = make_initial_state(n, [rng.randint(0, 1) for _ in range(n)], model, proto)
+        for _ in range(proto.round_budget):
+            sched = rng.choice(family) if k % 2 else random_sigma_schedule(n, model, rng)
+            seed = rng.randrange(2**31)
+            del log[:]
+            got, choices = executor.apply_round_recorded(state, sched, random_outputs(seed, n), proto)
+            calls = log[:]
+            del log[:]
+            want = reference_round(state, sched, random_outputs(seed, n), proto)
+            assert (got.rnd, got.locals_, got.snapshot, got.instances, choices) == want
+            assert log == calls and len(calls) == 2 * n
+            at = {(kind, pid): pos for pos, (kind, group) in enumerate(sched.events)
+                  for pid in group}
+            for callback, rnd, pid, sm in calls:
+                scanned = at[R, pid] < at[W if callback == "write" else S, pid]
+                assert rnd == got.rnd
+                assert sm == (got.sm[pid - 1] if scanned else None), (callback, str(sched))
+                seen.add((callback, scanned))
+            state = got
+    assert seen == ({("write", False), ("select", True)} if model == WRO
+                    else {("write", False), ("select", False)})
+
+
+@pytest.mark.parametrize("model", [WRO, OWR])
+def test_simulations_hand_the_source_what_the_engine_hands_it(model):
+    """The simulation of an automaton that writes and selects by its ``sm``
+    decides what the automaton decides, one round later."""
+    report = check_transform_correspondence(_sm_reader(model, []), 3, executions=60, seed=23)
+    assert report.ok, report.first_mismatch
+
+
+@pytest.mark.parametrize("column", ["inp", "val", "dec", "loc"])
+def test_round_key_tells_apart_states_that_differ_in_one_column_but_sm(column):
+    state = _round_two_state()
+    values = getattr(state, column)
+    other = dataclasses.replace(state, **{column: values[:1] + (("other",),) + values[2:]})
+    assert other.round_key() != state.round_key()
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_round_key_shares_states_that_differ_only_in_sm(n):
+    """Such states have equal children under every bundled automaton."""
+    protos = {proto.name: proto for proto in _automata(n)}
+    rng = random.Random(2301 + n)
+    for name, state in _random_runs(n, 1, 2302):
+        proto = protos[name]
+        other = dataclasses.replace(state, sm=tuple(("other", pid) for pid in range(1, n + 1)))
+        assert other.round_key() == state.round_key()
+        assert other.locals_key() != state.locals_key()
+        for _ in range(2):
+            sched = random_sigma_schedule(n, proto.model, rng)
+            seed = rng.randrange(2**31)
+            child = executor.apply_round(state, sched, random_outputs(seed, n), proto)
+            assert executor.apply_round(other, sched, random_outputs(seed, n), proto) == child, \
+                (name, state.rnd, str(sched))
+
+
+# -- the round memos against the full-key memos --------------------------------
+
+
+def _round_key_and_full_key(monkeypatch, compute):
+    """``compute()`` with the round memos keyed on ``round_key()``, then
+    keyed on the full ``locals_key()``; each result with its count of
+    applied rounds."""
+    out = []
+    for key in (GlobalState.round_key, GlobalState.locals_key):
+        rounds = [0]
+        apply = executor.apply_round_recorded
+
+        def counted(*args, apply=apply, rounds=rounds):
+            rounds[0] += 1
+            return apply(*args)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(GlobalState, "round_key", key)
+            patched.setattr(executor, "apply_round_recorded", counted)
+            out.append((compute(), rounds[0]))
+    return out
+
+
+@pytest.mark.parametrize("name", ["consensus", *sorted(deficient_wor_samples())])
+def test_round_key_sweeps_equal_full_key_sweeps(name, monkeypatch):
+    proto = resolve_protocol(name, 3)
+    (fast, rounds), (full, full_rounds) = _round_key_and_full_key(
+        monkeypatch, lambda: verify_consensus_exhaustive(3, proto_factory=lambda n: proto, jobs=1))
+    assert fast == full
+    assert rounds < full_rounds
+
+
+def test_round_key_valency_and_census_equal_full_key(monkeypatch):
+    automata = [resolve_protocol("consensus", 3), *deficient_wor_samples().values(),
+                *wro_transform_samples().values(), *owr_transform_samples().values()]
+
+    def compute():
+        out = [collect_gamma(proto, 3) for proto in automata]
+        for proto in automata:
+            if proto.model == WOR or "val-parity" in proto.name:  # the val-parity selectors read val
+                for inputs in ([0, 0, 0], [0, 1, 1]):
+                    root = make_initial_state(3, inputs, proto.model, proto)
+                    out.append(bounded_valency(root, proto, min(proto.round_budget, 3)))
+        return out
+
+    (fast, rounds), (full, full_rounds) = _round_key_and_full_key(monkeypatch, compute)
+    assert fast == full
+    assert rounds < full_rounds
+
+
+def _engine_rounds(extend, path: Path, rounds: int = 4) -> list:
+    """The JSON of each round's walk, each round extending the last one's
+    loop-erased path."""
+    out = []
+    for _ in range(rounds):
+        raw = extend(path)
+        out.append(raw.to_jsonable())
+        path = raw.loop_erased()
+    return out
+
+
+def test_round_key_paths_equal_full_key_paths(monkeypatch):
+    """The WRO, partition and no-full-box engines over four rounds."""
+    a, b_ = frozenset({1, 2}), frozenset({3})  # no box of the deficient automata crosses it
+
+    def compute():
+        wro = wro_obstruction_samples()
+        out = [_engine_rounds(lambda p, proto=wro[name]: wro_extend_round(p, proto),
+                              initial_chain(wro[name], 3))
+               for name in ("wro-solo", "wro-pair12", "wro-rotating", "wro-val-parity",
+                            "wro-share-after-2")]
+        for proto in deficient_wor_samples().values():
+            ends = [make_initial_state(3, inputs, proto.model, proto)
+                    for inputs in ([0, 0, 0], [0, 0, 1], [1, 1, 1])]
+            out.append(_engine_rounds(lambda p, proto=proto: extend_path_partition(p, a, b_, proto),
+                                      Path(states=tuple(ends), labels=(a, b_))))
+            out.append(_engine_rounds(lambda p, proto=proto: extend_path_no3box(p, proto),
+                                      initial_chain(proto, 3)))
+        return out
+
+    (fast, rounds), (full, full_rounds) = _round_key_and_full_key(monkeypatch, compute)
+    assert fast == full
+    assert rounds < full_rounds
