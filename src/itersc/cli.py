@@ -269,8 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
     shared = {
         "n": dict(type=int, default=3, help="number of processes"),
-        "family": dict(choices=["sigma", "ordered-partition"], default="sigma",
-                       help="family of the random round schedules"),
         "adversary": dict(default="random", help="random | script:FILE"),
         "seed": dict(type=int, default=0, help="seed of every random draw"),
         "horizon": dict(type=int, default=None, help="number of rounds"),
@@ -289,11 +287,14 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("simulate", "run one execution and dump its trace", cmd_simulate,
-                "n", "family", "adversary", "seed", "horizon")
+                "n", "adversary", "seed", "horizon")
     p.add_argument("--protocol", default="consensus")
     p.add_argument("--inputs", default=None, help="comma-separated input values")
-    p.add_argument("--groups", default=None,
-                   help="sigma groups like '1,2|3' (fixed per round)")
+    schedules = p.add_mutually_exclusive_group()
+    schedules.add_argument("--family", choices=["sigma", "ordered-partition"], default=None,
+                           help="family of the random round schedules (default sigma)")
+    schedules.add_argument("--groups", default=None,
+                           help="sigma groups like '1,2|3' (fixed per round)")
 
     p = command("verify-consensus", "sweep the consensus protocol", cmd_verify_consensus,
                 "n", "seed", "jobs")

@@ -45,11 +45,9 @@ from .errors import (
     InvalidArgumentError,
     InvalidConfigurationError,
     ModelMismatchError,
-    NoInvocationsError,
     PreconditionViolationError,
 )
 from .executor import (
-    ExplorationBudget,
     apply_round,
     collect_gamma,
     enumerate_round_schedules,
@@ -180,9 +178,7 @@ class PathBuilder:
 
 
 def is_b_regular(path: Path) -> bool:
-    """All states share one invocation specification."""
-    if any(s.rnd < 1 for s in path.states):
-        raise NoInvocationsError("round-0 states have no invocation specification")
+    """All states share one invocation specification (round-0 states have none)."""
     specs = {invocation_spec(s) for s in path.states}
     return len(specs) <= 1
 
@@ -903,7 +899,7 @@ def lower_bound_demo(proto, rounds: int = 5) -> dict:
 
 
 def _observed_boxes(proto, n: int) -> frozenset:
-    report = collect_gamma(proto, n, ExplorationBudget(rounds=proto.round_budget or 4))
+    report = collect_gamma(proto, n, proto.round_budget or 4)
     out: set = set()
     for boxes in report.gamma.values():
         out |= boxes

@@ -137,8 +137,7 @@ def decisions_shifted_by_one(src: Execution, sim: Execution) -> Optional[dict]:
 
 
 def check_transform_correspondence(proto: ProtocolAutomaton, n: int,
-                                   executions: int = 1000, seed: int = 0,
-                                   rounds: Optional[int] = None) -> CorrespondenceReport:
+                                   executions: int = 1000, seed: int = 0) -> CorrespondenceReport:
     """Randomized schedules/adversaries; count decision-shift mismatches."""
     if executions < 0:
         raise InvalidArgumentError(f"executions must be at least 0, got {executions}")
@@ -146,7 +145,7 @@ def check_transform_correspondence(proto: ProtocolAutomaton, n: int,
     if simulated_in is None:
         raise ModelMismatchError(f"no simulation for model {proto.model}")
     rng = random.Random(seed)
-    rounds = rounds or (proto.round_budget or 3) + 1
+    rounds = (proto.round_budget or 3) + 1
     mismatches = 0
     first = None
     for k in range(executions):

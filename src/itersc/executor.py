@@ -654,22 +654,16 @@ class GammaReport:
         }
 
 
-@dataclass(frozen=True)
-class ExplorationBudget:
-    rounds: Optional[int] = None
-    max_executions: int = 2000
-
-
-def collect_gamma(proto: ProtocolAutomaton, n: int,
-                  budget: Optional[ExplorationBudget] = None) -> GammaReport:
-    """Observe boxes across explored executions: every schedule x adversary
-    tree for n <= 4, ``max_executions`` random executions above.
+def collect_gamma(proto: ProtocolAutomaton, n: int, rounds: Optional[int] = None,
+                  executions: int = 2000) -> GammaReport:
+    """Observe boxes across explored executions of ``rounds`` rounds (default:
+    the round budget): every schedule x adversary tree for n <= 4,
+    ``executions`` random executions above.
 
     The exhaustive census stops (``partial``) after the schedule tree that
-    reaches ``100 * max_executions`` leaves, with all that tree's boxes.
+    reaches ``100 * executions`` leaves, with all that tree's boxes.
     """
-    budget = budget or ExplorationBudget()
-    rounds = budget.rounds or proto.round_budget
+    rounds = rounds or proto.round_budget
     if rounds is None:
         raise InvalidArgumentError("protocol has no round budget; supply one")
     boxes: set[frozenset] = set()
@@ -683,7 +677,7 @@ def collect_gamma(proto: ProtocolAutomaton, n: int,
 
     if n <= 4:
         init = make_initial_state(n, inputs, proto.model, proto)
-        cap = budget.max_executions * 100
+        cap = executions * 100
         for sched in enumerate_round_schedules(n, proto.model, "sigma"):
             count += explore(init, [sched], proto, leaf,
                              lambda parts: sum(leaves for _step, leaves in parts))
@@ -692,7 +686,7 @@ def collect_gamma(proto: ProtocolAutomaton, n: int,
                 break
     else:
         rng = random.Random(0)
-        for _ in range(budget.max_executions):
+        for _ in range(executions):
             scheds = [random_sigma_schedule(n, proto.model, rng) for _ in range(rounds)]
             adversary = random_outputs(rng.randrange(2**31), n)
             state = make_initial_state(n, inputs, proto.model, proto)
@@ -793,11 +787,10 @@ def verify_consensus_exhaustive(n: int, proto_factory=None,
 
     Each (input vector, tree) pair is its own ``explore``, so the pairs run
     on up to ``jobs`` worker processes (default: one per usable CPU and per
-    ``_MIN_RANGE`` schedule sequences); the counts merge in serial order, so
-    any ``jobs`` gives the serial report.
+    ``_MIN_RANGE`` root schedules over all pairs); the counts merge in serial
+    order, so any ``jobs`` gives the serial report.
     """
     from .protocols import protocol_consensus_wor
-    _check_jobs(jobs)
     if n > 4:
         raise BudgetExceededError(
             f"exhaustive verification capped at n=4, got {n}; use sampled mode")
@@ -810,10 +803,10 @@ def verify_consensus_exhaustive(n: int, proto_factory=None,
     trees = [scheds] if per_round_cross else [[sched] for sched in scheds]
     pairs = [(inputs, t) for inputs in (inputs_list or consensus_input_vectors(n))
              for t in range(len(trees))]
+    jobs = _resolve_jobs(jobs, len(pairs) * len(trees[0]))
 
     def sweep(pair):
         inputs, t = pair
-        t0 = time.perf_counter()
         count, bad, found = _sweep_tree(proto, inputs, trees[t], rounds,
                                         {freeze(i) for i in inputs})
         if found is not None:
@@ -822,25 +815,14 @@ def verify_consensus_exhaustive(n: int, proto_factory=None,
                      "trail": [{"schedule": s.to_jsonable(), "choices": list(c)}
                                for s, c in trail],
                      "violation": violation}
-        return count, bad, found, time.perf_counter() - t0
+        return count, bad, found
 
-    cpus = _usable_cpus()
-    if jobs is None:  # each pair's tree holds len(tree) ** rounds schedule sequences
-        jobs = max(1, min(cpus, len(pairs) * len(trees[0]) ** rounds // _MIN_RANGE))
-    total = violations = 0
-    first = None
-    parts = _fan_out(sweep, pairs, min(jobs, cpus))
-    for (inputs, t), (count, bad, found, seconds) in zip(pairs, parts):
-        log.debug("exhaustive %s inputs %s tree %d/%d: %d executions, %d violations, %.3fs",
-                  proto.name, inputs, t + 1, len(trees), count, bad, seconds)
-        total += count
-        violations += bad
-        if first is None:
-            first = found
-    gamma_report = collect_gamma(proto, n)
+    total, violations, first = _run_sweep(
+        sweep, pairs, jobs,
+        lambda pair: f"exhaustive {proto.name} inputs {pair[0]} tree {pair[1] + 1}/{len(trees)}")
     return SweepReport(n=n, mode="exhaustive", executions=total,
                        violations=violations, first_counterexample=first,
-                       gamma=gamma_report, jobs=jobs)
+                       gamma=collect_gamma(proto, n), jobs=jobs)
 
 
 def verify_consensus_sampled(n: int, executions: int = 10000, seed: int = 0,
@@ -855,34 +837,22 @@ def verify_consensus_sampled(n: int, executions: int = 10000, seed: int = 0,
     lowest index.
     """
     from .protocols import protocol_consensus_wor
-    _check_jobs(jobs)
+    jobs = _resolve_jobs(jobs, executions)
     if executions < 1:
         raise InvalidArgumentError(f"executions must be at least 1, got {executions}")
     factory = proto_factory or protocol_consensus_wor
     proto = factory(n)
-    cpus = _usable_cpus()
-    if jobs is None:
-        jobs = max(1, min(cpus, executions // _MIN_RANGE))
     chunk = max(1, -(-executions // jobs))
     ranges = [(lo, min(lo + chunk, executions)) for lo in range(0, executions, chunk)]
-
-    def sample(bounds):
-        t0 = time.perf_counter()
-        return _sample_range(proto, n, seed, *bounds), time.perf_counter() - t0
-
-    violations, first = 0, None
-    for (lo, hi), ((bad, found), seconds) in zip(ranges, _fan_out(sample, ranges, min(jobs, cpus))):
-        log.debug("sampled %s seed %d indices %d..%d: %d executions, %d violations, %.3fs",
-                  proto.name, seed, lo, hi - 1, hi - lo, bad, seconds)
-        violations += bad
-        if first is None:
-            first = found
+    _, violations, first = _run_sweep(
+        lambda bounds: _sample_range(proto, n, seed, *bounds), ranges, jobs,
+        lambda bounds: f"sampled {proto.name} seed {seed} indices {bounds[0]}..{bounds[1] - 1}")
     return SweepReport(n=n, mode="sampled", executions=executions,
                        violations=violations, first_counterexample=first, jobs=jobs)
 
 
 def _sample_range(proto: ProtocolAutomaton, n: int, seed: int, lo: int, hi: int):
-    """Violation count and first counterexample of sampled executions lo..hi-1."""
+    """``(executions, violations, first counterexample)`` of sampled executions lo..hi-1."""
     rounds = proto.round_budget
     violations, first = 0, None
     for k in range(lo, hi):
@@ -899,15 +869,17 @@ def _sample_range(proto: ProtocolAutomaton, n: int, seed: int, lo: int, hi: int)
             if first is None:
                 first = {"inputs": inputs, "seed": seed, "index": k,
                          "violation": jsonable(verdict.first_violation)}
-    return violations, first
+    return hi - lo, violations, first
 
 
 # ---------------------------------------------------------------------------
-# fanning a sweep out over forked worker processes
+# running a sweep's items, on forked worker processes where they pay
 
-# The least work per worker, in sampled executions or exhaustive schedule
-# sequences: a fork pool takes about 10 ms to start and join on a 2-core x86
-# machine with Python 3.11, against 0.2-1.5 ms per execution at n = 3..6.
+# The least work per worker, in sampled executions or exhaustive root
+# schedules (each pair's tree root has one branch per schedule): a fork pool
+# takes about 10 ms to start and join on a 2-core x86 machine with Python
+# 3.11, against 0.2-1.5 ms per execution at n = 3..6 and about 0.25 / 0.6 ms
+# per root schedule of the memoized n = 3 / 4 trees.
 _MIN_RANGE = 100
 
 _task: Optional[Callable] = None  # set only in a worker, by the pool initializer
@@ -920,9 +892,34 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _check_jobs(jobs: Optional[int]) -> None:
-    if jobs is not None and jobs < 1:
+def _resolve_jobs(jobs: Optional[int], work: int) -> int:
+    """``jobs`` as given, or by default one per usable CPU and per
+    ``_MIN_RANGE`` units of ``work``; fewer than one job is refused."""
+    if jobs is None:
+        return max(1, min(_usable_cpus(), work // _MIN_RANGE))
+    if jobs < 1:
         raise InvalidArgumentError(f"jobs must be at least 1, got {jobs}")
+    return jobs
+
+
+def _run_sweep(task: Callable, items: list, jobs: int, describe: Callable):
+    """Fold ``task(item) -> (executions, violations, first)`` over ``items``:
+    the counts summed, ``first`` the first item's that is not None, in item
+    order whatever ``jobs``.  Logs one DEBUG line per item, ``describe(item)``
+    with its counts and seconds."""
+    def timed(item):
+        t0 = time.perf_counter()
+        return task(item), time.perf_counter() - t0
+
+    executions = violations = 0
+    first = None
+    for item, ((count, bad, found), seconds) in zip(items, _fan_out(timed, items, jobs)):
+        log.debug("%s: %d executions, %d violations, %.3fs", describe(item), count, bad, seconds)
+        executions += count
+        violations += bad
+        if first is None:
+            first = found
+    return executions, violations, first
 
 
 def _adopt(task: Callable) -> None:
@@ -936,7 +933,7 @@ def _run_adopted(item):
 
 def _fan_out(task: Callable, items: list, workers: int) -> list:
     """``[task(item) for item in items]``, in item order, on up to ``workers``
-    forked processes.
+    forked processes, and at most one per usable CPU.
 
     The workers inherit ``task`` (with the automaton it closes over) by
     fork, so only the items and the results are pickled: spawned workers
@@ -947,7 +944,7 @@ def _fan_out(task: Callable, items: list, workers: int) -> list:
     returns.  With one worker, or where the platform cannot fork, the items
     run here.
     """
-    workers = min(workers, len(items))
+    workers = min(workers, len(items), _usable_cpus())
     if workers > 1:
         import multiprocessing
         if "fork" in multiprocessing.get_all_start_methods():
@@ -978,25 +975,26 @@ def all_coalitions_tuples(g: int, domain=(5, 7)) -> list[tuple]:
 
 
 def verify_2cc(g: int, domain=(5, 7), families=("sigma",)) -> SweepReport:
-    """Exhaustive schedules x adversary over every valid coalitions tuple."""
+    """Exhaustive schedules x adversary over every valid coalitions tuple,
+    each family's schedules built once."""
     from .protocols import protocol_2cc
     proto = protocol_2cc(g)
-    total = 0
-    violations = 0
-    first = None
-    for entries in all_coalitions_tuples(g, domain):
+    scheds = {family: list(enumerate_round_schedules(g, WOR, family)) for family in families}
+
+    def sweep(item):
+        entries, family = item
         allowed = {v for pair in entries for v in pair if v is not None}
-        for family in families:
-            scheds = list(enumerate_round_schedules(g, WOR, family))
-            count, bad, found = _sweep_tree(proto, entries, scheds, 1, allowed)
-            total += count
-            violations += bad
-            if first is None and found is not None:
-                ((sched, choices),), violation = found
-                first = {"entries": jsonable(entries),
-                         "schedule": sched.to_jsonable(),
-                         "choices": list(choices),
-                         "violation": violation}
+        count, bad, found = _sweep_tree(proto, entries, scheds[family], 1, allowed)
+        if found is not None:
+            ((sched, choices),), violation = found
+            found = {"entries": jsonable(entries), "schedule": sched.to_jsonable(),
+                     "choices": list(choices), "violation": violation}
+        return count, bad, found
+
+    items = [(entries, family) for entries in all_coalitions_tuples(g, domain)
+             for family in families]
+    total, violations, first = _run_sweep(
+        sweep, items, 1, lambda item: f"exhaustive {proto.name} entries {item[0]} family {item[1]}")
     return SweepReport(n=g, mode="exhaustive", executions=total,
                        violations=violations, first_counterexample=first)
 

@@ -253,6 +253,10 @@ def protocol_consensus_wor(n: int) -> ProtocolAutomaton:
     field when the object returns lastid, the left field otherwise.
     Non-members invoke throwaway solo objects.  The decision is the
     agreement of the full coalition, read after round C(n,2).
+
+    Inputs must not be bottom (``None``): a written pair spells a missing
+    agreement as None, so a ``None`` field reads as absent, and a group whose
+    side has only that field to adopt raises ``ProtocolInvariantError``.
     """
     if n < 2:
         raise InvalidConfigurationError(f"need at least 2 processes, got n={n}")

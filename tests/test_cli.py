@@ -388,6 +388,17 @@ def test_connectivity_config_holds_only_read_settings(capsys):
     assert "seed" not in report["config"] and report["seed"] is None
 
 
+@pytest.mark.parametrize("argv", [
+    ("--groups", "1,2|3", "--family", "ordered-partition"),
+    ("--family", "ordered-partition", "--groups", "1,2|3"),
+], ids=["groups-first", "family-first"])
+def test_simulate_refuses_groups_with_family(capsys, argv):
+    """``--groups`` fixes every round's schedule, so no family is drawn from."""
+    code, out, err = run_cli(capsys, "simulate", "--n", "3", "--horizon", "1", *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert "usage:" in err and "not allowed with argument" in err
+
+
 def test_simulate_ordered_partition_family(capsys, tmp_path):
     out_file = tmp_path / "trace.jsonl"
     code, _, _ = run_cli(capsys, "simulate", "--n", "3", "--family", "ordered-partition",

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from itersc import executor
+from itersc import executor, protocols
 from itersc.errors import (
     BudgetExceededError,
     InvalidAdversaryError,
@@ -29,7 +29,6 @@ from itersc.errors import (
 )
 from itersc.executor import (
     EVENT_ORDER,
-    ExplorationBudget,
     GammaReport,
     random_outputs,
     SweepReport,
@@ -50,6 +49,7 @@ from itersc.executor import (
     replay_execution,
     run_execution,
     sigma_schedule,
+    verify_2cc,
     verify_consensus_exhaustive,
     verify_consensus_sampled,
 )
@@ -262,14 +262,14 @@ def test_collect_gamma_consensus_n4():
 
 
 def test_collect_gamma_single_box_protocol():
-    report = collect_gamma(protocol_2cc(3), 3, ExplorationBudget(rounds=1))
+    report = collect_gamma(protocol_2cc(3), 3, rounds=1)
     assert report.gamma[3] == {frozenset({1, 2, 3})}
     assert report.nu_total == 1
 
 
 def test_collect_gamma_solo_protocol_counts_nothing():
     proto = deficient_wor_samples()["wor-solo-min"]
-    report = collect_gamma(proto, 3, ExplorationBudget(rounds=2))
+    report = collect_gamma(proto, 3, rounds=2)
     assert report.nu_total == 0
     assert all(m == 1 for m in report.gamma)
 
@@ -319,8 +319,7 @@ def test_trace_jsonl_one_line_per_round():
 
 
 def test_collect_gamma_scales_to_n5_sampled():
-    report = collect_gamma(protocol_consensus_wor(5), 5,
-                           ExplorationBudget(max_executions=20))
+    report = collect_gamma(protocol_consensus_wor(5), 5, executions=20)
     assert report.nu == {2: 4, 3: 3, 4: 2, 5: 1}
     assert report.nu_total == 10
     for m, count in report.nu.items():
@@ -500,20 +499,26 @@ def _refuse_pool(*args, **kwargs):
     raise _PoolStarted
 
 
-def test_exhaustive_n2_default_starts_no_pool(monkeypatch):
-    """20 executions cost 2-3 ms, far less than starting a fork pool."""
-    serial = verify_consensus_exhaustive(2, jobs=1)
+@pytest.mark.parametrize("n", [2, 3])
+def test_exhaustive_default_starts_no_pool_below_n4(monkeypatch, n):
+    """The memoized sweeps take 2-3 ms at n = 2 and about 30 ms at n = 3
+    (15 and 117 root schedules), less than a fork pool adds."""
+    serial = verify_consensus_exhaustive(n, jobs=1)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _refuse_pool)
     monkeypatch.setattr(executor, "_usable_cpus", lambda: 2)
-    assert verify_consensus_exhaustive(2) == serial
+    report = verify_consensus_exhaustive(n)
+    assert report == serial and report.jobs == 1
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_exhaustive_default_fans_out_from_n3(monkeypatch, n):
+@pytest.mark.parametrize("kwargs", [
+    {},  # 17 vectors x 75 fixed-schedule trees
+    {"per_round_cross": True, "inputs_list": [[0, 1, 1, 0], [1, 0, 0, 1], [0, 0, 1, 1]]},
+], ids=["fixed", "cross"])
+def test_exhaustive_default_fans_out_at_n4(monkeypatch, kwargs):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _refuse_pool)
     monkeypatch.setattr(executor, "_usable_cpus", lambda: 2)
     with pytest.raises(_PoolStarted):
-        verify_consensus_exhaustive(n)
+        verify_consensus_exhaustive(4, **kwargs)
 
 
 def _broken_consensus(n):
@@ -583,7 +588,7 @@ def test_each_sigma_schedule_is_built_once_per_process(monkeypatch):
     for _ in range(2):
         verify_consensus_sampled(4, 40, seed=3, jobs=1)
         collect_gamma(protocol_consensus_wor(3), 3)
-        collect_gamma(protocol_consensus_wor(5), 5, ExplorationBudget(max_executions=200))
+        collect_gamma(protocol_consensus_wor(5), 5, executions=200)
         bounded_valency(make_initial_state(3, [0, 1, 1], WOR, solo), solo, 2)
         lower_bound_demo(solo, rounds=2)
         wro_obstruction_demo(wro_obstruction_samples()["wro-solo"], rounds=2)
@@ -690,7 +695,7 @@ def _gamma_reference(proto, n, rounds, executions):
 ])
 def test_sampled_gamma_census_equals_plain_loop(name, n, rounds):
     proto = resolve_protocol(name, n)
-    report = collect_gamma(proto, n, ExplorationBudget(rounds=rounds, max_executions=100))
+    report = collect_gamma(proto, n, rounds, executions=100)
     assert report == _gamma_reference(proto, n, rounds, 100)
 
 
@@ -698,13 +703,67 @@ def test_sweeps_log_one_debug_line_per_tree_and_range(caplog):
     caplog.set_level(logging.DEBUG, logger="itersc")
     exhaustive = verify_consensus_exhaustive(2)
     verify_consensus_sampled(3, executions=20, seed=1)
+    coalitions = verify_2cc(2)
     lines = [r.getMessage() for r in caplog.records if r.name == "itersc"]
-    assert len(lines) == len(consensus_input_vectors(2)) + 1
+    vectors, tuples = len(consensus_input_vectors(2)), len(all_coalitions_tuples(2))
+    assert len(lines) == vectors + 1 + tuples
     trees = [re.fullmatch(r"exhaustive consensus-wor-2 inputs \[.*\] tree 1/1: "
-                          r"(\d+) executions, 0 violations, [0-9.]+s", line) for line in lines[:-1]]
+                          r"(\d+) executions, 0 violations, [0-9.]+s", line)
+             for line in lines[:vectors]]
     assert all(trees) and sum(int(m[1]) for m in trees) == exhaustive.executions
     assert re.fullmatch(r"sampled consensus-wor-3 seed 1 indices 0\.\.19: "
-                        r"20 executions, 0 violations, [0-9.]+s", lines[-1])
+                        r"20 executions, 0 violations, [0-9.]+s", lines[vectors])
+    items = [re.fullmatch(r"exhaustive 2cc-2 entries \(\(.*\)\) family sigma: "
+                          r"(\d+) executions, 0 violations, [0-9.]+s", line)
+             for line in lines[vectors + 1:]]
+    assert all(items) and sum(int(m[1]) for m in items) == coalitions.executions
+
+
+def _verify_2cc_reference(proto, g, domain, families):
+    """The 2cc sweep as a per-tuple loop that folds each family's tree by hand."""
+    scheds = {family: list(enumerate_round_schedules(g, WOR, family)) for family in families}
+    total = violations = 0
+    first = None
+    for entries in all_coalitions_tuples(g, domain):
+        allowed = {v for pair in entries for v in pair if v is not None}
+        for family in families:
+            count, bad, found = executor._sweep_tree(proto, entries, scheds[family], 1, allowed)
+            total += count
+            violations += bad
+            if first is None and found is not None:
+                ((sched, choices),), violation = found
+                first = {"entries": jsonable(entries), "schedule": sched.to_jsonable(),
+                         "choices": list(choices), "violation": violation}
+    return SweepReport(n=g, mode="exhaustive", executions=total,
+                       violations=violations, first_counterexample=first)
+
+
+def _left_field_2cc(g):
+    """A broken 2cc automaton: each process decides its own left field, which
+    the last process lacks, so every execution leaves it undecided."""
+    return dataclasses.replace(protocol_2cc(g), decide=lambda sm, val, loc: loc.pair[0])
+
+
+@pytest.mark.parametrize("g, families, factory", [
+    (2, ("sigma", "ordered-partition"), protocol_2cc),
+    (3, ("sigma", "ordered-partition"), protocol_2cc),
+    (4, ("sigma",), protocol_2cc),
+    (2, ("ordered-partition", "sigma"), _left_field_2cc),
+], ids=["g2", "g3", "g4", "g2-broken"])
+def test_2cc_sweep_builds_each_family_once(monkeypatch, g, families, factory):
+    reference = _verify_2cc_reference(factory(g), g, (5, 7), families)
+    assert (reference.violations > 0) == (factory is _left_field_2cc)
+    monkeypatch.setattr(protocols, "protocol_2cc", factory)
+    built = []
+    enumerate_ = executor.enumerate_round_schedules
+
+    def counting(n, model, family="sigma"):
+        built.append(family)
+        return enumerate_(n, model, family)
+
+    monkeypatch.setattr(executor, "enumerate_round_schedules", counting)
+    assert verify_2cc(g, families=families) == reference
+    assert built == list(families)
 
 
 # -- negative controls: a sweep that explores nothing cannot pass ---------------

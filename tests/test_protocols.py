@@ -11,7 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from itersc.errors import DomainError, InvalidConfigurationError, ModelMismatchError
+from itersc.errors import (
+    DomainError,
+    InvalidConfigurationError,
+    ModelMismatchError,
+    ProtocolInvariantError,
+)
 from itersc.executor import (
     apply_round,
     enumerate_round_schedules,
@@ -345,6 +350,15 @@ def test_consensus_locals_keep_a_none_input_apart_from_an_unset_slot():
         assert first[str(tup(1, 1))] is None  # stored, not dropped as unset
         assert str(tup(1, 1)) not in jsonable(state.locals_[1].locals_)["ledger"]["agreements"]
 
+
+def test_consensus_refuses_to_run_on_a_none_input_its_side_must_adopt():
+    """Inputs must not be bottom: a written field spells a missing agreement
+    as None, so when the ``None`` holder's field is the only one its side
+    can adopt, the group finds no candidate."""
+    proto = protocol_consensus_wor(3)
+    with pytest.raises(ProtocolInvariantError) as caught:
+        run_execution(proto, [None, 0, 1], [sigma_schedule([{1}], 3)], itertools.repeat(1))
+    assert str(caught.value) == "no candidate field on side 0 for group 1..2"
 
 def test_consensus_full_run_decides_common_input():
     # three fully concurrent rounds, every adversary script

@@ -303,7 +303,7 @@ def _round_two_state():
 
 
 @pytest.mark.parametrize("column", ["inp", "sm", "val", "dec", "loc"])
-def test_memo_key_tells_apart_states_that_differ_in_one_local_column(column):
+def test_locals_key_tells_apart_states_that_differ_in_one_local_column(column):
     state = _round_two_state()
     values = getattr(state, column)
     other = dataclasses.replace(state, **{column: values[:1] + (("other",),) + values[2:]})
@@ -313,7 +313,7 @@ def test_memo_key_tells_apart_states_that_differ_in_one_local_column(column):
 
 @pytest.mark.parametrize("change", [{"cells": (None, None, None)}, {"resolved": ()}],
                          ids=["cells", "resolved"])
-def test_memo_key_shares_states_that_differ_only_in_shared_objects(change):
+def test_locals_key_shares_states_that_differ_only_in_shared_objects(change):
     state = _round_two_state()
     other = dataclasses.replace(state, **change)
     assert other != state
@@ -322,7 +322,7 @@ def test_memo_key_shares_states_that_differ_only_in_shared_objects(change):
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_memo_key_is_equal_exactly_when_the_locals_views_are(n):
+def test_locals_key_is_equal_exactly_when_the_locals_views_are(n):
     seen = {True: 0, False: 0}
     for a, b in _same_round_pairs(_random_runs(n, 3, 1700)):
         same = a.locals_key() == b.locals_key()
