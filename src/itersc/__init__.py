@@ -17,7 +17,6 @@ from .model import (  # noqa: F401
     invocation_spec,
     make_initial_state,
     resolve_safe_consensus,
-    sc_value_of,
 )
 from .protocols import (  # noqa: F401
     ProtocolAutomaton,

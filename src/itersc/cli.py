@@ -16,7 +16,7 @@ import time
 from typing import Any, Optional
 
 from . import __version__
-from .equivalence import check_transform_correspondence
+from .equivalence import check_transform_correspondence, simulating_automaton
 from .errors import BudgetExceededError, InvalidArgumentError, InvalidInputError, IterscError
 from .executor import (
     collect_gamma,
@@ -44,7 +44,6 @@ from .johnson import (
     zeta_iter,
 )
 from .model import make_initial_state
-from .protocols import transform_owr_to_wro, transform_wro_to_owr
 from .samples import resolve_protocol, sample_names
 from .values import jsonable
 
@@ -180,12 +179,9 @@ def cmd_count_objects(args) -> int:
 def cmd_transform(args) -> int:
     t0 = time.time()
     proto = resolve_protocol(args.source, args.n)
-    config = {"direction": args.direction, "source": args.source, "n": args.n,
-              "check": args.check, "seed": args.seed}
-    if args.direction == "wro2owr":
-        sim = transform_wro_to_owr(proto)
-    else:
-        sim = transform_owr_to_wro(proto)
+    sim = simulating_automaton(proto)
+    config = {"direction": f"{proto.model}2{sim.model}".lower(), "source": args.source,
+              "n": args.n, "check": args.check, "seed": args.seed}
     result: dict[str, Any] = {
         "source": protocol_descriptor(proto, args.n),
         "simulation": protocol_descriptor(sim, args.n),
@@ -309,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", default="consensus")
 
     p = command("transform", "model simulation descriptors", cmd_transform, "n", "seed")
-    p.add_argument("--direction", choices=["wro2owr", "owr2wro"], required=True)
     p.add_argument("--source", required=True, help="source protocol name")
     p.add_argument("--check", type=int, default=0,
                    help="verify decision correspondence over N random runs")

@@ -61,7 +61,6 @@ from .johnson import partition_two_blocks, vertex_set, zeta
 from .model import (
     WOR,
     GlobalState,
-    diff_box_set,
     indistinguishability_set,
     invocation_spec,
     make_initial_state,
@@ -484,8 +483,9 @@ def _connect(rounds: _Rounds, pb: PathBuilder, state: GlobalState, x, y,
     q2 = rounds.successor(state, sigma_key((y,), n), values_y or {})
     if q1 != pb.tail:
         raise ConstructionError("connection start does not match the tail")
-    vy = dict(q2.box_outputs())
-    diff = diff_box_set(q1, q2)
+    cur_vals, vy = dict(q1.box_outputs()), dict(q2.box_outputs())
+    # a box differs when both successors invoke it, with different outputs
+    diff = frozenset(b for b, v in cur_vals.items() if b in vy and vy[b] != v)
     if full in diff:
         raise FullBoxConflictError(
             "the full box separates the two target states")
@@ -494,7 +494,6 @@ def _connect(rounds: _Rounds, pb: PathBuilder, state: GlobalState, x, y,
 
     start = len(pb.labels)
     cur = x
-    cur_vals = dict(q1.box_outputs())
     for b in sorted(boxes, key=sorted):
         x_piece = cur & b
         y_piece = y & b

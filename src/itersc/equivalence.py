@@ -21,10 +21,8 @@ from typing import Optional
 
 from .errors import InvalidArgumentError, ModelMismatchError
 from .executor import (
-    R,
+    EVENT_ORDER,
     RoundSchedule,
-    S,
-    W,
     Execution,
     apply_round_recorded,
     make_schedule,
@@ -37,31 +35,38 @@ from .model import OWR, WRO
 from .protocols import ProtocolAutomaton, transform_owr_to_wro, transform_wro_to_owr
 
 
-def wro_to_owr_schedules(scheds: list[RoundSchedule], n: int) -> list[RoundSchedule]:
-    """Schedules of the simulating OWR run for a WRO run's schedules."""
-    full = frozenset(range(1, n + 1))
-    out = []
-    prev_s: tuple = ((S, full),)
-    for sched in scheds:
-        if sched.model != WRO:
-            raise ModelMismatchError("source schedules must be WRO")
-        out.append(make_schedule(OWR, n, prev_s + sched.part((W, R))))
-        prev_s = sched.part((S,))
-    out.append(make_schedule(OWR, n, prev_s + ((W, full), (R, full))))
-    return out
+def _simulated_in(model: str) -> str:
+    """The model of a ``model`` source's simulation; a WOR source has none."""
+    if model not in (WRO, OWR):
+        raise ModelMismatchError(f"no simulation for model {model}")
+    return OWR if model == WRO else WRO
 
 
-def owr_to_wro_schedules(scheds: list[RoundSchedule], n: int) -> list[RoundSchedule]:
-    """Schedules of the simulating WRO run for an OWR run's schedules."""
+def simulating_automaton(proto: ProtocolAutomaton) -> ProtocolAutomaton:
+    """The simulation of ``proto``, in the model that its own model fixes."""
+    transform = transform_wro_to_owr if _simulated_in(proto.model) == OWR else transform_owr_to_wro
+    return transform(proto)
+
+
+def simulating_schedules(model: str, scheds: list[RoundSchedule], n: int) -> list[RoundSchedule]:
+    """Schedules of the simulating run for the schedules of a ``model`` run.
+
+    The source's late part, the kinds that the simulation's order puts before
+    the source's first kind, moves one round later: a WRO source's invoke, or
+    an OWR source's write and scan."""
+    sim = _simulated_in(model)
+    order = EVENT_ORDER[sim]
+    cut = order.index(EVENT_ORDER[model][0])
+    late, early = order[:cut], order[cut:]
     full = frozenset(range(1, n + 1))
     out = []
-    prev_wr: tuple = ((W, full), (R, full))
+    prev: tuple = tuple((kind, full) for kind in late)
     for sched in scheds:
-        if sched.model != OWR:
-            raise ModelMismatchError("source schedules must be OWR")
-        out.append(make_schedule(WRO, n, prev_wr + sched.part((S,))))
-        prev_wr = sched.part((W, R))
-    out.append(make_schedule(WRO, n, prev_wr + ((S, full),)))
+        if sched.model != model:
+            raise ModelMismatchError(f"source schedules must be {model}")
+        out.append(make_schedule(sim, n, prev + sched.part(early)))
+        prev = sched.part(late)
+    out.append(make_schedule(sim, n, prev + tuple((kind, full) for kind in early)))
     return out
 
 
@@ -97,23 +102,19 @@ def simulate_paired(proto: ProtocolAutomaton, inputs, scheds,
     outputs are discarded by the simulation).
     """
     n = len(inputs)
+    sim_proto = simulating_automaton(proto)
+    sim_scheds = simulating_schedules(proto.model, list(scheds), n)
     src = run_execution(proto, inputs, scheds, adversary)
     choices = src.all_choices()
     if proto.model == WRO:
-        sim_proto = transform_wro_to_owr(proto)
-        sim_scheds = wro_to_owr_schedules(list(scheds), n)
         # the simulation's first round invokes fresh (discarded) objects: one
         # choice per contended one, counted on an all-ones run of that round
         init = make_initial_state(n, inputs, sim_proto.model, sim_proto)
         _, padding = apply_round_recorded(init, sim_scheds[0], itertools.repeat(1), sim_proto)
         script = [1] * len(padding) + choices
-    elif proto.model == OWR:
-        sim_proto = transform_owr_to_wro(proto)
-        sim_scheds = owr_to_wro_schedules(list(scheds), n)
+    else:
         # the trailing padding round may invoke fresh contended objects
         script = choices + [1] * n
-    else:
-        raise ModelMismatchError(f"no simulation for model {proto.model}")
     sim = run_execution(sim_proto, inputs, sim_scheds, script)
     return src, sim
 
@@ -141,9 +142,7 @@ def check_transform_correspondence(proto: ProtocolAutomaton, n: int,
     """Randomized schedules/adversaries; count decision-shift mismatches."""
     if executions < 0:
         raise InvalidArgumentError(f"executions must be at least 0, got {executions}")
-    simulated_in = {WRO: OWR, OWR: WRO}.get(proto.model)
-    if simulated_in is None:
-        raise ModelMismatchError(f"no simulation for model {proto.model}")
+    simulated_in = _simulated_in(proto.model)
     rng = random.Random(seed)
     rounds = (proto.round_budget or 3) + 1
     mismatches = 0

@@ -25,10 +25,6 @@ class NoInvocationsError(IterscError):
     """A round-0 state has no invocation specification."""
 
 
-class MissingBoxError(IterscError):
-    """The requested box is not part of the state's invocation spec."""
-
-
 class InvalidScheduleError(IterscError):
     """A round schedule violates the event order of its model."""
 

@@ -654,18 +654,28 @@ class GammaReport:
         }
 
 
+def _round_budget(proto: ProtocolAutomaton) -> int:
+    """The rounds a sweep runs ``proto`` for: its round budget, which it must have."""
+    if proto.round_budget is None:
+        raise InvalidArgumentError("protocol has no round budget; supply one")
+    return proto.round_budget
+
+
 def collect_gamma(proto: ProtocolAutomaton, n: int, rounds: Optional[int] = None,
                   executions: int = 2000) -> GammaReport:
     """Observe boxes across explored executions of ``rounds`` rounds (default:
-    the round budget): every schedule x adversary tree for n <= 4,
-    ``executions`` random executions above.
+    the round budget).  For n <= 4 each sigma schedule's tree runs that one
+    schedule in every round against every adversary; above, ``executions``
+    random executions draw a fresh sigma schedule per round.
 
     The exhaustive census stops (``partial``) after the schedule tree that
     reaches ``100 * executions`` leaves, with all that tree's boxes.
     """
-    rounds = rounds or proto.round_budget
-    if rounds is None:
-        raise InvalidArgumentError("protocol has no round budget; supply one")
+    rounds = _round_budget(proto) if rounds is None else rounds
+    if rounds < 1:
+        raise InvalidArgumentError(f"rounds must be at least 1, got {rounds}")
+    if executions < 1:
+        raise InvalidArgumentError(f"executions must be at least 1, got {executions}")
     boxes: set[frozenset] = set()
     count = 0
     partial = False
@@ -780,8 +790,8 @@ def verify_consensus_exhaustive(n: int, proto_factory=None,
     """Exhaustive sigma-family sweep with a fully enumerated adversary.
 
     For n <= 3 every per-round combination of sigma schedules is explored;
-    for n = 4 the sigma schedule is fixed per execution and iterated (the
-    per-round cross product is astronomically large), still with the full
+    for n = 4 the sigma schedule is fixed per execution and iterated unless
+    ``per_round_cross`` asks for the cross product, still with the full
     adversary enumeration at every round.  ``executions`` counts every leaf
     of each tree, although ``explore`` checks each distinct subtree once.
 
@@ -796,7 +806,7 @@ def verify_consensus_exhaustive(n: int, proto_factory=None,
             f"exhaustive verification capped at n=4, got {n}; use sampled mode")
     factory = proto_factory or protocol_consensus_wor
     proto = factory(n)
-    rounds = proto.round_budget
+    rounds = _round_budget(proto)
     scheds = list(enumerate_round_schedules(n, proto.model, "sigma"))
     if per_round_cross is None:
         per_round_cross = n <= 3
@@ -842,6 +852,7 @@ def verify_consensus_sampled(n: int, executions: int = 10000, seed: int = 0,
         raise InvalidArgumentError(f"executions must be at least 1, got {executions}")
     factory = proto_factory or protocol_consensus_wor
     proto = factory(n)
+    _round_budget(proto)  # refused here, before any worker starts
     chunk = max(1, -(-executions // jobs))
     ranges = [(lo, min(lo + chunk, executions)) for lo in range(0, executions, chunk)]
     _, violations, first = _run_sweep(

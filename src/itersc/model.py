@@ -22,7 +22,6 @@ from typing import Any, Optional
 from .errors import (
     InvalidAdversaryError,
     InvalidConfigurationError,
-    MissingBoxError,
     NoInvocationsError,
     RoundMismatchError,
     UnresolvedInstanceError,
@@ -241,23 +240,3 @@ def invocation_spec(s: GlobalState) -> frozenset:
     if s.rnd < 1 or not s.resolved:
         raise NoInvocationsError("round-0 states have no invocation specification")
     return frozenset(box for box, _out in s.box_outputs())
-
-
-def sc_value_of(b, s: GlobalState):
-    """Safe-consensus value of box ``b`` in the round that produced ``s``."""
-    if s.rnd < 1 or not s.resolved:
-        raise NoInvocationsError("round-0 states have no invocations")
-    target = frozenset(b)
-    for box, out in s.box_outputs():
-        if box == target:
-            return out
-    raise MissingBoxError(f"box {sorted(target)} not invoked in round {s.rnd}")
-
-
-def diff_box_set(q1: GlobalState, q2: GlobalState) -> frozenset:
-    """Boxes present in both states' specs whose safe-consensus values differ."""
-    out = set()
-    for b in invocation_spec(q1) & invocation_spec(q2):
-        if sc_value_of(b, q1) != sc_value_of(b, q2):
-            out.add(b)
-    return frozenset(out)

@@ -71,8 +71,7 @@ def test_verify_2cc(capsys):
 
 
 def test_transform_descriptor_and_check(capsys):
-    code, out, _ = run_cli(capsys, "transform", "--direction", "wro2owr",
-                           "--source", "wro-solo-d2", "--n", "3",
+    code, out, _ = run_cli(capsys, "transform", "--source", "wro-solo-d2", "--n", "3",
                            "--check", "20")
     assert code == EXIT_OK
     rep = json.loads(out)
@@ -282,7 +281,7 @@ def test_non_integer_id_is_a_usage_error(capsys, argv, item):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("transform", "--direction", "wro2owr", "--source", "wro-solo-d2", "--check", "-1"),
+    (("transform", "--source", "wro-solo-d2", "--check", "-1"),
      "executions must be at least 0, got -1"),
     (("simulate", "--n", "3", "--inputs", "0,1"), "--inputs has 2 values, but --n is 3"),
     (("simulate", "--n", "2", "--inputs", "0,1,1"), "--inputs has 3 values, but --n is 2"),
@@ -293,9 +292,28 @@ def test_count_mismatch_is_a_usage_error(capsys, argv, message):
     assert err == f"[itersc] error: {message}\n"
 
 
+@pytest.mark.parametrize("source, direction", [
+    ("wro-solo-d2", "wro2owr"), ("owr-solo-d2", "owr2wro")], ids=["wro", "owr"])
+def test_transform_reads_its_direction_off_the_source_model(capsys, source, direction):
+    code, out, _ = run_cli(capsys, "transform", "--source", source)
+    assert code == EXIT_OK and json.loads(out)["config"]["direction"] == direction
+
+
+def test_transform_refuses_a_wor_source(capsys):
+    code, out, err = run_cli(capsys, "transform", "--source", "wor-solo-min")
+    assert code == EXIT_USAGE and out == ""
+    assert err == "[itersc] error: no simulation for model WOR\n"
+
+
+def test_config_naming_the_derived_direction_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"direction": "wro2owr", "source": "wro-solo-d2"}))
+    code, out, err = run_cli(capsys, "transform", "--config", str(cfg))
+    assert code == EXIT_USAGE and out == "" and "usage:" in err
+
+
 def test_transform_check_zero_runs_no_check(capsys):
-    code, out, _ = run_cli(capsys, "transform", "--direction", "wro2owr",
-                           "--source", "wro-solo-d2", "--check", "0")
+    code, out, _ = run_cli(capsys, "transform", "--source", "wro-solo-d2", "--check", "0")
     assert code == EXIT_OK and "correspondence" not in json.loads(out)["result"]
 
 
@@ -350,7 +368,7 @@ FLAGS = {
     "verify-consensus": COMMON | {"--n", "--seed", "--jobs", "--mode", "--executions"},
     "verify-2cc": COMMON | {"--g", "--values"},
     "count-objects": COMMON | {"--n", "--protocol"},
-    "transform": COMMON | {"--n", "--seed", "--direction", "--source", "--check"},
+    "transform": COMMON | {"--n", "--seed", "--source", "--check"},
     "connectivity": COMMON | {"--n", "--horizon", "--demo", "--automaton",
                               "--block-a", "--block-b"},
     "johnson": COMMON | {"--n", "--seed", "--op", "--m", "--mode", "--set", "--iterations"},
@@ -365,7 +383,7 @@ def test_each_command_accepts_exactly_the_flags_it_reads():
     accepted = {name: {flag for action in sub._actions for flag in action.option_strings}
                 - {"-h", "--help"} for name, sub in commands.items()}
     assert accepted == FLAGS
-    assert sum(len(flags) for flags in accepted.values()) == 49
+    assert sum(len(flags) for flags in accepted.values()) == 48
 
 
 @pytest.mark.parametrize("argv", [
@@ -374,6 +392,7 @@ def test_each_command_accepts_exactly_the_flags_it_reads():
     ("connectivity", "--demo", "lower-bound", "--seed", "1"),
     ("count-objects", "--horizon", "2"),
     ("johnson", "--op", "vanish", "--family", "sigma"),
+    ("transform", "--direction", "wro2owr", "--source", "wro-solo-d2"),
 ])
 def test_unread_flag_exits_2(capsys, argv):
     assert main(list(argv)) == EXIT_USAGE

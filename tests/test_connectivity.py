@@ -44,7 +44,14 @@ from itersc.executor import (
     sigma_key,
     sigma_schedule,
 )
-from itersc.model import OWR, WOR, WRO, indistinguishability_set, make_initial_state
+from itersc.model import (
+    OWR,
+    WOR,
+    WRO,
+    indistinguishability_set,
+    invocation_spec,
+    make_initial_state,
+)
 from itersc.protocols import protocol_consensus_wor
 from itersc.samples import (
     SOLO_BASE,
@@ -317,6 +324,31 @@ def test_connect_appends_only_onto_its_start():
         connectivity._connect(connectivity._Rounds(proto), pb, s, {1, 2, 3}, {2, 3, 4},
                               None, None)
     assert pb.states == [s] and not pb.labels
+
+
+def test_connect_differing_boxes_are_within_both_specs(monkeypatch):
+    # the boxes _connect counts as differing are exactly those that both
+    # endpoints invoke, with different outputs
+    seen = []
+    monkeypatch.setattr(connectivity, "_assert_connect_postconditions",
+                        lambda labels, diff, n: seen.append(diff))
+    pair, triple = frozenset({1, 2}), frozenset({1, 2, 3})
+    s3 = make_initial_state(3, [0, 1, 0], WOR, PAIR)
+    s4 = make_initial_state(4, [0, 1, 0, 1], WOR, _two_pairs_proto())
+    triple_proto = knowledge_automaton(
+        WOR, "triple-123", lambda rnd, pid, sm, val, loc: 0 if pid <= 3 else SOLO_BASE + pid)
+    t4 = make_initial_state(4, [0, 1, 0, 1], WOR, triple_proto)
+    cases = [(PAIR, s3, {1, 2, 3}, {1, 2, 3}, {pair: 1}, {pair: 3}, {pair}),
+             (PAIR, s3, {1}, {1, 2, 3}, {pair: 1}, {pair: 1}, set()),
+             (_two_pairs_proto(), s4, {1, 2}, {1, 2, 3}, {pair: 4}, {pair: 2}, {pair}),
+             (triple_proto, t4, {1, 2, 4}, {1, 2, 4}, {triple: 1}, {triple: 2}, {triple})]
+    for proto, s, x, y, values_x, values_y, want in cases:
+        p = _connected(proto, s, x, y, values_x, values_y)
+        q1, q2 = p.first, p.last
+        v1, v2 = dict(q1.box_outputs()), dict(q2.box_outputs())
+        both = invocation_spec(q1) & invocation_spec(q2)
+        assert seen.pop() == {b for b in both if v1[b] != v2[b]} == want
+    assert not seen
 
 
 # -- the general extension ---------------------------------------------------
@@ -625,22 +657,9 @@ def test_lower_bound_long_horizon():
         assert all(r["states"] <= 30 and r["verified"] for r in rows), name
 
 
-def test_diff_box_set_is_within_both_specs():
-    from itersc.model import diff_box_set, invocation_spec
-    rounds = connectivity._Rounds(PAIR)
-    s = make_initial_state(3, [0, 1, 0], WOR, PAIR)
-    b = frozenset({1, 2})
-    q1 = rounds.successor(s, sigma_key((), 3), {b: 1})
-    q2 = rounds.successor(s, sigma_key((), 3), {b: 3})
-    d = diff_box_set(q1, q2)
-    assert d == {b}
-    assert d <= invocation_spec(q1) & invocation_spec(q2)
-
-
 def test_partition_bridge_labels_exactly_a_and_b_everywhere():
     # across all block splits of 1..3 and all deficient automata, the
     # bridge's labels are exactly the two blocks
-    import itertools as it
     for name, proto in deficient_wor_samples().items():
         s = make_initial_state(3, [0, 1, 0], WOR, proto)
         for a_ids in ({1}, {2}, {3}, {1, 2}, {1, 3}, {2, 3}):

@@ -9,9 +9,8 @@ import pytest
 from itersc.equivalence import (
     check_transform_correspondence,
     decisions_shifted_by_one,
-    owr_to_wro_schedules,
     simulate_paired,
-    wro_to_owr_schedules,
+    simulating_schedules,
 )
 from itersc.errors import InvalidArgumentError, ModelMismatchError
 from itersc.executor import (
@@ -19,13 +18,13 @@ from itersc.executor import (
     random_outputs,
     sigma_schedule,
 )
-from itersc.model import OWR, WRO
+from itersc.model import OWR, WOR, WRO
 from itersc.samples import deficient_wor_samples, owr_transform_samples, wro_transform_samples
 
 
 def test_wro_to_owr_schedule_shapes():
     scheds = [sigma_schedule(({1},), 3, WRO), sigma_schedule((), 3, WRO)]
-    out = wro_to_owr_schedules(scheds, 3)
+    out = simulating_schedules(WRO, scheds, 3)
     assert len(out) == len(scheds) + 1
     for s in out:
         assert s.model == OWR
@@ -42,7 +41,7 @@ def test_wro_to_owr_schedule_shapes():
 
 def test_owr_to_wro_schedule_shapes():
     scheds = [sigma_schedule(({2},), 3, OWR), sigma_schedule((), 3, OWR)]
-    out = owr_to_wro_schedules(scheds, 3)
+    out = simulating_schedules(OWR, scheds, 3)
     assert len(out) == len(scheds) + 1
     for s in out:
         assert s.model == WRO
@@ -52,9 +51,11 @@ def test_owr_to_wro_schedule_shapes():
 
 def test_schedule_mapping_rejects_wrong_model():
     with pytest.raises(ModelMismatchError):
-        wro_to_owr_schedules([sigma_schedule((), 3, OWR)], 3)
+        simulating_schedules(WRO, [sigma_schedule((), 3, OWR)], 3)
     with pytest.raises(ModelMismatchError):
-        owr_to_wro_schedules([sigma_schedule((), 3, WRO)], 3)
+        simulating_schedules(OWR, [sigma_schedule((), 3, WRO)], 3)
+    with pytest.raises(ModelMismatchError, match="no simulation for model WOR"):
+        simulating_schedules(WOR, [sigma_schedule((), 3, WOR)], 3)
 
 
 def test_paired_simulation_shifts_decisions_wro():
@@ -134,6 +135,6 @@ def test_correspondence_detects_a_broken_simulation():
     src = __import__("itersc.executor", fromlist=["x"]).run_execution(
         proto, [0, 0, 0], scheds, random_outputs(1, 3))
     bad_exe = __import__("itersc.executor", fromlist=["x"]).run_execution(
-        sim, [0, 0, 0], wro_to_owr_schedules(scheds, 3),
+        sim, [0, 0, 0], simulating_schedules(WRO, scheds, 3),
         random_outputs(1, 3))
     assert decisions_shifted_by_one(src, bad_exe) is not None

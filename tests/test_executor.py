@@ -326,6 +326,35 @@ def test_collect_gamma_scales_to_n5_sampled():
         assert count > 5 - m  # strictly above the deficiency threshold
 
 
+@pytest.mark.parametrize("n", [3, 5], ids=["exhaustive", "sampled"])
+@pytest.mark.parametrize("kwargs", [
+    {"executions": -3}, {"executions": 0}, {"rounds": 0}, {"rounds": -1}],
+    ids=["executions-3", "executions0", "rounds0", "rounds-1"])
+def test_collect_gamma_refuses_what_it_cannot_honour(n, kwargs):
+    ((name, value),) = kwargs.items()
+    with pytest.raises(InvalidArgumentError, match=f"^{name} must be at least 1, got {value}$"):
+        collect_gamma(protocol_consensus_wor(n), n, **kwargs)
+
+
+def test_collect_gamma_reads_no_rounds_as_the_round_budget():
+    proto = protocol_consensus_wor(3)
+    assert collect_gamma(proto, 3, rounds=None) == collect_gamma(proto, 3, rounds=proto.round_budget)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweeps_refuse_a_protocol_without_a_round_budget_before_any_pool(monkeypatch, jobs):
+    unbounded = knowledge_automaton(WOR, "x", sel_solo)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _refuse_pool)
+    monkeypatch.setattr(executor, "_usable_cpus", lambda: 2)
+    message = "^protocol has no round budget; supply one$"
+    with pytest.raises(InvalidArgumentError, match=message):
+        verify_consensus_exhaustive(3, proto_factory=lambda n: unbounded, jobs=jobs)
+    with pytest.raises(InvalidArgumentError, match=message):
+        verify_consensus_sampled(3, 10, proto_factory=lambda n: unbounded, jobs=jobs)
+    with pytest.raises(InvalidArgumentError, match=message):
+        collect_gamma(unbounded, 3)
+
+
 # -- the memoized explorer against a plain tree walk ---------------------------
 
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from itersc.errors import (
     InvalidAdversaryError,
     InvalidConfigurationError,
-    MissingBoxError,
     NoInvocationsError,
     RoundMismatchError,
     UnresolvedInstanceError,
@@ -30,7 +29,6 @@ from itersc.model import (
     invocation_spec,
     make_initial_state,
     resolve_safe_consensus,
-    sc_value_of,
 )
 from itersc.samples import deficient_wor_samples, knowledge_automaton, resolve_protocol, sel_solo
 from itersc.protocols import protocol_consensus_wor
@@ -133,22 +131,6 @@ def test_invocation_spec_requires_a_completed_round():
     s = make_initial_state(3, [0, 1, 2], WOR)
     with pytest.raises(NoInvocationsError):
         invocation_spec(s)
-
-
-def test_sc_value_of_trivial_and_adversary_boxes():
-    proto = deficient_wor_samples()["wor-pair12-min"]
-    s0 = make_initial_state(3, [0, 1, 2], WOR, proto)
-    s1 = apply_round(s0, sigma_schedule((), 3, WOR), itertools.repeat(2), proto)
-    assert sc_value_of({3}, s1) == 3
-    assert sc_value_of({1, 2}, s1) == 2
-    with pytest.raises(MissingBoxError):
-        sc_value_of({1, 3}, s1)
-
-
-def test_sc_value_of_unreached_round():
-    s = make_initial_state(3, [0, 1, 2], WOR)
-    with pytest.raises(NoInvocationsError):
-        sc_value_of({1}, s)
 
 
 def _reference_json(state, sched, proto, seed) -> str:
