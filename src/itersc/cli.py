@@ -44,7 +44,7 @@ from .johnson import (
     zeta_iter,
 )
 from .model import make_initial_state
-from .samples import resolve_protocol, sample_names
+from .samples import resolve_protocol, sample_names, wro_obstruction_samples
 from .values import jsonable
 
 EXIT_OK = 0
@@ -211,7 +211,6 @@ def cmd_connectivity(args) -> int:
         result = lower_bound_demo(proto, **rounds)
         return _emit(args, "connectivity", config, result, result["ok"], t0)
     if args.demo == "wro-obstruction":
-        from .samples import wro_obstruction_samples
         reports = []
         if args.automaton:
             protos = {args.automaton: resolve_protocol(args.automaton, args.n)}

@@ -847,26 +847,26 @@ def lower_bound_demo(proto, rounds: int = 5) -> dict:
     """Reproduce the contradiction shape for a box-deficient 3-process
     automaton: connected successors of the 0- and 1-input states every
     round (5 by default, C(3,2) + 2), with the endpoints certified univalent
-    for opposite values within the automaton's round budget (2 rounds
-    without one), and decided by every process at both ends of the path."""
+    for opposite values within the automaton's round budget, which it must
+    have, and decided by every process at both ends of the path."""
     if rounds < 1:
         raise InvalidArgumentError(f"the demo needs at least one round, got {rounds}")
+    horizon = proto.budget()
     n = 3
     o_state = make_initial_state(n, [0, 0, 0], proto.model, proto)
     u_state = make_initial_state(n, [1, 1, 1], proto.model, proto)
 
     # engine 1: the two-block partition argument
-    boxes2 = sorted(b for b in _observed_boxes(proto, n) if len(b) == 2)
-    a, b_ = partition_two_blocks(vertex_set(n, 2, [tuple(sorted(b)) for b in boxes2]))
+    a, b_ = partition_two_blocks(vertex_set(n, 2, collect_gamma(proto, n).gamma.get(2, ())))
     ou_inputs = [0 if pid in a else 1 for pid in range(1, n + 1)]
     ou_state = make_initial_state(n, ou_inputs, proto.model, proto)
     part_path = Path(states=(o_state, ou_state, u_state), labels=(frozenset(a), frozenset(b_)))
     part_path.verify()
-    partition_rounds = []
-    for p, row in _erased_rounds(proto, "partition",
+    erased = list(_erased_rounds(proto, "partition",
                                  lambda p: extend_path_partition(p, a, b_, proto),
-                                 part_path, rounds):
-        partition_rounds.append(dict(row, verified=p.verify()))
+                                 part_path, rounds))
+    partition_rounds = [dict(row, verified=path.verify()) for path, row in erased]
+    last_partition = erased[-1][0]
 
     # engine 2: the no-full-box extension over the initial chain
     no3_rounds = [dict(row, verified=q.verify())
@@ -874,11 +874,10 @@ def lower_bound_demo(proto, rounds: int = 5) -> dict:
                                                lambda p: extend_path_no3box(p, proto),
                                                initial_chain(proto, n), rounds)]
 
-    horizon = proto.round_budget or 2
     v0 = bounded_valency(o_state, proto, horizon)
     v1 = bounded_valency(u_state, proto, horizon)
-    end_dec_0 = p.first.decisions()
-    end_dec_1 = p.last.decisions()
+    end_dec_0 = last_partition.first.decisions()
+    end_dec_1 = last_partition.last.decisions()
     ok = (
         v0 == Valency.ZERO and v1 == Valency.ONE
         and sorted(end_dec_0.values()) == [0] * n
@@ -895,11 +894,3 @@ def lower_bound_demo(proto, rounds: int = 5) -> dict:
         "rounds": rounds,
         "ok": ok,
     }
-
-
-def _observed_boxes(proto, n: int) -> frozenset:
-    report = collect_gamma(proto, n, proto.round_budget or 4)
-    out: set = set()
-    for boxes in report.gamma.values():
-        out |= boxes
-    return frozenset(out)

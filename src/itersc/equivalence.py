@@ -139,12 +139,14 @@ def decisions_shifted_by_one(src: Execution, sim: Execution) -> Optional[dict]:
 
 def check_transform_correspondence(proto: ProtocolAutomaton, n: int,
                                    executions: int = 1000, seed: int = 0) -> CorrespondenceReport:
-    """Randomized schedules/adversaries; count decision-shift mismatches."""
+    """Randomized schedules/adversaries over the source's round budget and
+    one round more; count decision-shift mismatches.  A source without a
+    budget, which need decide nothing in its runs, is refused before any run."""
     if executions < 0:
         raise InvalidArgumentError(f"executions must be at least 0, got {executions}")
     simulated_in = _simulated_in(proto.model)
+    rounds = proto.budget() + 1
     rng = random.Random(seed)
-    rounds = (proto.round_budget or 3) + 1
     mismatches = 0
     first = None
     for k in range(executions):

@@ -43,7 +43,12 @@ from .model import (
     GlobalState,
     make_initial_state,
 )
-from .protocols import ProtocolAutomaton, validate_coalitions_tuple
+from .protocols import (
+    ProtocolAutomaton,
+    protocol_2cc,
+    protocol_consensus_wor,
+    validate_coalitions_tuple,
+)
 from .values import canonical_json, digest, freeze, jsonable
 
 log = logging.getLogger("itersc")
@@ -654,13 +659,6 @@ class GammaReport:
         }
 
 
-def _round_budget(proto: ProtocolAutomaton) -> int:
-    """The rounds a sweep runs ``proto`` for: its round budget, which it must have."""
-    if proto.round_budget is None:
-        raise InvalidArgumentError("protocol has no round budget; supply one")
-    return proto.round_budget
-
-
 def collect_gamma(proto: ProtocolAutomaton, n: int, rounds: Optional[int] = None,
                   executions: int = 2000) -> GammaReport:
     """Observe boxes across explored executions of ``rounds`` rounds (default:
@@ -671,7 +669,7 @@ def collect_gamma(proto: ProtocolAutomaton, n: int, rounds: Optional[int] = None
     The exhaustive census stops (``partial``) after the schedule tree that
     reaches ``100 * executions`` leaves, with all that tree's boxes.
     """
-    rounds = _round_budget(proto) if rounds is None else rounds
+    rounds = proto.budget() if rounds is None else rounds
     if rounds < 1:
         raise InvalidArgumentError(f"rounds must be at least 1, got {rounds}")
     if executions < 1:
@@ -800,13 +798,12 @@ def verify_consensus_exhaustive(n: int, proto_factory=None,
     ``_MIN_RANGE`` root schedules over all pairs); the counts merge in serial
     order, so any ``jobs`` gives the serial report.
     """
-    from .protocols import protocol_consensus_wor
     if n > 4:
         raise BudgetExceededError(
             f"exhaustive verification capped at n=4, got {n}; use sampled mode")
     factory = proto_factory or protocol_consensus_wor
     proto = factory(n)
-    rounds = _round_budget(proto)
+    rounds = proto.budget()
     scheds = list(enumerate_round_schedules(n, proto.model, "sigma"))
     if per_round_cross is None:
         per_round_cross = n <= 3
@@ -846,13 +843,12 @@ def verify_consensus_sampled(n: int, executions: int = 10000, seed: int = 0,
     worker process per usable CPU; the first counterexample is the one of
     lowest index.
     """
-    from .protocols import protocol_consensus_wor
     jobs = _resolve_jobs(jobs, executions)
     if executions < 1:
         raise InvalidArgumentError(f"executions must be at least 1, got {executions}")
     factory = proto_factory or protocol_consensus_wor
     proto = factory(n)
-    _round_budget(proto)  # refused here, before any worker starts
+    proto.budget()  # refused here, before any worker starts
     chunk = max(1, -(-executions // jobs))
     ranges = [(lo, min(lo + chunk, executions)) for lo in range(0, executions, chunk)]
     _, violations, first = _run_sweep(
@@ -864,7 +860,7 @@ def verify_consensus_sampled(n: int, executions: int = 10000, seed: int = 0,
 
 def _sample_range(proto: ProtocolAutomaton, n: int, seed: int, lo: int, hi: int):
     """``(executions, violations, first counterexample)`` of sampled executions lo..hi-1."""
-    rounds = proto.round_budget
+    rounds = proto.budget()
     violations, first = 0, None
     for k in range(lo, hi):
         rng = random.Random(f"{seed}:{k}")
@@ -988,7 +984,6 @@ def all_coalitions_tuples(g: int, domain=(5, 7)) -> list[tuple]:
 def verify_2cc(g: int, domain=(5, 7), families=("sigma",)) -> SweepReport:
     """Exhaustive schedules x adversary over every valid coalitions tuple,
     each family's schedules built once."""
-    from .protocols import protocol_2cc
     proto = protocol_2cc(g)
     scheds = {family: list(enumerate_round_schedules(g, WOR, family)) for family in families}
 

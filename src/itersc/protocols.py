@@ -23,6 +23,7 @@ from typing import Any, Callable, Optional
 
 from .errors import (
     DomainError,
+    InvalidArgumentError,
     InvalidConfigurationError,
     ModelMismatchError,
     ProtocolInvariantError,
@@ -125,6 +126,13 @@ class ProtocolAutomaton:
     def __post_init__(self):
         if self.model not in MODELS:
             raise InvalidConfigurationError(f"unknown model {self.model!r}")
+
+    def budget(self) -> int:
+        """The rounds within which this automaton decides, which every verdict
+        on its decisions runs; an automaton without one is refused."""
+        if self.round_budget is None:
+            raise InvalidArgumentError("protocol has no round budget; supply one")
+        return self.round_budget
 
 
 def _choose_side(sm, lo: int, hi: int, side: int):

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a verdict line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines.
-The heavy sweeps (exhaustive n=4, randomized n=5/6) take a couple of
-minutes in total.
+Criterion 1, which holds the heavy sweeps (exhaustive n=4, randomized
+n=5/6), takes about 5 s on 2 cores, and the whole file about 12 s.
 """
 
 from __future__ import annotations

@@ -399,6 +399,17 @@ def test_unread_flag_exits_2(capsys, argv):
     assert "usage:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("transform", "--source", "wro-solo", "--check", "50"),
+    ("connectivity", "--demo", "lower-bound", "--automaton", "wro-solo"),
+    ("count-objects", "--protocol", "wro-solo"),
+], ids=["transform-check", "lower-bound", "count-objects"])
+def test_a_verdict_refuses_an_automaton_without_a_round_budget(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "[itersc] error: protocol has no round budget; supply one\n"
+
+
 def test_connectivity_config_holds_only_read_settings(capsys):
     code, out, _ = run_cli(capsys, "connectivity", "--demo", "wro-obstruction",
                            "--automaton", "wro-solo", "--horizon", "1")

@@ -599,6 +599,19 @@ def test_demos_refuse_fewer_than_one_round(rounds):
         lower_bound_demo(SOLO, rounds=rounds)
 
 
+def test_lower_bound_demo_refuses_an_automaton_without_a_round_budget_before_any_round(
+        monkeypatch):
+    calls = []
+    apply_round_recorded = executor.apply_round_recorded
+    monkeypatch.setattr(executor, "apply_round_recorded",
+                        lambda *args: calls.append(args) or apply_round_recorded(*args))
+    with pytest.raises(InvalidArgumentError, match="^protocol has no round budget; supply one$"):
+        lower_bound_demo(knowledge_automaton(WOR, "never", sel_solo))
+    assert calls == []
+    lower_bound_demo(SOLO, rounds=1)
+    assert calls  # the counter sees the demo's rounds
+
+
 def test_demos_log_one_debug_line_per_round(caplog):
     caplog.set_level(logging.DEBUG, logger="itersc")
     wro_obstruction_demo(wro_obstruction_samples()["wro-solo"], 3, 3)

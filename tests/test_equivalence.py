@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from itersc import equivalence
 from itersc.equivalence import (
     check_transform_correspondence,
     decisions_shifted_by_one,
@@ -19,7 +20,12 @@ from itersc.executor import (
     sigma_schedule,
 )
 from itersc.model import OWR, WOR, WRO
-from itersc.samples import deficient_wor_samples, owr_transform_samples, wro_transform_samples
+from itersc.samples import (
+    deficient_wor_samples,
+    owr_transform_samples,
+    wro_obstruction_samples,
+    wro_transform_samples,
+)
 
 
 def test_wro_to_owr_schedule_shapes():
@@ -118,6 +124,19 @@ def test_correspondence_names_the_simulation_without_runs(source, simulation):
 def test_correspondence_refuses_a_wor_source_without_runs():
     with pytest.raises(ModelMismatchError, match="no simulation for model WOR"):
         check_transform_correspondence(deficient_wor_samples()["wor-solo-min"], 3, executions=0)
+
+
+@pytest.mark.parametrize("executions", [0, 50])
+def test_correspondence_refuses_a_source_without_a_round_budget_before_any_run(
+        monkeypatch, executions):
+    # a source without a budget need never decide (no bundled one does in 4
+    # rounds), so a correspondence over its runs could compare no decision
+    def no_run(*args):
+        raise AssertionError("a paired run started")
+
+    monkeypatch.setattr(equivalence, "simulate_paired", no_run)
+    with pytest.raises(InvalidArgumentError, match="^protocol has no round budget; supply one$"):
+        check_transform_correspondence(wro_obstruction_samples()["wro-solo"], 3, executions)
 
 
 def test_correspondence_detects_a_broken_simulation():

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from itersc import executor, protocols
+from itersc import executor
 from itersc.errors import (
     BudgetExceededError,
     InvalidAdversaryError,
@@ -334,6 +334,18 @@ def test_collect_gamma_refuses_what_it_cannot_honour(n, kwargs):
     ((name, value),) = kwargs.items()
     with pytest.raises(InvalidArgumentError, match=f"^{name} must be at least 1, got {value}$"):
         collect_gamma(protocol_consensus_wor(n), n, **kwargs)
+
+
+def test_collect_gamma_stops_after_the_tree_that_reaches_its_cap():
+    # round 2 shares an object among the processes that heard as many inputs
+    # in round 1, so each sigma schedule's tree shows its own boxes
+    proto = knowledge_automaton(WOR, "heard-count", lambda rnd, pid, sm, val, loc: len(loc.known),
+                                decide_round=2)
+    full = collect_gamma(proto, 4)
+    assert (full.partial, full.executions, full.nu) == (False, 792, {2: 6, 3: 4, 4: 1})
+    capped = collect_gamma(proto, 4, executions=1)
+    assert (capped.partial, capped.executions, capped.nu) == (True, 100, {2: 6, 3: 3, 4: 1})
+    assert capped.gamma[3] == full.gamma[3] - {frozenset({1, 2, 3})}
 
 
 def test_collect_gamma_reads_no_rounds_as_the_round_budget():
@@ -782,7 +794,7 @@ def _left_field_2cc(g):
 def test_2cc_sweep_builds_each_family_once(monkeypatch, g, families, factory):
     reference = _verify_2cc_reference(factory(g), g, (5, 7), families)
     assert (reference.violations > 0) == (factory is _left_field_2cc)
-    monkeypatch.setattr(protocols, "protocol_2cc", factory)
+    monkeypatch.setattr(executor, "protocol_2cc", factory)
     built = []
     enumerate_ = executor.enumerate_round_schedules
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from itersc.errors import (
     DomainError,
+    InvalidArgumentError,
     InvalidConfigurationError,
     ModelMismatchError,
     ProtocolInvariantError,
@@ -450,3 +451,13 @@ def test_never_deciding_protocol_stays_undecided_through_simulation():
     src, sim = simulate_paired(proto, [0, 1, 0], scheds, random_outputs(2, 3))
     assert not src.decision_rounds()
     assert not sim.decision_rounds()
+
+
+def test_budget_is_the_round_budget_or_a_refusal():
+    assert protocol_consensus_wor(4).budget() == protocol_consensus_wor(4).round_budget == 6
+    deciding = knowledge_automaton(WRO, "d2", sel_solo, decide_round=2)
+    assert transform_wro_to_owr(deciding).budget() == 3
+    unbounded = knowledge_automaton(WRO, "never", sel_solo)
+    for proto in (unbounded, transform_wro_to_owr(unbounded)):
+        with pytest.raises(InvalidArgumentError, match="^protocol has no round budget; supply one$"):
+            proto.budget()
