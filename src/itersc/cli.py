@@ -11,8 +11,10 @@ import argparse
 import json
 import logging
 import os
+import random
 import sys
 import time
+from math import comb
 from typing import Any, Optional
 
 from . import __version__
@@ -122,8 +124,7 @@ def cmd_simulate(args) -> int:
     if len(inputs) != args.n:
         raise InvalidArgumentError(f"--inputs has {len(inputs)} values, but --n is {args.n}")
     rounds = args.horizon if args.horizon is not None else proto.round_budget or 3
-    import random as _random
-    rng = _random.Random(args.seed)
+    rng = random.Random(args.seed)
     if args.groups:
         scheds = [sigma_schedule(_parse_groups(args.groups), args.n, proto.model)
                   for _ in range(rounds)]
@@ -168,7 +169,6 @@ def cmd_count_objects(args) -> int:
     proto = resolve_protocol(args.protocol, args.n)
     config = {"protocol": args.protocol, "n": args.n}
     report = collect_gamma(proto, args.n)
-    from math import comb
     expected = comb(args.n, 2) if args.protocol == "consensus" else None
     ok = not report.partial and (expected is None or report.nu_total == expected)
     result = report.to_jsonable()

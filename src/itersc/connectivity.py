@@ -5,10 +5,9 @@ states prescribed by the corresponding structural argument, choosing the
 safe-consensus outputs of contended instances from an explicit per-box
 plan, and append them to one ``PathBuilder``.  Its ``build`` checks each
 claimed indistinguishability edge once against the actual local states.
-Nested constructions (the WRO bridge, the swap chain, the one-round
-connection) append to their caller's builder instead of checking a path of
-their own.  A construction that cannot be verified raises ConstructionError
-instead of returning a weaker path.
+A nested construction (the WRO bridge) appends to its caller's builder
+instead of checking a path of its own.  A construction that cannot be
+verified raises ConstructionError instead of returning a weaker path.
 
 Every round is named by the key of its sigma schedule in the executor's
 process-wide table (``sigma_key``: the ordered blocks as ascending id
@@ -39,9 +38,7 @@ from enum import Enum
 from typing import Iterable, Optional
 
 from .errors import (
-    BudgetExceededError,
     ConstructionError,
-    FullBoxConflictError,
     InvalidArgumentError,
     InvalidConfigurationError,
     ModelMismatchError,
@@ -57,7 +54,7 @@ from .executor import (
     sigma_key,
     sigma_schedule,
 )
-from .johnson import partition_two_blocks, vertex_set, zeta
+from .johnson import partition_two_blocks, vertex_set
 from .model import (
     WOR,
     GlobalState,
@@ -92,9 +89,6 @@ class Path:
     @property
     def last(self) -> GlobalState:
         return self.states[-1]
-
-    def isets(self) -> frozenset:
-        return frozenset(self.labels)
 
     def degree(self) -> Optional[int]:
         if not self.labels:
@@ -396,272 +390,6 @@ def _require_no_full_box(boxes) -> None:
         if len(b) >= 3:
             raise PreconditionViolationError(
                 f"a {len(b)}-box {sorted(b)} appears; the engine requires none")
-
-
-# ---------------------------------------------------------------------------
-# the one-round connection of the general engine (peel-and-swap ladders)
-
-
-def _peel_groups(piece: frozenset) -> list[frozenset]:
-    """First a pair (when possible), then singletons, smallest ids first."""
-    ids = sorted(piece)
-    if not ids:
-        return []
-    if len(ids) == 1:
-        return [frozenset(ids)]
-    return [frozenset(ids[:2])] + [frozenset({i}) for i in ids[2:]]
-
-
-def _ladder_chain(boxes, target: frozenset, step_box: frozenset):
-    """The peel chain from sigma(target) to the ladder: (groups, moved) list."""
-    others = sorted((b for b in boxes if b != step_box and b & target), key=sorted)
-    chain = []
-    peeled: list[frozenset] = []
-    rem = set(target)
-    for bx in others:
-        for k in _peel_groups(frozenset(rem) & bx):
-            peeled.append(k)
-            rem -= k
-            groups = tuple(peeled) + ((frozenset(rem),) if rem else ())
-            chain.append((groups, k))
-    return chain, tuple(peeled)
-
-
-def _swap_chain(state: GlobalState, c_groups: tuple, b: frozenset,
-                x_piece: frozenset, y_piece: frozenset, v1, v2,
-                other_plan: dict, rounds: _Rounds, pb: PathBuilder) -> None:
-    """Exchange the step box's share of the target: L1 -> L2 through the
-    merged state.  When the box's output switches (v1 != v2), the crossing
-    edge is labelled by the box's complement."""
-    n = state.n
-    full = frozenset(range(1, n + 1))
-    plan1 = dict(other_plan)
-    plan1[b] = v1
-    plan2 = dict(other_plan)
-    plan2[b] = v2
-
-    ks = _peel_groups(x_piece)
-    # peel the outgoing piece, then sink it into the trailing block
-    for j in range(1, len(ks) + 1):
-        rem = x_piece - frozenset().union(*ks[:j])
-        groups = c_groups + tuple(ks[:j]) + (rem,)
-        pb.append(rounds.successor(state, sigma_key(groups, n), plan1), full - ks[j - 1])
-    for j in range(len(ks) - 1, -1, -1):
-        groups = c_groups + tuple(ks[:j])
-        pb.append(rounds.successor(state, sigma_key(groups, n), plan1), full - ks[j])
-
-    if not y_piece:
-        if v1 != v2:
-            pb.append(rounds.successor(state, sigma_key(c_groups, n), plan2), full - b)
-        return
-
-    kys = _peel_groups(y_piece)
-    for j in range(1, len(kys) + 1):
-        groups = c_groups + tuple(kys[:j])
-        label = full - b if j == 1 and v1 != v2 else full - kys[j - 1]
-        pb.append(rounds.successor(state, sigma_key(groups, n), plan2), label)
-    for t in range(len(kys) - 1, 0, -1):
-        merged = frozenset().union(*kys[t - 1:])
-        groups = c_groups + tuple(kys[:t - 1]) + (merged,)
-        pb.append(rounds.successor(state, sigma_key(groups, n), plan2), full - kys[t - 1])
-
-
-def _connect(rounds: _Rounds, pb: PathBuilder, state: GlobalState, x, y,
-             values_x: Optional[dict], values_y: Optional[dict]) -> None:
-    """Append the connection from the sigma(X) to the sigma(Y) successor of
-    ``state`` to ``pb``, whose tail must be the connection's start.
-
-    Swaps the boxes' shares of X for their shares of Y one box at a time.
-    With equal endpoint outputs the degree stays at n-2 or above; every
-    differing box contributes exactly one edge labelled by its complement.
-    """
-    x, y = frozenset(x), frozenset(y)
-    n = state.n
-    full = frozenset(range(1, n + 1))
-    boxes = rounds.boxes(state)
-    q1 = rounds.successor(state, sigma_key((x,), n), values_x or {})
-    q2 = rounds.successor(state, sigma_key((y,), n), values_y or {})
-    if q1 != pb.tail:
-        raise ConstructionError("connection start does not match the tail")
-    cur_vals, vy = dict(q1.box_outputs()), dict(q2.box_outputs())
-    # a box differs when both successors invoke it, with different outputs
-    diff = frozenset(b for b, v in cur_vals.items() if b in vy and vy[b] != v)
-    if full in diff:
-        raise FullBoxConflictError(
-            "the full box separates the two target states")
-    if q1 == q2:
-        return
-
-    start = len(pb.labels)
-    cur = x
-    for b in sorted(boxes, key=sorted):
-        x_piece = cur & b
-        y_piece = y & b
-        if x_piece == y_piece and cur_vals[b] == vy[b]:
-            continue
-        chain, c_groups = _ladder_chain(boxes, cur, b)
-        other_plan = {bb: v for bb, v in cur_vals.items() if bb != b and len(bb) > 1}
-        # into the ladder
-        for groups, moved in chain:
-            pb.append(rounds.successor(state, sigma_key(groups, n), cur_vals), full - moved)
-        # swap the piece and the output
-        _swap_chain(state, c_groups, b, x_piece, y_piece,
-                    cur_vals[b], vy[b], other_plan, rounds, pb)
-        # out of the ladder, now aiming at the new target set
-        new_cur = (cur - x_piece) | y_piece
-        new_vals = dict(cur_vals)
-        new_vals[b] = vy[b]
-        chain_back, _ = _ladder_chain(boxes, new_cur, b)
-        for idx in range(len(chain_back) - 2, -1, -1):
-            groups, _moved = chain_back[idx]
-            pb.append(rounds.successor(state, sigma_key(groups, n), new_vals),
-                      full - chain_back[idx + 1][1])
-        if chain_back:
-            pb.append(rounds.successor(state, sigma_key((new_cur,), n), new_vals),
-                      full - chain_back[0][1])
-        cur = new_cur
-        cur_vals = new_vals
-
-    if cur != y:
-        raise ConstructionError("box sweep did not reach the target set")
-    if pb.tail != q2:
-        raise ConstructionError("constructed endpoint differs from the target state")
-    _assert_connect_postconditions(pb.labels[start:], diff, n)
-
-
-def _assert_connect_postconditions(labels, diff: frozenset, n: int) -> None:
-    if not labels:
-        return
-    deg = min(len(z) for z in labels)
-    if not diff:
-        if deg < n - 2:
-            raise ConstructionError(f"degree {deg} below n-2 with no differing box")
-        return
-    bound = min(n - len(b) for b in diff)
-    if deg < min(bound, n - 2):
-        raise ConstructionError(f"degree {deg} below the differing-box bound {bound}")
-    full = frozenset(range(1, n + 1))
-    for z in labels:
-        if len(z) < n - 2 and (full - z) not in diff:
-            raise ConstructionError(
-                f"small label {sorted(z)} is not the complement of a differing box")
-
-
-# ---------------------------------------------------------------------------
-# general one-round extension (the desk-scale version of the iterated engine)
-
-
-def _box_universe(rounds: _Rounds, path: Path) -> frozenset:
-    """Every box that the next round of some state of ``path`` invokes."""
-    return frozenset().union(*(rounds.boxes(st) for st in path.states))
-
-
-def _beta(universe, path: Path, size: Optional[int] = None) -> frozenset:
-    """Boxes of ``universe`` whose intersection with two different labels is
-    a singleton, all of them or those with ``size`` members."""
-    isets = path.isets()
-    return frozenset(b for b in universe if len(b) >= 2 and size in (None, len(b))
-                     and sum(len(x & b) == 1 for x in isets) >= 2)
-
-
-def extend_path_general(path: Path, proto, s: Optional[int] = None) -> tuple[Path, dict]:
-    """One-round extension preserving high degree (checked, n <= 5).
-
-    Given a round-r path with degree >= s whose labels never meet a box in
-    a singleton twice at the full set, produces a round-r+1 path and
-    post-verifies: degree >= s when no (n-s+1)-box is doubly hit, degree
-    >= s-1 otherwise, small labels are complements of doubly-hit boxes, and
-    the doubly-hit boxes of the new path embed in zeta of the old ones.
-    """
-    n = path.states[0].n
-    if n > 5:
-        raise BudgetExceededError("general extension is implemented for n <= 5 only")
-    rounds = _Rounds(proto)
-    if not path.labels:
-        return (Path(states=(rounds.successor(path.states[0], _concurrent(n), {}),),
-                     labels=()), {"trivial": True})
-    if s is None:
-        s = path.degree()
-    universe = _box_universe(rounds, path)
-    beta = _beta(universe, path)
-    if frozenset(range(1, n + 1)) in beta:
-        raise PreconditionViolationError("the full box is doubly hit by the labels")
-    hits = _phi_hits(path.labels, universe)
-
-    def vals_at(pos: int, base: GlobalState) -> dict:
-        return {b: _planned_output(b, hits[b], pos) for b in rounds.boxes(base) if len(b) > 1}
-
-    labels = path.labels
-    key0 = sigma_key((labels[0],), n)
-    pb = PathBuilder(rounds.successor(path.states[0], key0, vals_at(1, path.states[0])))
-    pb.append(rounds.successor(path.states[1], key0, vals_at(1, path.states[1])), labels[0])
-    for w in range(1, len(labels)):
-        base = path.states[w]
-        _connect(rounds, pb, base, labels[w - 1], labels[w],
-                 vals_at(w, base), vals_at(w + 1, base))
-        pb.append(rounds.successor(path.states[w + 1], sigma_key((labels[w],), n),
-                                   vals_at(w + 1, path.states[w + 1])), labels[w])
-    out = pb.build()
-
-    report = _psi_report(path, beta, out, rounds, s, n)
-    if not report["ok"]:
-        raise ConstructionError(f"extension postconditions failed: {report}")
-    return out, report
-
-
-def _phi_hits(labels, universe) -> dict:
-    """Per shared box, the (1-based position, id) of each label that meets
-    the box in a single id."""
-    return {b: [(i, min(x & b)) for i, x in enumerate(labels, start=1) if len(x & b) == 1]
-            for b in universe if len(b) > 1}
-
-
-def _planned_output(b: frozenset, hits: list, pos: int):
-    """The output planned for box ``b`` at label position ``pos``: the id of
-    its last hit at or before ``pos``, else of its first hit, else min(b)."""
-    val = hits[0][1] if hits else min(b)
-    for p, hit in hits:
-        if p > pos:
-            break
-        val = hit
-    return val
-
-
-def _psi_report(old: Path, beta: frozenset, new: Path, rounds: _Rounds, s: int, n: int) -> dict:
-    """The postconditions of one general extension; ``beta`` is the old
-    path's doubly-hit boxes of every size."""
-    beta_old = frozenset(b for b in beta if len(b) == n - s + 1)
-    deg = new.degree()
-    ok = True
-    if not beta_old:
-        ok = ok and (deg is None or deg >= s)
-    else:
-        ok = ok and (deg is None or deg >= s - 1)
-    small_ok = True
-    full = frozenset(range(1, n + 1))
-    for z in new.isets():
-        if len(z) == s - 1:
-            b = full - z
-            pairs = [(x, y) for x in old.isets() for y in old.isets()
-                     if x != y and x & y == z]
-            if b not in beta_old or not pairs:
-                small_ok = False
-    beta_new = _beta(_box_universe(rounds, new), new, size=n - s + 2)
-    zeta_ok = True
-    if beta_new:
-        zeta_in = vertex_set(n, n - s + 1,
-                             [tuple(sorted(b)) for b in beta_old]) \
-            if beta_old else None
-        allowed = set(zeta(zeta_in).vertices) if zeta_in else set()
-        zeta_ok = all(tuple(sorted(b)) in allowed for b in beta_new)
-    return {
-        "ok": bool(ok and small_ok and zeta_ok),
-        "degree": deg,
-        "beta_old": sorted(sorted(b) for b in beta_old),
-        "beta_new": sorted(sorted(b) for b in beta_new),
-        "small_labels_ok": small_ok,
-        "zeta_containment_ok": zeta_ok,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -53,10 +53,6 @@ class PreconditionViolationError(IterscError):
     """A documented precondition of an operation does not hold."""
 
 
-class FullBoxConflictError(PreconditionViolationError):
-    """The full-set box separates the two states being connected."""
-
-
 class ConstructionError(IterscError):
     """A path construction guaranteed by theory failed verification."""
 

@@ -667,7 +667,8 @@ def collect_gamma(proto: ProtocolAutomaton, n: int, rounds: Optional[int] = None
     random executions draw a fresh sigma schedule per round.
 
     The exhaustive census stops (``partial``) after the schedule tree that
-    reaches ``100 * executions`` leaves, with all that tree's boxes.
+    reaches ``100 * executions`` leaves, with all that tree's boxes and
+    leaves counted.
     """
     rounds = proto.budget() if rounds is None else rounds
     if rounds < 1:
@@ -690,7 +691,7 @@ def collect_gamma(proto: ProtocolAutomaton, n: int, rounds: Optional[int] = None
             count += explore(init, [sched], proto, leaf,
                              lambda parts: sum(leaves for _step, leaves in parts))
             if count >= cap:
-                count, partial = cap, True
+                partial = True
                 break
     else:
         rng = random.Random(0)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import logging
 import random
@@ -17,7 +16,6 @@ from itersc.connectivity import (
     Valency,
     bounded_valency,
     connect_partition_round,
-    extend_path_general,
     extend_path_no3box,
     extend_path_partition,
     initial_chain,
@@ -29,7 +27,6 @@ from itersc.connectivity import (
 )
 from itersc.errors import (
     ConstructionError,
-    FullBoxConflictError,
     InvalidArgumentError,
     InvalidScheduleError,
     NoInvocationsError,
@@ -49,27 +46,18 @@ from itersc.model import (
     WOR,
     WRO,
     indistinguishability_set,
-    invocation_spec,
     make_initial_state,
 )
 from itersc.protocols import protocol_consensus_wor
 from itersc.samples import (
-    SOLO_BASE,
     deficient_wor_samples,
     knowledge_automaton,
     sel_solo,
     wro_obstruction_samples,
 )
-from itersc.values import canonical_json
 
 PAIR = deficient_wor_samples()["wor-pair12-min"]
 SOLO = deficient_wor_samples()["wor-solo-min"]
-
-
-def _two_pairs_proto():
-    def sel(rnd, pid, sm, val, loc):
-        return 0 if pid in (1, 2) else 1
-    return knowledge_automaton(WOR, "pairs-12-34", sel)
 
 
 # -- B-regularity ------------------------------------------------------------
@@ -199,7 +187,7 @@ def test_extend_partition_round_by_round():
     for _ in range(3):
         p = extend_path_partition(p, a, b, PAIR)
         assert p.verify()
-        assert p.isets() <= {a, b}
+        assert frozenset(p.labels) <= {a, b}
     assert p.first.rnd == 3
 
 
@@ -257,166 +245,6 @@ def test_no3box_requires_three_processes():
     chain = initial_chain(proto, 4)
     with pytest.raises(InvalidArgumentError):
         extend_path_no3box(chain, proto)
-
-
-# -- the one-round connection of the general engine ----------------------------
-
-
-def _connected(proto, state, x, y, values_x=None, values_y=None):
-    """The sigma(X) to sigma(Y) connection of ``state``, built on its own."""
-    rounds = connectivity._Rounds(proto)
-    key = sigma_key((x,), state.n)
-    pb = connectivity.PathBuilder(rounds.successor(state, key, values_x or {}))
-    connectivity._connect(rounds, pb, state, x, y, values_x, values_y)
-    return pb.build()
-
-
-def test_connect_singleton_when_targets_match():
-    proto = _two_pairs_proto()
-    s = make_initial_state(4, [0, 1, 0, 1], WOR, proto)
-    p = _connected(proto, s, {1, 2, 3}, {1, 2, 3})
-    assert len(p.states) == 1
-
-
-def test_connect_no_diff_keeps_degree_n_minus_2():
-    proto = _two_pairs_proto()
-    s = make_initial_state(4, [0, 1, 0, 1], WOR, proto)
-    p = _connected(proto, s, {1, 2, 3}, {2, 3, 4})
-    assert p.verify()
-    assert p.degree() >= 2
-    assert is_b_regular(p)
-
-
-def test_connect_differing_three_box_exposes_complement_label():
-    def sel(rnd, pid, sm, val, loc):
-        return 0 if pid <= 3 else SOLO_BASE + pid
-    proto = knowledge_automaton(WOR, "triple-123", sel)
-    s = make_initial_state(4, [0, 1, 0, 1], WOR, proto)
-    b = frozenset({1, 2, 3})
-    p = _connected(proto, s, {1, 2, 4}, {1, 2, 4}, values_x={b: 1}, values_y={b: 2})
-    assert p.verify()
-    assert p.degree() == 1  # n - |b|
-    assert frozenset({4}) in p.isets()
-
-
-def test_connect_full_box_conflict():
-    proto = knowledge_automaton(WOR, "all-share", lambda r, p, sm, v, lo: 0)
-    s = make_initial_state(4, [0, 1, 0, 1], WOR, proto)
-    full = frozenset({1, 2, 3, 4})
-    with pytest.raises(FullBoxConflictError):
-        _connected(proto, s, {1, 2}, {1, 2}, values_x={full: 1}, values_y={full: 2})
-
-
-def test_connect_endpoints_match_requested_values():
-    proto = _two_pairs_proto()
-    s = make_initial_state(4, [0, 1, 0, 1], WOR, proto)
-    b = frozenset({1, 2})
-    p = _connected(proto, s, {1, 2}, {1, 2, 3}, values_x={b: 4}, values_y={b: 2})
-    assert dict(p.first.box_outputs())[b] == 4
-    assert dict(p.last.box_outputs())[b] == 2
-
-
-def test_connect_appends_only_onto_its_start():
-    proto = _two_pairs_proto()
-    s = make_initial_state(4, [0, 1, 0, 1], WOR, proto)
-    pb = connectivity.PathBuilder(s)  # the round-0 state, not the sigma(X) successor
-    with pytest.raises(ConstructionError, match="tail"):
-        connectivity._connect(connectivity._Rounds(proto), pb, s, {1, 2, 3}, {2, 3, 4},
-                              None, None)
-    assert pb.states == [s] and not pb.labels
-
-
-def test_connect_differing_boxes_are_within_both_specs(monkeypatch):
-    # the boxes _connect counts as differing are exactly those that both
-    # endpoints invoke, with different outputs
-    seen = []
-    monkeypatch.setattr(connectivity, "_assert_connect_postconditions",
-                        lambda labels, diff, n: seen.append(diff))
-    pair, triple = frozenset({1, 2}), frozenset({1, 2, 3})
-    s3 = make_initial_state(3, [0, 1, 0], WOR, PAIR)
-    s4 = make_initial_state(4, [0, 1, 0, 1], WOR, _two_pairs_proto())
-    triple_proto = knowledge_automaton(
-        WOR, "triple-123", lambda rnd, pid, sm, val, loc: 0 if pid <= 3 else SOLO_BASE + pid)
-    t4 = make_initial_state(4, [0, 1, 0, 1], WOR, triple_proto)
-    cases = [(PAIR, s3, {1, 2, 3}, {1, 2, 3}, {pair: 1}, {pair: 3}, {pair}),
-             (PAIR, s3, {1}, {1, 2, 3}, {pair: 1}, {pair: 1}, set()),
-             (_two_pairs_proto(), s4, {1, 2}, {1, 2, 3}, {pair: 4}, {pair: 2}, {pair}),
-             (triple_proto, t4, {1, 2, 4}, {1, 2, 4}, {triple: 1}, {triple: 2}, {triple})]
-    for proto, s, x, y, values_x, values_y, want in cases:
-        p = _connected(proto, s, x, y, values_x, values_y)
-        q1, q2 = p.first, p.last
-        v1, v2 = dict(q1.box_outputs()), dict(q2.box_outputs())
-        both = invocation_spec(q1) & invocation_spec(q2)
-        assert seen.pop() == {b for b in both if v1[b] != v2[b]} == want
-    assert not seen
-
-
-# -- the general extension ---------------------------------------------------
-
-
-def test_general_extension_iterates_with_psi_checks():
-    proto = _two_pairs_proto()
-    q = initial_chain(proto, 4)
-    for _ in range(3):
-        q, report = extend_path_general(q, proto)
-        assert report["ok"]
-        assert q.degree() >= 2
-        assert q.verify()
-
-
-def test_general_extension_n3_engine_alternative():
-    q = initial_chain(PAIR, 3)
-    for _ in range(3):
-        q, report = extend_path_general(q, proto=PAIR, s=1)
-        assert report["ok"] and q.verify()
-
-
-def test_general_extension_budget_guard():
-    from itersc.errors import BudgetExceededError
-    proto = knowledge_automaton(WOR, "solo6", sel_solo)
-    chain = initial_chain(proto, 6)
-    with pytest.raises(BudgetExceededError):
-        extend_path_general(chain, proto)
-
-
-def test_beta_set_counts_doubly_hit_boxes():
-    q = initial_chain(PAIR, 3)
-    # labels {2,3},{1,3},{1,2}; box {1,2} meets {1,3} and {2,3} in singletons
-    universe = connectivity._box_universe(connectivity._Rounds(PAIR), q)
-    assert frozenset({1, 2}) in connectivity._beta(universe, q)
-
-
-GENERAL_PINNED = "6454cff580ffcdf713f1c035757e01d57aa362f5bd33ae67795edd828f4ab89d"
-
-
-def _general_rounds(proto, n: int, rounds: int):
-    """Loop-erased general-engine rounds from the initial chain: each round's
-    (path, report), and the round whose precondition failed (None if none)."""
-    path, out = initial_chain(proto, n), []
-    for r in range(1, rounds + 1):
-        try:
-            path, report = extend_path_general(path, proto)
-        except PreconditionViolationError:
-            return out, r
-        path = path.loop_erased()
-        out.append((path.to_jsonable(), report))
-    return out, None
-
-
-def test_general_engine_degrees_and_bytes_are_pinned():
-    """Consensus holds degree n-m while it invokes boxes of fan-in m and is
-    refused in round C(n,2), where the full box is doubly hit; the
-    box-deficient automata keep their degree.  The bytes of every erased
-    path and report are pinned too."""
-    walks = [_general_rounds(protocol_consensus_wor(3), 3, 4),
-             _general_rounds(protocol_consensus_wor(4), 4, 7)]
-    walks += [_general_rounds(proto, 3, 5)
-              for _name, proto in sorted(deficient_wor_samples().items())]
-    degrees = [([p["degree"] for p, _report in rows], stop) for rows, stop in walks]
-    assert degrees == [([1, 1], 3), ([2, 2, 2, 1, 1], 6),
-                       ([1] * 5, None), ([1] * 5, None), ([2] * 5, None)]  # altpair, pair, solo
-    text = canonical_json([row for rows, _stop in walks for row in rows])
-    assert hashlib.sha256(text.encode()).hexdigest() == GENERAL_PINNED
 
 
 # -- valency ----------------------------------------------------------------
@@ -682,7 +510,7 @@ def test_partition_bridge_labels_exactly_a_and_b_everywhere():
                 p = connect_partition_round(s, a, b, proto)
             except PreconditionViolationError:
                 continue  # a split pair: outside the construction's premise
-            assert p.isets() == {a, b}
+            assert frozenset(p.labels) == {a, b}
 
 
 # -- the per-extension round memo ---------------------------------------------
@@ -729,8 +557,6 @@ def _engine_cases():
                       Path(states=(o, ou, u), labels=(a, b))))
         cases.append((f"no3box {name}", lambda p, proto=proto: extend_path_no3box(p, proto),
                       initial_chain(proto, 3)))
-    cases.append(("general wor-pair12-min",
-                  lambda p: extend_path_general(p, PAIR, s=1)[0], initial_chain(PAIR, 3)))
     return cases
 
 
@@ -787,6 +613,20 @@ def test_memo_hit_is_the_fresh_child():
     assert len(rounds.children) == 2 * len(all_groups)  # both parents share every round
 
 
+def test_successor_refuses_a_plan_against_a_forced_output():
+    """Under sigma({1}), process 1 invokes the pair box {1, 2} before
+    process 2, so Safe-Validity forces it to output 1: a plan asking for 2
+    is refused, and a plan asking for 1 gets the all-ones child."""
+    s = make_initial_state(3, [0, 1, 1], WOR, PAIR)
+    rounds = connectivity._Rounds(PAIR)
+    key = sigma_key(({1},), 3)
+    with pytest.raises(ConstructionError, match="is forced to 1"):
+        rounds.successor(s, key, {frozenset({1, 2}): 2})
+    child = rounds.successor(s, key, {frozenset({1, 2}): 1})
+    assert child is rounds.child(s, key)
+    assert child == apply_round(s, sigma_schedule(({1},), 3, WOR), itertools.repeat(1), PAIR)
+
+
 def _four_round_runs(engine):
     """(extend, start) pairs of one engine at n = 3, over several automata."""
     a, b = frozenset({1, 2}), frozenset({3})
@@ -797,13 +637,11 @@ def _four_round_runs(engine):
     if engine == "no3box":
         return [(lambda p, proto=proto: extend_path_no3box(p, proto), initial_chain(proto, 3))
                 for proto in (PAIR, SOLO)]
-    if engine == "partition":
-        o, ou, u = (make_initial_state(3, v, WOR, PAIR) for v in ([0, 0, 0], [0, 0, 1], [1, 1, 1]))
-        return [(lambda p: extend_path_partition(p, a, b, PAIR), Path(states=(o, ou, u), labels=(a, b)))]
-    return [(lambda p: extend_path_general(p, PAIR, s=1)[0], initial_chain(PAIR, 3))]
+    o, ou, u = (make_initial_state(3, v, WOR, PAIR) for v in ([0, 0, 0], [0, 0, 1], [1, 1, 1]))
+    return [(lambda p: extend_path_partition(p, a, b, PAIR), Path(states=(o, ou, u), labels=(a, b)))]
 
 
-@pytest.mark.parametrize("engine", ["wro", "no3box", "partition", "general"])
+@pytest.mark.parametrize("engine", ["wro", "no3box", "partition"])
 def test_extension_round_builds_each_sigma_schedule_once(monkeypatch, engine):
     """n = 3 has 13 sigma schedules per model; the process builds each it
     uses once, however many rounds and automata use it."""
@@ -854,18 +692,14 @@ def _engine_calls():
     """One call per engine, each on an input whose output has an edge."""
     a, b = frozenset({1, 2}), frozenset({3})
     wro = wro_obstruction_samples()["wro-rotating"]
-    pairs = _two_pairs_proto()
     s3 = make_initial_state(3, [0, 1, 0], WOR, PAIR)
-    s4 = make_initial_state(4, [0, 1, 0, 1], WOR, pairs)
     o, ou, u = (make_initial_state(3, v, WOR, PAIR) for v in ([0, 0, 0], [0, 0, 1], [1, 1, 1]))
     part = Path(states=(o, ou, u), labels=(a, b))
-    chain_pair, chain_solo, chain_wro = (initial_chain(p, 3) for p in (PAIR, SOLO, wro))
+    chain_solo, chain_wro = (initial_chain(p, 3) for p in (SOLO, wro))
     return [
         ("connect_partition_round", lambda: connect_partition_round(s3, a, b, PAIR)),
         ("extend_path_partition", lambda: extend_path_partition(part, a, b, PAIR)),
         ("extend_path_no3box", lambda: extend_path_no3box(chain_solo, SOLO)),
-        ("_connect", lambda: _connected(pairs, s4, {1, 2, 3}, {2, 3, 4})),
-        ("extend_path_general", lambda: extend_path_general(chain_pair, PAIR)[0]),
         ("_wro_bridge", lambda: _wro_bridged(wro, make_initial_state(3, [0, 1, 0], WRO, wro), 1, 3)),
         ("wro_extend_round", lambda: wro_extend_round(chain_wro, wro)),
     ]
@@ -881,7 +715,7 @@ def test_engine_refuses_edges_no_process_agrees_on(monkeypatch, engine):
 
 
 @pytest.mark.parametrize("engine", ["wro_extend_round", "extend_path_no3box",
-                                    "extend_path_partition", "extend_path_general"])
+                                    "extend_path_partition"])
 def test_each_edge_is_checked_once(monkeypatch, engine):
     run = dict(_engine_calls())[engine]
     seen = []

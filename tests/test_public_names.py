@@ -78,8 +78,6 @@ def _package_sources() -> dict:
 UNREACHED_ON_PURPOSE = {
     "successor_boxes": "the probing reference that the memo tests and "
                        "perfbench's tracer test check the memo's boxes against",
-    "extend_path_general": "ROADMAP item 1 decides whether the general engine "
-                           "gets a demo or goes",
     "resolve_safe_consensus": "the differential oracle the round engine's "
                               "instances are checked against",
     "replay_execution": "criterion 7 replays recorded runs through it",
