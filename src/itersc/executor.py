@@ -433,11 +433,8 @@ def probe_round(state: GlobalState, sched: RoundSchedule, proto: ProtocolAutomat
     are placeholders.
     """
     probe_state, _ = apply_round_recorded(state, sched, itertools.repeat(1), proto)
-    out = []
-    for inst in probe_state.instances:
-        out.append((inst.object_index, inst.box, not inst.forced,
-                    inst.output if inst.forced else None))
-    return out
+    return [(obj, frozenset([p for p, _ in pairs]), not forced, out if forced else None)
+            for obj, pairs, out, forced in probe_state.resolved]
 
 
 # ---------------------------------------------------------------------------
@@ -984,7 +981,10 @@ def all_coalitions_tuples(g: int, domain=(5, 7)) -> list[tuple]:
 
 def verify_2cc(g: int, domain=(5, 7), families=("sigma",)) -> SweepReport:
     """Exhaustive schedules x adversary over every valid coalitions tuple,
-    each family's schedules built once."""
+    each family's schedules built once.  A repeated value in ``domain`` would
+    only re-run identical trees, so it is refused."""
+    if len(set(domain)) != len(domain):
+        raise InvalidArgumentError(f"value domain {list(domain)} repeats a value")
     proto = protocol_2cc(g)
     scheds = {family: list(enumerate_round_schedules(g, WOR, family)) for family in families}
 
@@ -1017,7 +1017,7 @@ def protocol_descriptor(proto: ProtocolAutomaton, n: int) -> dict:
         state, _ = apply_round_recorded(state, sched, itertools.repeat(1), proto)
         table.append({
             "round": r,
-            "boxes": [sorted(inst.box) for inst in state.instances],
+            "boxes": [sorted(box) for box, _out in state.box_outputs()],
         })
     return {
         "name": proto.name,

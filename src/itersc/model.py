@@ -9,9 +9,9 @@ its ``Execution.steps``.
 
 A state stores what a round computes as columns: one tuple per local-state
 field, indexed pid-1, plus the raw snapshot cells and one ``resolved`` tuple
-per safe-consensus object.  The ``LocalState``, ``SnapshotObject`` and
-``SafeConsensusInstance`` records are views that ``GlobalState`` builds on
-each read, for JSON, traces and other cold readers.
+per safe-consensus object.  Its JSON is written straight from those columns;
+only the per-process ``LocalState`` records are built on read, for JSON,
+traces and other cold readers.
 """
 
 from __future__ import annotations
@@ -67,46 +67,6 @@ class LocalState:
 
 @frozen_record
 @dataclass(frozen=True, slots=True)
-class SnapshotObject:
-    """One-shot snapshot array for a single round."""
-
-    cells: tuple
-
-    def to_jsonable(self) -> dict:
-        return {"cells": [jsonable(c) for c in self.cells]}
-
-
-@frozen_record
-@dataclass(frozen=True, slots=True)
-class SafeConsensusInstance:
-    """One resolved safe-consensus object invocation.
-
-    ``forced`` records whether Safe-Validity applied (a solo, strictly
-    first invoker) as opposed to an adversary-chosen output.
-    """
-
-    object_index: Any
-    invokers: frozenset
-    inputs: tuple  # sorted (pid, value) pairs
-    output: Any
-    forced: bool
-
-    @property
-    def box(self) -> frozenset:
-        return self.invokers
-
-    def to_jsonable(self) -> dict:
-        return {
-            "object": jsonable(self.object_index),
-            "invokers": sorted(self.invokers),
-            "inputs": [[p, jsonable(v)] for p, v in self.inputs],
-            "output": jsonable(self.output),
-            "forced": self.forced,
-        }
-
-
-@frozen_record
-@dataclass(frozen=True, slots=True)
 class GlobalState:
     """System state at a round boundary, as columns.
 
@@ -115,8 +75,9 @@ class GlobalState:
     snapshot array of the round that produced the state (None at round 0) and
     ``resolved`` holds one ``(object, sorted (pid, input) pairs, output,
     forced)`` tuple per safe-consensus object of that round, in resolution
-    order.  ``locals_``, ``snapshot`` and ``instances`` build the records on
-    each read, without a cache."""
+    order; ``forced`` tells Safe-Validity's output (a solo, strictly first
+    invoker) from an adversary-chosen one.  ``locals_`` builds the
+    per-process records on each read, without a cache."""
 
     n: int
     model: str
@@ -134,15 +95,6 @@ class GlobalState:
         rnd = self.rnd
         return tuple(LocalState(pid, rnd, *fields) for pid, fields in
                      enumerate(zip(*self.locals_key()), start=1))
-
-    @property
-    def snapshot(self) -> Optional[SnapshotObject]:
-        return None if self.cells is None else SnapshotObject(self.cells)
-
-    @property
-    def instances(self) -> tuple:
-        return tuple(SafeConsensusInstance(obj, frozenset([p for p, _ in pairs]), pairs, out, forced)
-                     for obj, pairs, out, forced in self.resolved)
 
     def locals_key(self) -> tuple:
         """Every process's local state but its pid and round, which the
@@ -171,8 +123,11 @@ class GlobalState:
             "model": self.model,
             "round": self.rnd,
             "locals": [ls.to_jsonable() for ls in self.locals_],
-            "snapshot": None if self.cells is None else self.snapshot.to_jsonable(),
-            "instances": [i.to_jsonable() for i in self.instances],
+            "snapshot": None if self.cells is None else {"cells": [jsonable(c) for c in self.cells]},
+            "instances": [{"object": jsonable(obj), "invokers": [p for p, _ in pairs],
+                           "inputs": [[p, jsonable(v)] for p, v in pairs],
+                           "output": jsonable(out), "forced": forced}
+                          for obj, pairs, out, forced in self.resolved],
         }
 
     def digest(self) -> str:

@@ -131,7 +131,7 @@ class ProtocolAutomaton:
         """The rounds within which this automaton decides, which every verdict
         on its decisions runs; an automaton without one is refused."""
         if self.round_budget is None:
-            raise InvalidArgumentError("protocol has no round budget; supply one")
+            raise InvalidArgumentError(f"protocol {self.name} has no round budget; supply one")
         return self.round_budget
 
 

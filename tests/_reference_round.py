@@ -1,12 +1,15 @@
 """The round engine as it stood before its records were built the fast way.
 
-It reads the ``locals_`` view of its input state and returns the records
-of the successor state, not a state.  ``tests/test_rounds.py`` checks that
-the ``locals_``, ``snapshot`` and ``instances`` views of the state that
-``executor.apply_round_recorded`` returns are exactly these records,
-instance order and inputs included, with the same recorded adversary choices.
-Like the engine, it hands ``write_payload`` and ``select_object`` a process's
-``sm`` only once the process has scanned in this round, and None before.
+It reads the ``locals_`` view of its input state and returns the parts of
+the successor state, not a state: its ``LocalState`` records, snapshot cells
+and ``resolved`` tuples.  ``tests/test_rounds.py`` checks that the
+``locals_`` view and the ``cells`` and ``resolved`` columns of the state that
+``executor.apply_round_recorded`` returns are exactly these, instance order
+and inputs included, with the same recorded adversary choices.  Like the
+engine, it hands ``write_payload`` and ``select_object`` a process's ``sm``
+only once the process has scanned in this round, and None before.  It reads
+a schedule only through its ``model``, ``n`` and ``(kind, group)`` events,
+so it needs nothing of the executor.
 """
 
 from __future__ import annotations
@@ -19,15 +22,17 @@ from itersc.errors import (
     InvalidScheduleError,
     UnresolvedInstanceError,
 )
-from itersc.executor import R, RoundSchedule, W
-from itersc.model import GlobalState, LocalState, SafeConsensusInstance, SnapshotObject
+from itersc.model import GlobalState, LocalState
 from itersc.protocols import ProtocolAutomaton
 
+W, R = "W", "R"  # write and scan events; the rest invoke
 
-def run_events(state: GlobalState, sched: RoundSchedule, proto: ProtocolAutomaton,
+
+def run_events(state: GlobalState, sched, proto: ProtocolAutomaton,
                adversary: Iterable[int]):
-    """Walk one round's events; returns per-process components and instances.
-    Each contended instance takes the next of the ``adversary`` outputs."""
+    """Walk one round's events; returns per-process components, cells and
+    resolved objects.  Each contended instance takes the next of the
+    ``adversary`` outputs."""
     n = state.n
     rnd = state.rnd + 1
     locals_ = state.locals_
@@ -91,15 +96,12 @@ def run_events(state: GlobalState, sched: RoundSchedule, proto: ProtocolAutomato
                     v = val_filter(rnd, pid, v, loc[pid - 1])
                 cur_val[pid - 1] = v
 
-    instances = tuple(
-        SafeConsensusInstance(obj, frozenset(p for p, _ in invoked[obj]),
-                              tuple(sorted(invoked[obj])), out, forced[obj])
-        for obj, out in outputs.items()
-    )
-    return cur_sm, cur_val, loc, cells, instances, choices
+    resolved = tuple((obj, tuple(sorted(invoked[obj])), out, forced[obj])
+                     for obj, out in outputs.items())
+    return cur_sm, cur_val, loc, cells, resolved, choices
 
 
-def apply_round_recorded(state: GlobalState, sched: RoundSchedule,
+def apply_round_recorded(state: GlobalState, sched,
                          adversary: Iterable[int],
                          proto: ProtocolAutomaton):
     if sched.model != proto.model or sched.model != state.model:
@@ -109,7 +111,7 @@ def apply_round_recorded(state: GlobalState, sched: RoundSchedule,
     if sched.n != state.n:
         raise InvalidScheduleError(f"schedule for n={sched.n}, state has n={state.n}")
     rnd = state.rnd + 1
-    cur_sm, cur_val, loc, cells, instances, choices = run_events(
+    cur_sm, cur_val, loc, cells, resolved, choices = run_events(
         state, sched, proto, adversary)
     decide, step = proto.decide, proto.step
     new_locals = []
@@ -119,4 +121,4 @@ def apply_round_recorded(state: GlobalState, sched: RoundSchedule,
         if dec is None:
             dec = decide(sm, val, loc[i])
         new_locals.append(LocalState(ls.pid, rnd, ls.inp, sm, val, dec, step(loc[i], sm, val)))
-    return rnd, tuple(new_locals), SnapshotObject(tuple(cells)), instances, tuple(choices)
+    return rnd, tuple(new_locals), tuple(cells), resolved, tuple(choices)

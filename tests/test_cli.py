@@ -285,7 +285,8 @@ def test_non_integer_id_is_a_usage_error(capsys, argv, item):
      "executions must be at least 0, got -1"),
     (("simulate", "--n", "3", "--inputs", "0,1"), "--inputs has 2 values, but --n is 3"),
     (("simulate", "--n", "2", "--inputs", "0,1,1"), "--inputs has 3 values, but --n is 2"),
-], ids=["negative-check", "too-few-inputs", "too-many-inputs"])
+    (("verify-2cc", "--values", "5,5"), "value domain [5, 5] repeats a value"),
+], ids=["negative-check", "too-few-inputs", "too-many-inputs", "repeated-2cc-value"])
 def test_count_mismatch_is_a_usage_error(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_USAGE and out == ""
@@ -407,7 +408,7 @@ def test_unread_flag_exits_2(capsys, argv):
 def test_a_verdict_refuses_an_automaton_without_a_round_budget(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (EXIT_USAGE, "")
-    assert err == "[itersc] error: protocol has no round budget; supply one\n"
+    assert err == "[itersc] error: protocol wro-solo has no round budget; supply one\n"
 
 
 def test_connectivity_config_holds_only_read_settings(capsys):

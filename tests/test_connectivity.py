@@ -433,7 +433,8 @@ def test_lower_bound_demo_refuses_an_automaton_without_a_round_budget_before_any
     apply_round_recorded = executor.apply_round_recorded
     monkeypatch.setattr(executor, "apply_round_recorded",
                         lambda *args: calls.append(args) or apply_round_recorded(*args))
-    with pytest.raises(InvalidArgumentError, match="^protocol has no round budget; supply one$"):
+    with pytest.raises(InvalidArgumentError,
+                       match="^protocol never has no round budget; supply one$"):
         lower_bound_demo(knowledge_automaton(WOR, "never", sel_solo))
     assert calls == []
     lower_bound_demo(SOLO, rounds=1)

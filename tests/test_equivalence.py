@@ -93,7 +93,7 @@ def test_wro_simulation_replays_the_source_choices_after_its_padding_round(name)
                                    random_outputs(k, 3))
         padding = sim.steps[0]
         assert [v for _r, _o, v in padding.choices] == [1] * sum(
-            not inst.forced for inst in padding.state.instances)
+            not forced for *_, forced in padding.state.resolved)
         assert [v for step in sim.steps[1:] for _r, _o, v in step.choices] == src.all_choices()
 
 
@@ -135,7 +135,8 @@ def test_correspondence_refuses_a_source_without_a_round_budget_before_any_run(
         raise AssertionError("a paired run started")
 
     monkeypatch.setattr(equivalence, "simulate_paired", no_run)
-    with pytest.raises(InvalidArgumentError, match="^protocol has no round budget; supply one$"):
+    with pytest.raises(InvalidArgumentError,
+                       match="^protocol wro-solo has no round budget; supply one$"):
         check_transform_correspondence(wro_obstruction_samples()["wro-solo"], 3, executions)
 
 

@@ -358,7 +358,7 @@ def test_sweeps_refuse_a_protocol_without_a_round_budget_before_any_pool(monkeyp
     unbounded = knowledge_automaton(WOR, "x", sel_solo)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _refuse_pool)
     monkeypatch.setattr(executor, "_usable_cpus", lambda: 2)
-    message = "^protocol has no round budget; supply one$"
+    message = "^protocol x has no round budget; supply one$"
     with pytest.raises(InvalidArgumentError, match=message):
         verify_consensus_exhaustive(3, proto_factory=lambda n: unbounded, jobs=jobs)
     with pytest.raises(InvalidArgumentError, match=message):
@@ -409,7 +409,7 @@ def _reference_report(proto, n, inputs_list, per_round_cross):
     runs = [_plain_walk(proto, inputs, tree) for inputs in inputs_list for tree in trees]
     boxes = set()
     census = sum(_plain_walk(proto, list(range(n)), [sched],
-                             lambda st: boxes.update(i.box for i in st.instances))
+                             lambda st: boxes.update(box for box, _out in st.box_outputs()))
                  ["executions"] for sched in scheds)
     gamma = {m: frozenset(b for b in boxes if len(b) == m) for m in {len(b) for b in boxes}}
     nu = {m: len(bs) for m, bs in gamma.items() if m >= 2}
@@ -723,7 +723,7 @@ def _gamma_reference(proto, n, rounds, executions):
         state = make_initial_state(n, list(range(n)), proto.model, proto)
         for sched in scheds:
             state = apply_round(state, sched, adversary, proto)
-            boxes.update(inst.box for inst in state.instances)
+            boxes.update(box for box, _out in state.box_outputs())
     gamma = {m: frozenset(b for b in boxes if len(b) == m) for m in {len(b) for b in boxes}}
     nu = {m: len(bs) for m, bs in gamma.items() if m >= 2}
     return GammaReport(n=n, gamma=gamma, nu=nu, nu_total=sum(nu.values()),

@@ -32,7 +32,7 @@ from itersc.model import (
 )
 from itersc.samples import deficient_wor_samples, knowledge_automaton, resolve_protocol, sel_solo
 from itersc.protocols import protocol_consensus_wor
-from itersc.values import canonical_json
+from itersc.values import canonical_json, jsonable
 
 
 def test_initial_state_round0_components():
@@ -40,7 +40,7 @@ def test_initial_state_round0_components():
     assert s.rnd == 0
     assert [ls.sm for ls in s.locals_] == [0, 1]
     assert all(ls.dec is None and ls.val is None for ls in s.locals_)
-    assert s.snapshot is None and s.instances == ()
+    assert s.cells is None and s.resolved == ()
 
 
 def test_initial_state_all_zero_exists():
@@ -135,12 +135,16 @@ def test_invocation_spec_requires_a_completed_round():
 
 def _reference_json(state, sched, proto, seed) -> str:
     """The successor's JSON, assembled from the reference round's records."""
-    rnd, locals_, snapshot, instances, _choices = reference_round(
+    rnd, locals_, cells, resolved, _choices = reference_round(
         state, sched, random_outputs(seed, state.n), proto)
+    instances = [{"object": obj, "invokers": sorted(p for p, _ in pairs),
+                  "inputs": [[p, jsonable(v)] for p, v in pairs],
+                  "output": jsonable(out), "forced": forced}
+                 for obj, pairs, out, forced in resolved]
     return canonical_json({"n": state.n, "model": state.model, "round": rnd,
                            "locals": [ls.to_jsonable() for ls in locals_],
-                           "snapshot": snapshot.to_jsonable(),
-                           "instances": [inst.to_jsonable() for inst in instances]})
+                           "snapshot": {"cells": [jsonable(c) for c in cells]},
+                           "instances": instances})
 
 
 def test_state_json_is_canonical_and_stable():
@@ -157,7 +161,7 @@ def test_state_json_is_canonical_and_stable():
             want = _reference_json(state, sched, proto, seed)
             state = apply_round(state, sched, random_outputs(seed, 3), proto)
             assert canonical_json(state.to_jsonable()) == want, (name, state.rnd)
-        assert state.rnd == 2 and state.instances, name
+        assert state.rnd == 2 and state.resolved, name
 
 
 def test_state_json_golden():
@@ -169,6 +173,31 @@ def test_state_json_golden():
         '"model":"WOR","n":2,"round":0,"snapshot":null}'
     )
     assert s.digest() == make_initial_state(2, [0, 1], WOR).digest()
+    # round 1 of a WOR automaton: a contended pair box, a forced solo box, a snapshot
+    proto = deficient_wor_samples()["wor-pair12-min"]
+    sched = sigma_schedule((), 3, WOR)
+    s1 = apply_round(make_initial_state(3, [0, 1, 1], WOR, proto), sched, itertools.repeat(2), proto)
+    assert canonical_json(s1.to_jsonable()) == (
+        '{"instances":['
+        '{"forced":false,"inputs":[[1,1],[2,2]],"invokers":[1,2],"object":0,"output":2},'
+        '{"forced":true,"inputs":[[3,3]],"invokers":[3],"object":1003,"output":3}],"locals":['
+        '{"dec":null,"id":1,"input":0,"locals":{"id":1,"known":[0,1],"r":1},"round":1,'
+        '"sm":[[0],[1],[1]],"val":2},'
+        '{"dec":null,"id":2,"input":1,"locals":{"id":2,"known":[0,1],"r":1},"round":1,'
+        '"sm":[[0],[1],[1]],"val":2},'
+        '{"dec":null,"id":3,"input":1,"locals":{"id":3,"known":[0,1],"r":1},"round":1,'
+        '"sm":[[0],[1],[1]],"val":3}],'
+        '"model":"WOR","n":3,"round":1,"snapshot":{"cells":[[0],[1],[1]]}}'
+    )
+    assert s1.digest() == "abe8735fecb7"
+    exe = run_execution(proto, [0, 1, 1], [sched], itertools.repeat(2))
+    assert exe.to_jsonl() == (
+        '{"choices":[[1,0,2]],"locals":['
+        '{"dec":null,"digest":"a6edc6cf7a95","id":1,"val":2},'
+        '{"dec":null,"digest":"4d3fe05599d7","id":2,"val":2},'
+        '{"dec":null,"digest":"84e7c5b65108","id":3,"val":3}],'
+        '"round":1,"schedule":[["W",[1,2,3]],["S",[1,2,3]],["R",[1,2,3]]]}\n'
+    )
 
 
 # -- property-style checks over random executions ---------------------------
@@ -203,10 +232,9 @@ def test_indistinguishability_is_symmetric_and_transitive_per_process(seed):
 def test_safe_validity_holds_on_every_instance(seed):
     _, _, exe = _random_execution(seed)
     for step in exe.steps:
-        for inst in step.state.instances:
-            if inst.forced:
-                inputs = dict(inst.inputs)
-                assert inst.output in inputs.values()
+        for _obj, pairs, out, forced in step.state.resolved:
+            if forced:
+                assert out in dict(pairs).values()
 
 
 @settings(max_examples=40, deadline=None)
@@ -216,12 +244,12 @@ def test_resolution_oracle_agrees_with_the_engine(seed):
     _, _, exe = _random_execution(seed)
     for step in exe.steps:
         invoke_groups = [g for kind, g in step.schedule.events if kind == "S"]
-        for inst in step.state.instances:
-            choice = None if inst.forced else inst.output
+        for _obj, pairs, output, was_forced in step.state.resolved:
+            choice = None if was_forced else output
             out, forced = resolve_safe_consensus(
-                inst.invokers, dict(inst.inputs), invoke_groups, choice, n=3)
-            assert forced == inst.forced
-            assert out == inst.output
+                [p for p, _ in pairs], dict(pairs), invoke_groups, choice, n=3)
+            assert forced == was_forced
+            assert out == output
 
 
 @settings(max_examples=40, deadline=None)
@@ -229,9 +257,9 @@ def test_resolution_oracle_agrees_with_the_engine(seed):
 def test_agreement_all_invokers_store_the_same_val(seed):
     _, _, exe = _random_execution(seed)
     for step in exe.steps:
-        for inst in step.state.instances:
-            vals = {step.state.locals_[p - 1].val for p in inst.invokers}
-            assert vals == {inst.output}
+        for box, out in step.state.box_outputs():
+            vals = {step.state.locals_[p - 1].val for p in box}
+            assert vals == {out}
 
 
 @settings(max_examples=40, deadline=None)

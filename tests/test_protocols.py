@@ -236,6 +236,14 @@ def test_2cc_valid_outputs_come_from_fields():
     assert report.ok
 
 
+@pytest.mark.parametrize("domain", [(5, 5), (5, 7, 5)], ids=["5,5", "5,7,5"])
+def test_2cc_refuses_a_domain_that_repeats_a_value(domain):
+    """A repeated value only re-runs identical coalitions tuples."""
+    with pytest.raises(InvalidArgumentError) as info:
+        verify_2cc(3, domain)
+    assert str(info.value) == f"value domain {list(domain)} repeats a value"
+
+
 def test_consensus_n2_all_adversary_choices():
     proto = protocol_consensus_wor(2)
     for sched in enumerate_round_schedules(2, WOR, "sigma"):
@@ -458,6 +466,7 @@ def test_budget_is_the_round_budget_or_a_refusal():
     deciding = knowledge_automaton(WRO, "d2", sel_solo, decide_round=2)
     assert transform_wro_to_owr(deciding).budget() == 3
     unbounded = knowledge_automaton(WRO, "never", sel_solo)
-    for proto in (unbounded, transform_wro_to_owr(unbounded)):
-        with pytest.raises(InvalidArgumentError, match="^protocol has no round budget; supply one$"):
+    for proto, name in ((unbounded, "never"), (transform_wro_to_owr(unbounded), r"owr-sim\[never\]")):
+        with pytest.raises(InvalidArgumentError,
+                           match=f"^protocol {name} has no round budget; supply one$"):
             proto.budget()

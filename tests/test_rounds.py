@@ -38,8 +38,6 @@ from itersc.model import (
     WRO,
     GlobalState,
     LocalState,
-    SafeConsensusInstance,
-    SnapshotObject,
     make_initial_state,
 )
 from itersc.protocols import (
@@ -74,8 +72,6 @@ _LOCAL = LocalState(*_LOCAL_VALUES)
 # one realistic record per decorated class, given as its field values
 SAMPLES = {
     LocalState: _LOCAL_VALUES,
-    SnapshotObject: (((0, None), (1, 2)),),
-    SafeConsensusInstance: (0, frozenset({1, 2}), ((1, 1), (2, 2)), 2, False),
     # n, model, rnd, then the inp, sm, val, dec and loc columns, cells, resolved
     GlobalState: (2, WOR, 1, (0, 1), (((0, None), (1, None)), ((0, None), (1, None))), (2, 2),
                   (None, 2), (_KNOWLEDGE, _KNOWLEDGE), ((0, None), (1, None)),
@@ -222,13 +218,14 @@ def _inputs(proto, n: int, rng: random.Random) -> list:
 
 
 def _assert_rounds_agree(state, sched, proto, seed):
-    """The engine's successor shows, through its views, the records the
-    reference builds (instance order and inputs included), and both record
-    the same choices; returns the successor."""
+    """The engine's successor shows, through its ``locals_`` view and its
+    ``cells`` and ``resolved`` columns, what the reference builds (instance
+    order and inputs included), and both record the same choices; returns
+    the successor."""
     n = state.n
     got, choices = executor.apply_round_recorded(state, sched, random_outputs(seed, n), proto)
     want = reference_round(state, sched, random_outputs(seed, n), proto)
-    assert (got.rnd, got.locals_, got.snapshot, got.instances, choices) == want, \
+    assert (got.rnd, got.locals_, got.cells, got.resolved, choices) == want, \
         (proto.name, str(sched))
     assert (got.n, got.model) == (state.n, state.model)
     return got
@@ -259,7 +256,7 @@ def test_round_equals_reference_on_ordered_partition_schedules():
 
 
 # ---------------------------------------------------------------------------
-# the columns behind the views
+# the columns behind the locals view
 
 
 def _random_runs(n: int, runs: int, seed: int):
@@ -337,8 +334,8 @@ def test_states_are_equal_exactly_when_their_views_are(n):
     seen = {True: 0, False: 0}
     for a, b in _same_round_pairs(states):
         same = a == b
-        assert same == ((a.n, a.model, a.rnd, a.locals_, a.snapshot, a.instances)
-                        == (b.n, b.model, b.rnd, b.locals_, b.snapshot, b.instances))
+        assert same == ((a.n, a.model, a.rnd, a.locals_, a.cells, a.resolved)
+                        == (b.n, b.model, b.rnd, b.locals_, b.cells, b.resolved))
         assert not same or hash(a) == hash(b)
         seen[same] += 1
     assert seen[True] and seen[False]
@@ -392,7 +389,7 @@ def test_write_and_select_see_this_rounds_snapshot_or_none(model):
             calls = log[:]
             del log[:]
             want = reference_round(state, sched, random_outputs(seed, n), proto)
-            assert (got.rnd, got.locals_, got.snapshot, got.instances, choices) == want
+            assert (got.rnd, got.locals_, got.cells, got.resolved, choices) == want
             assert log == calls and len(calls) == 2 * n
             at = {(kind, pid): pos for pos, (kind, group) in enumerate(sched.events)
                   for pid in group}
