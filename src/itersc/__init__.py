@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .model import (  # noqa: F401
     GlobalState,
-    LocalState,
     indistinguishability_set,
     invocation_spec,
     make_initial_state,

@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(parser, argv):
-    """flags > config file > defaults."""
+    """flags > config file > defaults; a null value leaves its flag at the default."""
     ns, _ = parser.parse_known_args(argv)
     if not getattr(ns, "config", None):
         return argv
@@ -341,7 +341,7 @@ def _apply_config_file(parser, argv):
     given = {a.split("=")[0] for a in argv if a.startswith("--")}
     for key, value in cfg.items():
         flag = f"--{key.replace('_', '-')}"
-        if flag in given or flag in argv:
+        if value is None or flag in given:
             continue
         extra += [flag, str(value)]
     return argv + extra

@@ -544,9 +544,9 @@ class Execution:
                 "schedule": step.schedule.to_jsonable(),
                 "choices": [[r, jsonable(o), v] for (r, o, v) in step.choices],
                 "locals": [
-                    {"id": ls.pid, "val": jsonable(ls.val), "dec": jsonable(ls.dec),
-                     "digest": digest(ls.to_jsonable())}
-                    for ls in step.state.locals_
+                    {"id": local["id"], "val": local["val"], "dec": local["dec"],
+                     "digest": digest(local)}
+                    for local in step.state.locals_jsonable()
                 ],
             }))
         return "\n".join(lines) + "\n"
@@ -981,8 +981,10 @@ def all_coalitions_tuples(g: int, domain=(5, 7)) -> list[tuple]:
 
 def verify_2cc(g: int, domain=(5, 7), families=("sigma",)) -> SweepReport:
     """Exhaustive schedules x adversary over every valid coalitions tuple,
-    each family's schedules built once.  A repeated value in ``domain`` would
-    only re-run identical trees, so it is refused."""
+    each family's schedules built once.  A ``domain`` that is empty (nothing
+    to check) or repeats a value (identical trees re-run) is refused."""
+    if not domain:
+        raise InvalidArgumentError("value domain is empty")
     if len(set(domain)) != len(domain):
         raise InvalidArgumentError(f"value domain {list(domain)} repeats a value")
     proto = protocol_2cc(g)

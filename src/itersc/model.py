@@ -9,9 +9,9 @@ its ``Execution.steps``.
 
 A state stores what a round computes as columns: one tuple per local-state
 field, indexed pid-1, plus the raw snapshot cells and one ``resolved`` tuple
-per safe-consensus object.  Its JSON is written straight from those columns;
-only the per-process ``LocalState`` records are built on read, for JSON,
-traces and other cold readers.
+per safe-consensus object.  No record class mirrors a column: the JSON is
+written straight from the columns, and two states are indistinguishable to
+a process exactly when its entries of the local-state columns agree.
 """
 
 from __future__ import annotations
@@ -36,48 +36,19 @@ MODELS = (WOR, WRO, OWR)
 
 @frozen_record
 @dataclass(frozen=True, slots=True)
-class LocalState:
-    """Per-process state at a round boundary.
-
-    ``sm`` holds the last snapshot taken (the raw input value before the
-    first scan, mirroring the ``sm <- input`` initialization), ``val`` the
-    last safe-consensus output, ``dec`` the decision (write-once) and
-    ``locals_`` the automaton's own locals record (``freeze({})`` without one).
-    """
-
-    pid: int
-    rnd: int
-    inp: Any
-    sm: Any
-    val: Any
-    dec: Any
-    locals_: Any
-
-    def to_jsonable(self) -> dict:
-        return {
-            "id": self.pid,
-            "round": self.rnd,
-            "input": jsonable(self.inp),
-            "sm": jsonable(self.sm),
-            "val": jsonable(self.val),
-            "dec": jsonable(self.dec),
-            "locals": jsonable(self.locals_),
-        }
-
-
-@frozen_record
-@dataclass(frozen=True, slots=True)
 class GlobalState:
     """System state at a round boundary, as columns.
 
-    ``inp``, ``sm``, ``val``, ``dec`` and ``loc`` (the automaton's locals
-    records) hold one entry per process, indexed pid-1.  ``cells`` is the raw
+    ``inp``, ``sm``, ``val``, ``dec`` and ``loc`` hold one entry per process,
+    indexed pid-1: its input, the last snapshot taken (the raw input before
+    the first scan, mirroring the ``sm <- input`` initialization), the last
+    safe-consensus output, the decision (write-once) and the automaton's own
+    locals record (``freeze({})`` without one).  ``cells`` is the raw
     snapshot array of the round that produced the state (None at round 0) and
     ``resolved`` holds one ``(object, sorted (pid, input) pairs, output,
     forced)`` tuple per safe-consensus object of that round, in resolution
     order; ``forced`` tells Safe-Validity's output (a solo, strictly first
-    invoker) from an adversary-chosen one.  ``locals_`` builds the
-    per-process records on each read, without a cache."""
+    invoker) from an adversary-chosen one."""
 
     n: int
     model: str
@@ -92,9 +63,8 @@ class GlobalState:
 
     @property
     def locals_(self) -> tuple:
-        rnd = self.rnd
-        return tuple(LocalState(pid, rnd, *fields) for pid, fields in
-                     enumerate(zip(*self.locals_key()), start=1))
+        """Each process's ``(inp, sm, val, dec, loc)``: ``locals_key()`` transposed."""
+        return tuple(zip(*self.locals_key()))
 
     def locals_key(self) -> tuple:
         """Every process's local state but its pid and round, which the
@@ -117,12 +87,18 @@ class GlobalState:
     def all_decided(self) -> bool:
         return None not in self.dec
 
+    def locals_jsonable(self) -> list:
+        """Each process's local state as JSON, with its id and the round."""
+        return [{"id": pid, "round": self.rnd, "input": jsonable(inp), "sm": jsonable(sm),
+                 "val": jsonable(val), "dec": jsonable(dec), "locals": jsonable(loc)}
+                for pid, (inp, sm, val, dec, loc) in enumerate(self.locals_, start=1)]
+
     def to_jsonable(self) -> dict:
         return {
             "n": self.n,
             "model": self.model,
             "round": self.rnd,
-            "locals": [ls.to_jsonable() for ls in self.locals_],
+            "locals": self.locals_jsonable(),
             "snapshot": None if self.cells is None else {"cells": [jsonable(c) for c in self.cells]},
             "instances": [{"object": jsonable(obj), "invokers": [p for p, _ in pairs],
                            "inputs": [[p, jsonable(v)] for p, v in pairs],

@@ -1,15 +1,16 @@
 """The round engine as it stood before its records were built the fast way.
 
-It reads the ``locals_`` view of its input state and returns the parts of
-the successor state, not a state: its ``LocalState`` records, snapshot cells
-and ``resolved`` tuples.  ``tests/test_rounds.py`` checks that the
-``locals_`` view and the ``cells`` and ``resolved`` columns of the state that
-``executor.apply_round_recorded`` returns are exactly these, instance order
-and inputs included, with the same recorded adversary choices.  Like the
-engine, it hands ``write_payload`` and ``select_object`` a process's ``sm``
-only once the process has scanned in this round, and None before.  It reads
-a schedule only through its ``model``, ``n`` and ``(kind, group)`` events,
-so it needs nothing of the executor.
+It reads the local-state columns of its input state and returns the parts
+of the successor state, not a state: one ``(inp, sm, val, dec, loc)`` tuple
+per process, the snapshot cells and the ``resolved`` tuples.
+``tests/test_rounds.py`` checks that the ``locals_`` tuples and the ``cells``
+and ``resolved`` columns of the state that ``executor.apply_round_recorded``
+returns are exactly these, instance order and inputs included, with the same
+recorded adversary choices.  Like the engine, it hands ``write_payload`` and
+``select_object`` a process's ``sm`` only once the process has scanned in
+this round, and None before.  It reads a schedule only through its
+``model``, ``n`` and ``(kind, group)`` events, so it needs nothing of the
+executor.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from itersc.errors import (
     InvalidScheduleError,
     UnresolvedInstanceError,
 )
-from itersc.model import GlobalState, LocalState
+from itersc.model import GlobalState
 from itersc.protocols import ProtocolAutomaton
 
 W, R = "W", "R"  # write and scan events; the rest invoke
@@ -35,10 +36,10 @@ def run_events(state: GlobalState, sched, proto: ProtocolAutomaton,
     ``adversary`` outputs."""
     n = state.n
     rnd = state.rnd + 1
-    locals_ = state.locals_
+    inp = state.inp
     cur_sm: list = [None] * n  # the previous snapshot stays hidden
-    cur_val = [ls.val for ls in locals_]
-    loc = [ls.locals_ for ls in locals_]
+    cur_val = list(state.val)
+    loc = list(state.loc)
     write, select, sc_input = proto.write_payload, proto.select_object, proto.sc_input
     sm_filter, val_filter = proto.sm_filter, proto.val_filter
     cells: list = [None] * n
@@ -52,7 +53,7 @@ def run_events(state: GlobalState, sched, proto: ProtocolAutomaton,
         if kind == W:
             for pid in group:
                 i = pid - 1
-                cells[i] = write(pid, locals_[i].inp, cur_sm[i], cur_val[i], loc[i])
+                cells[i] = write(pid, inp[i], cur_sm[i], cur_val[i], loc[i])
         elif kind == R:
             snap = tuple(cells)
             for pid in group:
@@ -115,10 +116,9 @@ def apply_round_recorded(state: GlobalState, sched,
         state, sched, proto, adversary)
     decide, step = proto.decide, proto.step
     new_locals = []
-    for i, ls in enumerate(state.locals_):
+    for i, (inp, dec) in enumerate(zip(state.inp, state.dec)):
         sm, val = cur_sm[i], cur_val[i]
-        dec = ls.dec
         if dec is None:
             dec = decide(sm, val, loc[i])
-        new_locals.append(LocalState(ls.pid, rnd, ls.inp, sm, val, dec, step(loc[i], sm, val)))
+        new_locals.append((inp, sm, val, dec, step(loc[i], sm, val)))
     return rnd, tuple(new_locals), tuple(cells), resolved, tuple(choices)

@@ -286,7 +286,9 @@ def test_non_integer_id_is_a_usage_error(capsys, argv, item):
     (("simulate", "--n", "3", "--inputs", "0,1"), "--inputs has 2 values, but --n is 3"),
     (("simulate", "--n", "2", "--inputs", "0,1,1"), "--inputs has 3 values, but --n is 2"),
     (("verify-2cc", "--values", "5,5"), "value domain [5, 5] repeats a value"),
-], ids=["negative-check", "too-few-inputs", "too-many-inputs", "repeated-2cc-value"])
+    (("verify-2cc", "--values", ","), "value domain is empty"),
+], ids=["negative-check", "too-few-inputs", "too-many-inputs", "repeated-2cc-value",
+        "empty-2cc-domain"])
 def test_count_mismatch_is_a_usage_error(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_USAGE and out == ""
@@ -343,6 +345,25 @@ def test_config_file_precedence(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "johnson", "--config", str(cfg),
                            "--op", "vanish", "--n", "3")
     assert json.loads(out)["config"]["n"] == 3
+
+
+def test_null_config_value_leaves_its_flag_at_the_default(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 2, "out": None}))
+    code, out, _ = run_cli(capsys, "verify-consensus", "--config", str(cfg))
+    assert code == EXIT_OK and json.loads(out)["config"]["n"] == 2
+    assert not (tmp_path / "None").exists()
+
+    cfg.write_text(json.dumps({"seed": None}))
+    argv = ("johnson", "--op", "vanish", "--n", "4")
+    reports = []
+    for extra in (("--config", str(cfg)), ()):
+        code, out, _ = run_cli(capsys, *argv, *extra)
+        assert code == EXIT_OK
+        reports.append(json.loads(out))
+        reports[-1].pop("wall_time_s")
+    assert reports[0] == reports[1]
 
 
 def test_config_goes_after_the_subcommand(capsys, tmp_path):

@@ -300,7 +300,7 @@ def test_connected_univalent_states_share_valency_instance():
         shared = indistinguishability_set(a, b)
         if shared and a.decisions() and b.decisions():
             for pid in shared:
-                assert a.locals_[pid - 1].dec == b.locals_[pid - 1].dec
+                assert a.dec[pid - 1] == b.dec[pid - 1]
 
 
 # -- the write-scan-invoke obstruction ----------------------------------------

@@ -153,7 +153,7 @@ def test_apply_round_determinism():
     s1 = apply_round(init, sched, itertools.repeat(2), proto)
     s2 = apply_round(init, sched, itertools.repeat(2), proto)
     assert s1 == s2
-    assert [ls.dec for ls in s1.locals_] == [7, 7]
+    assert s1.dec == (7, 7)
 
 
 def test_apply_round_model_mismatch():
@@ -283,7 +283,7 @@ def test_adversary_enumeration_covers_choice_space():
     outcomes = set()
     for values in itertools.product((1, 2, 3), repeat=len(contended)):
         nxt = apply_round(init, sched, values, proto)
-        outcomes.add(nxt.locals_[0].val)
+        outcomes.add(nxt.val[0])
     assert outcomes == {1, 2, 3}
 
 
@@ -888,7 +888,7 @@ def test_rounds_freeze_nothing(monkeypatch):
         exe = _recorded_run(name)
         assert exe.rounds == len(groups), name
         assert exe.final.all_decided(), name
-        assert all(dataclasses.is_dataclass(ls.locals_) for ls in exe.final.locals_), name
+        assert all(dataclasses.is_dataclass(loc) for loc in exe.final.loc), name
 
 
 # SHA-256 of (to_jsonl(), canonical JSON of final) of each recorded run: pins the

@@ -38,14 +38,14 @@ from itersc.values import canonical_json, jsonable
 def test_initial_state_round0_components():
     s = make_initial_state(2, [0, 1], WOR)
     assert s.rnd == 0
-    assert [ls.sm for ls in s.locals_] == [0, 1]
-    assert all(ls.dec is None and ls.val is None for ls in s.locals_)
+    assert s.sm == (0, 1)
+    assert s.dec == (None, None) and s.val == (None, None)
     assert s.cells is None and s.resolved == ()
 
 
 def test_initial_state_all_zero_exists():
     s = make_initial_state(3, [0, 0, 0], WOR)
-    assert {ls.inp for ls in s.locals_} == {0}
+    assert set(s.inp) == {0}
 
 
 def test_initial_state_rejects_single_process():
@@ -134,7 +134,7 @@ def test_invocation_spec_requires_a_completed_round():
 
 
 def _reference_json(state, sched, proto, seed) -> str:
-    """The successor's JSON, assembled from the reference round's records."""
+    """The successor's JSON, assembled from the reference round's parts."""
     rnd, locals_, cells, resolved, _choices = reference_round(
         state, sched, random_outputs(seed, state.n), proto)
     instances = [{"object": obj, "invokers": sorted(p for p, _ in pairs),
@@ -142,7 +142,11 @@ def _reference_json(state, sched, proto, seed) -> str:
                   "output": jsonable(out), "forced": forced}
                  for obj, pairs, out, forced in resolved]
     return canonical_json({"n": state.n, "model": state.model, "round": rnd,
-                           "locals": [ls.to_jsonable() for ls in locals_],
+                           "locals": [{"id": pid, "round": rnd, "input": jsonable(inp),
+                                       "sm": jsonable(sm), "val": jsonable(val),
+                                       "dec": jsonable(dec), "locals": jsonable(loc)}
+                                      for pid, (inp, sm, val, dec, loc)
+                                      in enumerate(locals_, start=1)],
                            "snapshot": {"cells": [jsonable(c) for c in cells]},
                            "instances": instances})
 
@@ -152,7 +156,7 @@ def test_state_json_is_canonical_and_stable():
     assert first is not second
     assert canonical_json(first.to_jsonable()) == canonical_json(second.to_jsonable())
     assert '"dec":null' in canonical_json(first.to_jsonable())
-    # rounds 1 and 2 of the engine against the reference round's records, per model
+    # rounds 1 and 2 of the engine against the reference round's parts, per model
     for name in ("consensus", "wro-pair12-d3", "owr-rotating-d3"):
         proto = resolve_protocol(name, 3)
         state = make_initial_state(3, [0, 1, 1], proto.model, proto)
@@ -258,7 +262,7 @@ def test_agreement_all_invokers_store_the_same_val(seed):
     _, _, exe = _random_execution(seed)
     for step in exe.steps:
         for box, out in step.state.box_outputs():
-            vals = {step.state.locals_[p - 1].val for p in box}
+            vals = {step.state.val[p - 1] for p in box}
             assert vals == {out}
 
 
@@ -267,7 +271,7 @@ def test_agreement_all_invokers_store_the_same_val(seed):
 def test_decision_monotonicity(seed):
     _, _, exe = _random_execution(seed, rounds=4)
     for pid in (1, 2, 3):
-        seen = [s.state.locals_[pid - 1].dec for s in exe.steps]
+        seen = [s.state.dec[pid - 1] for s in exe.steps]
         first = next((i for i, d in enumerate(seen) if d is not None), None)
         if first is not None:
             assert all(d == seen[first] for d in seen[first:])
@@ -279,14 +283,14 @@ def test_snapshot_atomicity_scan_equals_prior_writes():
     sched = sigma_schedule([{1}, {2}], 3, WOR)
     s1 = apply_round(s0, sched, (), proto)
     # process 1 wrote and scanned before anyone else: sees only itself
-    assert s1.locals_[0].sm == ((5,), None, None)
+    assert s1.sm[0] == ((5,), None, None)
     # process 2 sees 1 and itself; process 3 (the complement) sees everyone
-    assert s1.locals_[1].sm == ((5,), (6,), None)
-    assert s1.locals_[2].sm == ((5,), (6,), (7,))
+    assert s1.sm[1] == ((5,), (6,), None)
+    assert s1.sm[2] == ((5,), (6,), (7,))
 
 
 def test_scans_in_one_group_agree():
     proto = knowledge_automaton(WOR, "solo", sel_solo)
     s0 = make_initial_state(3, [5, 6, 7], WOR, proto)
     s1 = apply_round(s0, sigma_schedule([{1, 2}], 3, WOR), (), proto)
-    assert s1.locals_[0].sm == s1.locals_[1].sm
+    assert s1.sm[0] == s1.sm[1]

@@ -211,17 +211,17 @@ def _run_2cc(entries, groups, choice=None):
 
 def test_2cc_concurrent_adversary_two_picks_right_side():
     final = _run_2cc([(5, None), (None, 7)], (), choice=2)
-    assert [ls.dec for ls in final.locals_] == [7, 7]
+    assert final.dec == (7, 7)
 
 
 def test_2cc_concurrent_adversary_one_picks_left_side():
     final = _run_2cc([(5, None), (None, 7)], (), choice=1)
-    assert [ls.dec for ls in final.locals_] == [5, 5]
+    assert final.dec == (5, 5)
 
 
 def test_2cc_solo_first_process_decides_its_left():
     final = _run_2cc([(5, None), (None, 7)], ({1},))
-    assert [ls.dec for ls in final.locals_] == [5, 5]
+    assert final.dec == (5, 5)
 
 
 def test_2cc_exhaustive_g2_to_g4():
@@ -244,6 +244,13 @@ def test_2cc_refuses_a_domain_that_repeats_a_value(domain):
     assert str(info.value) == f"value domain {list(domain)} repeats a value"
 
 
+def test_2cc_refuses_an_empty_domain():
+    """An empty domain has no coalitions tuple, so no execution to check."""
+    with pytest.raises(InvalidArgumentError) as info:
+        verify_2cc(2, ())
+    assert str(info.value) == "value domain is empty"
+
+
 def test_consensus_n2_all_adversary_choices():
     proto = protocol_consensus_wor(2)
     for sched in enumerate_round_schedules(2, WOR, "sigma"):
@@ -251,7 +258,7 @@ def test_consensus_n2_all_adversary_choices():
         contended = [o for (o, _b, c, _f) in probe_round(init, sched, proto) if c]
         for values in itertools.product((1, 2), repeat=len(contended)):
             final = apply_round(init, sched, values, proto)
-            decs = {ls.dec for ls in final.locals_}
+            decs = set(final.dec)
             assert len(decs) == 1 and decs <= {0, 1}
 
 
@@ -282,7 +289,7 @@ def test_consensus_coalition_ledger_soundness(n):
             if r != gamma(n, m):
                 continue
             for pid in range(1, n + 1):
-                led = dict(state.locals_[pid - 1].locals_.agreements)
+                led = dict(state.loc[pid - 1].agreements)
                 memberships = [
                     (i, led.get(tup(i, i + m)))
                     for i in range(1, n - m + 1)
@@ -293,7 +300,7 @@ def test_consensus_coalition_ledger_soundness(n):
                     assert v in inputs
                     # every group member agrees on the coalition name
                     for q in range(i, i + m + 1):
-                        got = dict(state.locals_[q - 1].locals_.agreements).get(tup(i, i + m))
+                        got = dict(state.loc[q - 1].agreements).get(tup(i, i + m))
                         assert got is None or got == v
 
 
@@ -323,13 +330,13 @@ def test_consensus_locals_show_the_stored_ledger(n):
     adversary = random_outputs(n, n)
     for r in range(1, proto.round_budget + 4):
         state = apply_round(state, random_sigma_schedule(n, WOR, rng), adversary, proto)
-        ledgers = [_ledger_step_reference(led, ls.pid, n, ls.sm, ls.val)
-                   for led, ls in zip(ledgers, state.locals_)]
-        for led, ls in zip(ledgers, state.locals_):
-            assert ls.locals_.agreements == led.agreements, (r, ls.pid)
-            want = {"id": ls.pid, "r": r, "ledger": jsonable(led)}
-            assert jsonable(ls.locals_) == want
-            assert canonical_json(ls.locals_) == canonical_json(want)
+        ledgers = [_ledger_step_reference(led, pid, n, sm, val)
+                   for pid, (led, sm, val) in enumerate(zip(ledgers, state.sm, state.val), start=1)]
+        for pid, (led, loc) in enumerate(zip(ledgers, state.loc), start=1):
+            assert loc.agreements == led.agreements, (r, pid)
+            want = {"id": pid, "r": r, "ledger": jsonable(led)}
+            assert jsonable(loc) == want
+            assert canonical_json(loc) == canonical_json(want)
 
 
 def test_consensus_locals_keep_a_none_input_apart_from_an_unset_slot():
@@ -348,16 +355,16 @@ def test_consensus_locals_keep_a_none_input_apart_from_an_unset_slot():
         if r:
             lastid = coalition_group(n, min(r, proto.round_budget))[1]
             state = apply_round(state, sched, itertools.repeat(lastid), proto)
-            ledgers = [_ledger_step_reference(led, ls.pid, n, ls.sm, ls.val)
-                       for led, ls in zip(ledgers, state.locals_)]
-        for led, ls in zip(ledgers, state.locals_):
-            want = {"id": ls.pid, "r": r, "ledger": jsonable(led)}
-            assert canonical_json(ls.locals_) == canonical_json(want), (r, ls.pid)
-            assert digest(ls.locals_) == digest(want), (r, ls.pid)
-            assert ls.locals_.agreements == led.agreements
-        first = jsonable(state.locals_[0].locals_)["ledger"]["agreements"]
+            ledgers = [_ledger_step_reference(led, pid, n, sm, val)
+                       for pid, (led, sm, val) in enumerate(zip(ledgers, state.sm, state.val), start=1)]
+        for pid, (led, loc) in enumerate(zip(ledgers, state.loc), start=1):
+            want = {"id": pid, "r": r, "ledger": jsonable(led)}
+            assert canonical_json(loc) == canonical_json(want), (r, pid)
+            assert digest(loc) == digest(want), (r, pid)
+            assert loc.agreements == led.agreements
+        first = jsonable(state.loc[0])["ledger"]["agreements"]
         assert first[str(tup(1, 1))] is None  # stored, not dropped as unset
-        assert str(tup(1, 1)) not in jsonable(state.locals_[1].locals_)["ledger"]["agreements"]
+        assert str(tup(1, 1)) not in jsonable(state.loc[1])["ledger"]["agreements"]
 
 
 def test_consensus_refuses_to_run_on_a_none_input_its_side_must_adopt():
@@ -377,7 +384,7 @@ def test_consensus_full_run_decides_common_input():
 
     def explore(state, depth):
         if depth == 3:
-            decs = {ls.dec for ls in state.locals_}
+            decs = set(state.dec)
             assert len(decs) == 1 and decs <= {0, 1}
             return
         contended = [o for (o, _b, c, _f) in probe_round(state, sched, proto) if c]
@@ -404,8 +411,8 @@ def test_wro_simulation_discards_round_one_value():
     sim = transform_wro_to_owr(proto)
     init = make_initial_state(3, [0, 1, 1], OWR, sim)
     s1 = apply_round(init, sigma_schedule((), 3, OWR), itertools.repeat(2), sim)
-    assert all(ls.val is None for ls in s1.locals_)
-    assert all(ls.dec is None for ls in s1.locals_)
+    assert s1.val == (None, None, None)
+    assert s1.dec == (None, None, None)
 
 
 def test_owr_simulation_resets_round_one_snapshot():
@@ -413,7 +420,7 @@ def test_owr_simulation_resets_round_one_snapshot():
     sim = transform_owr_to_wro(proto)
     init = make_initial_state(3, [4, 5, 6], WRO, sim)
     s1 = apply_round(init, sigma_schedule((), 3, WRO), itertools.repeat(2), sim)
-    assert [ls.sm for ls in s1.locals_] == [4, 5, 6]
+    assert s1.sm == (4, 5, 6)
 
 
 def test_constant_decider_shifts_by_one_round():
