@@ -319,12 +319,12 @@ def _run_events(state: GlobalState, sched: RoundSchedule, proto: ProtocolAutomat
                 adversary: Iterator[int]):
     """Walk one round's events, taking the adversary's next output for each
     contended instance; returns the sm and val columns, the snapshot cells,
-    the resolved objects and the adversary's choices.  A process's ``sm`` is
-    None until its own scan: ``write_payload`` and ``select_object`` never
-    see the previous round's snapshot, which the locals carry if needed."""
+    the resolved objects and the adversary's choices.  A write gets the last
+    output and the locals: every model writes before it scans.  A process's
+    ``sm`` is None until its own scan, which only WRO's select follows."""
     n = state.n
     rnd = state.rnd + 1
-    inp, loc = state.inp, state.loc
+    loc = state.loc
     cur_sm: list = [None] * n
     cur_val = list(state.val)
     write, select, sc_input = proto.write_payload, proto.select_object, proto.sc_input
@@ -339,7 +339,7 @@ def _run_events(state: GlobalState, sched: RoundSchedule, proto: ProtocolAutomat
         if kind == W:
             for pid in group:
                 i = pid - 1
-                cells[i] = write(pid, inp[i], cur_sm[i], cur_val[i], loc[i])
+                cells[i] = write(pid, cur_val[i], loc[i])
         elif kind == R:
             snap = tuple(cells)
             for pid in group:

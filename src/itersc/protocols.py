@@ -10,6 +10,8 @@ Component conventions:
 * ``locals`` is the automaton's own frozen dataclass record, read by
   attribute; ``step`` returns a new record.  Components
   take and return immutable values, which the executor stores as they are.
+* a write sees its last output ``val`` and its locals, nothing else: every
+  model writes before it scans, and the input reaches only ``init``.
 * object indices are fresh per round: the executor keys instances by
   (round, index), matching the one-shot discipline of the iterated models.
 """
@@ -101,14 +103,12 @@ class ProtocolAutomaton:
     """Deterministic per-process machine for one iterated model.
 
     ``init(pid, inp)`` returns the locals record (see the module docstring);
-    ``select_object(rnd, pid, sm, val, locals)`` picks this round's object;
-    ``write_payload(pid, inp, sm, val, locals)`` produces the written value;
-    there ``sm`` is the process's scan of this round, None before it, and
-    ``val`` its last output: the previous snapshot is never handed back.
-    ``decide(sm, val, locals)`` may output; ``step(locals, sm, val)`` folds the
-    finished round into a new record.  ``sm_filter``/``val_filter`` run right
-    after the scan/invoke events; they exist for the model simulations,
-    which discard one round-1 result.
+    ``select_object(rnd, pid, sm, val, locals)`` picks this round's object,
+    with ``sm`` None unless the process has scanned (WRO); ``write_payload(pid,
+    val, locals)`` produces the written value; ``decide(sm, val, locals)`` may
+    output; ``step(locals, sm, val)`` folds the finished round into a new
+    record.  ``sm_filter``/``val_filter`` run right after the scan/invoke
+    events, for the model simulations, which discard one round-1 result.
     """
 
     model: str
@@ -117,7 +117,7 @@ class ProtocolAutomaton:
     select_object: Callable[[int, int, Any, Any, Any], Any]
     decide: Callable[[Any, Any, Any], Any]
     step: Callable[[Any, Any, Any], Any]
-    write_payload: Callable[[int, Any, Any, Any, Any], Any]
+    write_payload: Callable[[int, Any, Any], Any]
     sc_input: Optional[Callable[[int, Any], Any]] = None
     sm_filter: Optional[Callable[[int, int, Any, Any], Any]] = None
     val_filter: Optional[Callable[[int, int, Any, Any], Any]] = None
@@ -172,7 +172,7 @@ def protocol_2cc(g: int) -> ProtocolAutomaton:
     def select_object(rnd, pid, sm, val, loc):
         return 0
 
-    def write_payload(pid, inp, sm, val, loc):
+    def write_payload(pid, val, loc):
         return loc.pair
 
     def decide(sm, val, loc):
@@ -286,7 +286,7 @@ def protocol_consensus_wor(n: int) -> ProtocolAutomaton:
     def select_object(rnd, pid, sm, val, loc):
         return GROUP_OBJECT if plan[loc.r if loc.r < last else last][0][pid] else pid
 
-    def write_payload(pid, inp, sm, val, loc):
+    def write_payload(pid, val, loc):
         member, left, right, _key, _fid, _lid = plan[loc.r if loc.r < last else last]
         if member[pid]:
             a, b = loc.slots[left], loc.slots[right]
@@ -376,14 +376,14 @@ def transform_wro_to_owr(proto: ProtocolAutomaton) -> ProtocolAutomaton:
     def val_filter(rnd, pid, val, loc):
         return None if rnd == 1 else val
 
-    def write_payload(pid, inp, sm, val, loc):
+    def write_payload(pid, val, loc):
         # round r writes what the source writes in its round r: the fold of
         # the source's round r-1, with its scan from prev_sm, happens on the
         # fly (the stored locals lag).
         inner = loc.inner
         if loc.r >= 1:
             inner = proto.step(inner, loc.prev_sm, val)
-        return proto.write_payload(pid, inp, sm, val, inner)
+        return proto.write_payload(pid, val, inner)
 
     def decide(sm, val, loc):
         if loc.r == 0 or loc.decp is not None:
@@ -436,10 +436,10 @@ def transform_owr_to_wro(proto: ProtocolAutomaton) -> ProtocolAutomaton:
             inner = proto.step(inner, sm, val)
         return proto.select_object(rnd, pid, None, val, inner)
 
-    def write_payload(pid, inp, sm, val, loc):
+    def write_payload(pid, val, loc):
         if loc.r == 0:
             return (loc.inp, val)  # scans of round 1 are reset, content irrelevant
-        return proto.write_payload(pid, inp, sm, val, loc.inner)
+        return proto.write_payload(pid, val, loc.inner)
 
     def decide(sm, val, loc):
         if loc.r == 0 or loc.decp is not None:

@@ -41,7 +41,7 @@ def knowledge_automaton(model: str, name: str, select: Callable,
     def init(pid, inp):
         return Knowledge(id=pid, r=0, known=(inp,))
 
-    def write_payload(pid, inp, sm, val, loc):
+    def write_payload(pid, val, loc):
         return loc.known
 
     def merge(loc, sm):

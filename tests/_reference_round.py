@@ -6,11 +6,11 @@ per process, the snapshot cells and the ``resolved`` tuples.
 ``tests/test_rounds.py`` checks that the ``locals_`` tuples and the ``cells``
 and ``resolved`` columns of the state that ``executor.apply_round_recorded``
 returns are exactly these, instance order and inputs included, with the same
-recorded adversary choices.  Like the engine, it hands ``write_payload`` and
-``select_object`` a process's ``sm`` only once the process has scanned in
-this round, and None before.  It reads a schedule only through its
-``model``, ``n`` and ``(kind, group)`` events, so it needs nothing of the
-executor.
+recorded adversary choices.  Like the engine, it hands ``write_payload``
+only the last output and the locals, and ``select_object`` a process's
+``sm`` only once the process has scanned in this round, and None before.
+It reads a schedule only through its ``model``, ``n`` and ``(kind, group)``
+events, so it needs nothing of the executor.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ def run_events(state: GlobalState, sched, proto: ProtocolAutomaton,
     ``adversary`` outputs."""
     n = state.n
     rnd = state.rnd + 1
-    inp = state.inp
     cur_sm: list = [None] * n  # the previous snapshot stays hidden
     cur_val = list(state.val)
     loc = list(state.loc)
@@ -53,7 +52,7 @@ def run_events(state: GlobalState, sched, proto: ProtocolAutomaton,
         if kind == W:
             for pid in group:
                 i = pid - 1
-                cells[i] = write(pid, inp[i], cur_sm[i], cur_val[i], loc[i])
+                cells[i] = write(pid, cur_val[i], loc[i])
         elif kind == R:
             snap = tuple(cells)
             for pid in group:

@@ -335,13 +335,14 @@ def test_states_are_equal_exactly_when_their_views_are(n):
 
 
 def _sm_reader(model: str, log: list) -> ProtocolAutomaton:
-    """Writes the ``sm`` it is given and shares object 0 only with a snapshot
-    in hand; ``log`` gets ``(callback, round, pid, sm)`` of every write and
-    select.  It decides its last scan and output from round 2 on."""
+    """Writes its last output and shares object 0 only with a snapshot in
+    hand; ``log`` gets ``(callback, round, pid)`` of every write and
+    ``(callback, round, pid, sm)`` of every select.  It decides its last scan
+    and output from round 2 on."""
 
-    def write_payload(pid, inp, sm, val, loc):
-        log.append(("write", loc.r + 1, pid, sm))
-        return (loc.known, sm)
+    def write_payload(pid, val, loc):
+        log.append(("write", loc.r + 1, pid))
+        return (loc.known, val)
 
     def select_object(rnd, pid, sm, val, loc):
         log.append(("select", rnd, pid, sm))
@@ -358,9 +359,10 @@ def _sm_reader(model: str, log: list) -> ProtocolAutomaton:
 
 @pytest.mark.parametrize("model", [WOR, WRO, OWR])
 def test_write_and_select_see_this_rounds_snapshot_or_none(model):
-    """Engine and reference agree on an automaton that reads the ``sm`` it is
-    handed, which is None before the process's own scan in the round and
-    that scan after it: only WRO's select comes after the scan."""
+    """Engine and reference agree on an automaton that reads the ``sm`` its
+    select is handed, which is None before the process's own scan in the
+    round and that scan after it: only WRO's select comes after the scan.
+    Every write comes before it, and a write is handed no ``sm`` at all."""
     n, rng, log = 3, random.Random(2300), []
     proto = _sm_reader(model, log)
     family = list(enumerate_round_schedules(n, model, "ordered-partition"))
@@ -379,10 +381,11 @@ def test_write_and_select_see_this_rounds_snapshot_or_none(model):
             assert log == calls and len(calls) == 2 * n
             at = {(kind, pid): pos for pos, (kind, group) in enumerate(sched.events)
                   for pid in group}
-            for callback, rnd, pid, sm in calls:
+            for callback, rnd, pid, *sm in calls:  # a write logs no sm
                 scanned = at[R, pid] < at[W if callback == "write" else S, pid]
                 assert rnd == got.rnd
-                assert sm == (got.sm[pid - 1] if scanned else None), (callback, str(sched))
+                if callback == "select":
+                    assert sm == [got.sm[pid - 1] if scanned else None], str(sched)
                 seen.add((callback, scanned))
             state = got
     assert seen == ({("write", False), ("select", True)} if model == WRO
