@@ -329,6 +329,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_ID_LIST_FLAGS = ("--values", "--inputs", "--block-a", "--block-b")
+_NESTED_FORMS = {"--groups": "1,2|3", "--set": "1,2;2,3"}
+
+
+def _config_text(key: str, flag: str, value) -> str:
+    """A config value as its flag's command-line text: a flat array of ints
+    or strings for a comma-separated flag joins with commas; any other array
+    or object is refused."""
+    if not isinstance(value, (list, dict)):
+        return str(value)
+    if flag in _ID_LIST_FLAGS and isinstance(value, list) \
+            and all(type(v) in (int, str) for v in value):  # bools are not ids
+        return ",".join(map(str, value))
+    form = f' "{_NESTED_FORMS[flag]}"' if flag in _NESTED_FORMS else ""
+    raise InvalidInputError(f"config key {key!r} takes the command-line text of {flag}{form}, "
+                            f"not {json.dumps(value)}")
+
+
 def _apply_config_file(parser, argv):
     """flags > config file > defaults; a null value leaves its flag at the default."""
     ns, _ = parser.parse_known_args(argv)
@@ -343,7 +361,7 @@ def _apply_config_file(parser, argv):
         flag = f"--{key.replace('_', '-')}"
         if value is None or flag in given:
             continue
-        extra += [flag, str(value)]
+        extra += [flag, _config_text(key, flag, value)]
     return argv + extra
 
 

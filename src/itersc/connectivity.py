@@ -576,10 +576,14 @@ def lower_bound_demo(proto, rounds: int = 5) -> dict:
     automaton: connected successors of the 0- and 1-input states every
     round (5 by default, C(3,2) + 2), with the endpoints certified univalent
     for opposite values within the automaton's round budget, which it must
-    have, and decided by every process at both ends of the path."""
+    have, and decided by every process at both ends of the path.  The bound
+    is a WOR one: a WRO or OWR automaton is refused."""
     if rounds < 1:
         raise InvalidArgumentError(f"the demo needs at least one round, got {rounds}")
     horizon = proto.budget()
+    if proto.model != WOR:
+        raise ModelMismatchError(f"the lower bound needs a WOR automaton, "
+                                 f"not the {proto.model} automaton {proto.name}")
     n = 3
     o_state = make_initial_state(n, [0, 0, 0], proto.model, proto)
     u_state = make_initial_state(n, [1, 1, 1], proto.model, proto)

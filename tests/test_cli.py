@@ -154,6 +154,16 @@ def test_connectivity_wro_obstruction_refuses_a_wor_automaton(capsys, automaton)
                           "not the WOR automaton ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("automaton", ["owr-solo-d2", "wro-solo-d2", "wro-solo-d6"])
+def test_connectivity_lower_bound_refuses_a_wro_or_owr_automaton(capsys, automaton):
+    code, out, err = run_cli(capsys, "connectivity", "--demo", "lower-bound",
+                             "--automaton", automaton)
+    assert code == EXIT_USAGE and out == ""
+    model = automaton[:3].upper()
+    assert err == (f"[itersc] error: the lower bound needs a WOR automaton, "
+                   f"not the {model} automaton {automaton}\n")
+
+
 def test_connectivity_wro_obstruction_runs_an_owr_automaton(capsys):
     # the WRO obstruction carries over to OWR, the model WRO is equivalent to
     code, out, _ = run_cli(capsys, "connectivity", "--demo", "wro-obstruction",
@@ -364,6 +374,35 @@ def test_null_config_value_leaves_its_flag_at_the_default(capsys, tmp_path, monk
         reports.append(json.loads(out))
         reports[-1].pop("wall_time_s")
     assert reports[0] == reports[1]
+
+
+def test_config_array_gives_the_report_of_its_comma_separated_flag(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"values": [5, 7]}))
+    reports = []
+    for argv in (("--config", str(cfg)), ("--values", "5,7")):
+        code, out, _ = run_cli(capsys, "verify-2cc", *argv)
+        assert code == EXIT_OK
+        reports.append(json.loads(out))
+        reports[-1].pop("wall_time_s")
+    assert reports[0] == reports[1] and reports[0]["config"]["values"] == [5, 7]
+
+
+@pytest.mark.parametrize("command, cfg, form", [
+    (("verify-2cc",), {"values": [[5], 7]}, "--values, not [[5], 7]"),
+    (("verify-2cc",), {"values": {"a": 5}}, '--values, not {"a": 5}'),
+    (("verify-2cc",), {"g": [2]}, "--g, not [2]"),
+    (("simulate",), {"groups": [[1, 2], [3]]}, '--groups "1,2|3", not [[1, 2], [3]]'),
+    (("johnson", "--op", "zeta"), {"set": [[1, 2], [2, 3]]}, '--set "1,2;2,3", not [[1, 2]'),
+], ids=["nested", "object", "scalar-flag", "groups", "set"])
+def test_config_value_without_a_command_line_form_exits_2(capsys, tmp_path, command, cfg, form):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, *command, "--config", str(path))
+    key = next(iter(cfg))
+    assert code == EXIT_USAGE and out == ""
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith(f"[itersc] error: config key {key!r} takes the command-line text of {form}")
 
 
 def test_config_goes_after_the_subcommand(capsys, tmp_path):

@@ -29,6 +29,7 @@ from itersc.errors import (
     ConstructionError,
     InvalidArgumentError,
     InvalidScheduleError,
+    ModelMismatchError,
     NoInvocationsError,
     PreconditionViolationError,
 )
@@ -439,6 +440,19 @@ def test_lower_bound_demo_refuses_an_automaton_without_a_round_budget_before_any
     assert calls == []
     lower_bound_demo(SOLO, rounds=1)
     assert calls  # the counter sees the demo's rounds
+
+
+@pytest.mark.parametrize("model", [WRO, OWR])
+def test_lower_bound_demo_refuses_a_wro_or_owr_automaton_before_any_round(monkeypatch, model):
+    """The C(n,2) bound is a WOR result; the same wiring in another model
+    used to run through the WOR path engines and could pass."""
+    calls = []
+    monkeypatch.setattr(executor, "apply_round_recorded", lambda *args: calls.append(args))
+    proto = knowledge_automaton(model, f"solo-{model}", sel_solo, decide_round=2)
+    with pytest.raises(ModelMismatchError, match=f"^the lower bound needs a WOR automaton, "
+                                                 f"not the {model} automaton solo-{model}$"):
+        lower_bound_demo(proto)
+    assert calls == []
 
 
 def test_demos_log_one_debug_line_per_round(caplog):
